@@ -19,13 +19,17 @@ which acts trivially on the embedded group) by two exact conditions: it
 carries every ball-model period matrix to the corresponding half-plane
 one, and it conjugates J to the fixed order-four matrix K4 below.  Both
 conditions are re-verified in the test suite.
+
+Fundamental-domain reduction runs in Q(i) as well: a float input point is
+converted exactly, the greedy walk tests |tau -+ 1|^2 >= 2 in Q, and the
+certificate is an exact equality, with no tolerance and no step cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite
 
 from .exact import GaussianRational, InputError, I
 
@@ -249,6 +253,9 @@ U_GEN_C4 = Mat([[I, 0], [0, 1]])  # diag(i, 1)
 G_GEN_TRANSLATION = Mat([[1, 2], [0, 1]])
 G_GEN_S = Mat([[0, 1], [-1, 0]])
 G_GEN_C4 = Mat([[1, 1], [-1, 1]]).scale(GR(Fraction(1, 2), Fraction(1, 2)))
+_T_INV = Mat([[1, -2], [0, 1]])
+_C4_INV = Mat([[1, -1], [1, 1]]).scale(GR(Fraction(1, 2), Fraction(-1, 2)))
+_G_GENERATORS = (G_GEN_TRANSLATION, _T_INV, G_GEN_S, -G_GEN_S, G_GEN_C4, _C4_INV)
 
 
 def sigma(m: Mat) -> Mat:
@@ -265,11 +272,6 @@ def is_symplectic(m: Mat) -> bool:
 def in_u11(g: Mat) -> bool:
     """Membership in U(1,1; Z[i]): Gaussian-integer entries preserving H."""
     return g.is_gaussian_integral() and g.conj_transpose() * H * g == H
-
-
-def in_u11_group(g: Mat) -> bool:
-    """Membership in U(1,1) over Q(i) (no integrality)."""
-    return g.conj_transpose() * H * g == H
 
 
 def in_gamma_theta(m: Mat) -> bool:
@@ -529,29 +531,11 @@ def iota_image_check() -> bool:
     return True
 
 
-_G_GENERATORS = None
-
-
-def _group_generators():
-    global _G_GENERATORS
-    if _G_GENERATORS is None:
-        _G_GENERATORS = (
-            G_GEN_TRANSLATION,
-            _T_INV,
-            G_GEN_S,
-            -G_GEN_S,
-            G_GEN_C4,
-            _C4_INV,
-        )
-    return _G_GENERATORS
-
-
 def random_group_element(rng, length: int = 6) -> Mat:
     """A random word in the generators of G (exact entries)."""
-    gens = _group_generators()
     m = Mat.identity(2)
     for _ in range(length):
-        m = m * gens[rng.randrange(len(gens))]
+        m = m * _G_GENERATORS[rng.randrange(len(_G_GENERATORS))]
     return m
 
 
@@ -609,77 +593,76 @@ def embedding_suite(n_random: int = 10, seed: int = 0) -> dict[str, bool]:
 # Fundamental-domain reduction
 # ---------------------------------------------------------------------------
 
-# Closed domain: |Re tau| <= 1, |tau - 1| >= sqrt(2), |tau + 1| >= sqrt(2),
-# with a small boundary tolerance.
-_EPS = 1e-12
-_MAX_STEPS = 10_000
+
+def _exact_point(tau) -> GR:
+    """tau as a point of Q(i).  A finite float is a dyadic rational, so a
+    complex converts exactly; it is not reread as a decimal."""
+    if isinstance(tau, complex):
+        if not (isfinite(tau.real) and isfinite(tau.imag)):
+            raise InputError("tau must be finite")
+        return GR(tau.real, tau.imag)
+    return _gr(tau)
 
 
-def in_fundamental_domain(tau: complex, eps: float = _EPS) -> bool:
+def _act(m: Mat, tau: GR) -> GR:
+    """The fractional-linear action (a*tau + b)/(c*tau + d), exactly."""
+    return (m[0, 0] * tau + m[0, 1]) / (m[1, 0] * tau + m[1, 1])
+
+
+def in_fundamental_domain(tau) -> bool:
+    """Membership in the closed domain Im tau > 0, |Re tau| <= 1,
+    |tau - 1|^2 >= 2, |tau + 1|^2 >= 2, decided exactly in Q(i)."""
+    tau = _exact_point(tau)
     return (
-        abs(tau.real) <= 1 + eps
-        and abs(tau - 1) >= sqrt(2) - eps
-        and abs(tau + 1) >= sqrt(2) - eps
+        tau.im > 0
+        and abs(tau.re) <= 1
+        and (tau - 1).norm() >= 2
+        and (tau + 1).norm() >= 2
     )
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    tau_reduced: complex
+    tau_reduced: GR
     word: tuple[str, ...]
     matrix: Mat  # element of G with matrix . tau = tau_reduced
 
-    def certificate_ok(self, tau_input: complex, tol: float = 1e-9) -> bool:
-        """Exact group membership plus numeric point-mapping check."""
-        if not in_g(self.matrix):
-            return False
-        a, b = self.matrix[0, 0].to_complex(), self.matrix[0, 1].to_complex()
-        c, d = self.matrix[1, 0].to_complex(), self.matrix[1, 1].to_complex()
-        mapped = (a * tau_input + b) / (c * tau_input + d)
-        return abs(mapped - self.tau_reduced) <= tol
+    def certificate_ok(self, tau_input) -> bool:
+        """Exact: the matrix lies in G, carries tau_input to tau_reduced in
+        Q(i), and tau_reduced lies in the closed domain."""
+        return (
+            in_g(self.matrix)
+            and _act(self.matrix, _exact_point(tau_input)) == self.tau_reduced
+            and in_fundamental_domain(self.tau_reduced)
+        )
 
 
-def _moebius(m: Mat, tau: complex) -> complex:
-    a, b = m[0, 0].to_complex(), m[0, 1].to_complex()
-    c, d = m[1, 0].to_complex(), m[1, 1].to_complex()
-    return (a * tau + b) / (c * tau + d)
-
-
-_T_INV = Mat([[1, -2], [0, 1]])
-_C4_INV = Mat([[1, -1], [1, 1]]).scale(GR(Fraction(1, 2), Fraction(-1, 2)))
-
-
-def reduce_to_fundamental_domain(tau: complex) -> ReductionResult:
+def reduce_to_fundamental_domain(tau) -> ReductionResult:
     """Greedy reduction into the fundamental domain of the Cayley-transformed
-    group: translate Re into [-1, 1], then push off the two radius-sqrt(2)
-    circles with the order-four generator (which strictly increases the
-    imaginary part inside them).  The certificate is exact; the search is
-    floating-point."""
-    if tau.imag <= 0:
+    group, exactly in Q(i).  Translate Re tau into [-1, 1] with one power
+    T^k (tau -> tau + 2k); while tau lies inside an isometric circle
+    |tau -+ 1| = sqrt(2), apply C^{+-1} and translate again.  The word lists
+    the generator powers in the order they were applied.
+
+    The walk ends without a step cap (Ford, Automorphic Functions, 1929):
+    C^{+-1} multiplies Im tau by the exact factor 2/|tau -+ 1|^2 > 1 and T^k
+    keeps it, while G is discrete, so the orbit of tau has only finitely
+    many imaginary parts above Im tau."""
+    current = _exact_point(tau)
+    if current.im <= 0:
         raise InputError("tau must lie in the upper half-plane")
     word: list[str] = []
     acc = Mat.identity(2)
-    current = tau
-    for _ in range(_MAX_STEPS):
-        shift = round(current.real / 2)
-        if shift != 0:
-            gen = G_GEN_TRANSLATION if shift < 0 else _T_INV
-            name = "T" if shift < 0 else "T^-1"
-            for _ in range(abs(shift)):
-                current = _moebius(gen, current)
-                acc = gen * acc
-                word.append(name)
-            continue
-        if abs(current - 1) < sqrt(2) - _EPS:
-            current = _moebius(G_GEN_C4, current)
-            acc = G_GEN_C4 * acc
-            word.append("C")
-        elif abs(current + 1) < sqrt(2) - _EPS:
-            current = _moebius(_C4_INV, current)
-            acc = _C4_INV * acc
-            word.append("C^-1")
+    while True:
+        k = -round(current.re / 2)
+        if k:
+            gen, name = Mat([[1, 2 * k], [0, 1]]), f"T^{k}"
+        elif (current - 1).norm() < 2:
+            gen, name = G_GEN_C4, "C"
+        elif (current + 1).norm() < 2:
+            gen, name = _C4_INV, "C^-1"
         else:
-            return ReductionResult(
-                tau_reduced=current, word=tuple(word), matrix=acc
-            )
-    raise RuntimeError("fundamental-domain reduction did not converge")
+            return ReductionResult(tau_reduced=current, word=tuple(word), matrix=acc)
+        current = _act(gen, current)
+        acc = gen * acc
+        word.append(name)

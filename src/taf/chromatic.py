@@ -239,12 +239,12 @@ def _divides_power_of(g: list[int], base: list[int], power: int, p: int) -> bool
     return not result
 
 
-def landweber_check(p: int, n_max: int = 2) -> VGenReport:
+def landweber_check(p: int) -> VGenReport:
     """The regularity ladder at desk scale: (a) v_1 != 0 mod p; (b) v_2 != 0
     mod (p, v_1); (c) common roots of the dehomogenized v_1, v_2 over
     F_p-bar lie on the cusp-form locus x^2 = 1 (gcd divides (x^2-1)^deg),
     plus the beta = 0 ray check v_1(alpha, 0) != 0."""
-    report = key_lemma_check(p, n_max)
+    report = key_lemma_check(p, 2)
     v1 = reduce_mod_p(report.v[0], p)
     v2 = reduce_mod_p(report.v[1], p)
 

@@ -38,11 +38,6 @@ class ConsistencyError(RuntimeError):
     """A constructed law failed its own axioms; never returned to callers."""
 
 
-def exp_from_log(log: TruncSeries) -> TruncSeries:
-    """Compositional inverse of a normalized logarithm."""
-    return revert(log)
-
-
 # ---------------------------------------------------------------------------
 # Trivariate helper for the associativity axiom
 # ---------------------------------------------------------------------------
@@ -131,7 +126,7 @@ def build_fgl(log: TruncSeries, check_associativity: bool = True) -> FormalGroup
     if not log.coeffs[0].is_zero() or log.coeffs[1] != ONE:
         raise InputError("logarithm must be normalized: x + higher-order terms")
     n = log.order
-    exp = exp_from_log(log)
+    exp = revert(log)
     lsum = bi_from_univariate(log, 0, n) + bi_from_univariate(log, 1, n)
     law = bi_compose_outer(exp, lsum)
     if not _unit_axiom_holds(law):

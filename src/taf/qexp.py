@@ -247,14 +247,6 @@ def eval_form(form: QExpansion, tau: ComplexPoint | complex, K: int | None = Non
     return EvalResult(value=value, trunc_bound=tail)
 
 
-def eval_alpha(tau, K: int = 40) -> EvalResult:
-    return eval_form(forms(K).alpha, tau)
-
-
-def eval_beta(tau, K: int = 40) -> EvalResult:
-    return eval_form(forms(K).beta, tau)
-
-
 @dataclass(frozen=True)
 class TransformResiduals:
     residual_c4: float

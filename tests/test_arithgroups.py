@@ -1,6 +1,7 @@
 """Exact matrix identities: U(1,1; Z[i]), Cayley, embeddings, reduction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -189,8 +190,36 @@ class TestReduction:
         for _ in range(100):
             tau = complex(rng.uniform(-40, 40), rng.uniform(0.05, 20))
             r = reduce_to_fundamental_domain(tau)
-            assert in_fundamental_domain(r.tau_reduced, eps=1e-9)
+            assert in_fundamental_domain(r.tau_reduced)
             assert r.certificate_ok(tau)
+
+    @pytest.mark.parametrize(
+        "re,im",
+        [(0.3, 1e-7), (0.5, 1e-12), (1e7, 1), (-3162.3, 0.05), (1e300, 1e-300)],
+    )
+    def test_hard_points_certify(self, re, im):
+        # Near the real segment, far out along it, and at the float extremes.
+        tau = complex(re, im)
+        r = reduce_to_fundamental_domain(tau)
+        assert in_fundamental_domain(r.tau_reduced)
+        assert r.certificate_ok(tau)
+
+    def test_tampered_certificates_are_refused(self):
+        tau = complex(7.3, 0.2)
+        r = reduce_to_fundamental_domain(tau)
+        assert r.certificate_ok(tau)
+        wrong_matrix = replace(r, matrix=G_GEN_TRANSLATION * r.matrix)
+        assert not wrong_matrix.certificate_ok(tau)
+        moved = replace(r, tau_reduced=r.tau_reduced + GR(Fraction(1, 2**60)))
+        assert in_fundamental_domain(moved.tau_reduced)
+        assert not moved.certificate_ok(tau)
+        # Same action, but 2 * matrix is not in G.
+        assert not replace(r, matrix=r.matrix.scale(2)).certificate_ok(tau)
+        # Exact and in G, but the point was never reduced.
+        unreduced = replace(
+            r, tau_reduced=GR(7.3, 0.2), word=(), matrix=Mat.identity(2)
+        )
+        assert not unreduced.certificate_ok(tau)
 
     def test_fixed_point_is_identity(self):
         r = reduce_to_fundamental_domain(3j)

@@ -82,6 +82,11 @@ class TestDispatch:
         assert d["certificate"] is True
         assert abs(d["tau_reduced"]["re"]) <= 1 + 1e-9
 
+    def test_reduce_near_real_axis(self, capsys):
+        code, out = run(capsys, "reduce", "0.3", "1e-7", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["certificate"] is True
+
     def test_verify_embeddings(self, capsys):
         code, out = run(capsys, "verify-embeddings", "--format", "json")
         assert code == 0
@@ -106,6 +111,12 @@ class TestExitCodes:
     def test_input_error_maps_to_2(self, capsys):
         # 7 = 3 (mod 4): the chromatic pipeline rejects it as a usage error.
         assert main(["vgens", "-p", "7"]) == 2
+
+    @pytest.mark.parametrize(
+        "re,im", [("inf", "1"), ("nan", "1"), ("0", "inf"), ("1", "nan")]
+    )
+    def test_reduce_non_finite_maps_to_2(self, capsys, re, im):
+        assert main(["reduce", re, im]) == 2
 
     def test_env_default_order(self, capsys, monkeypatch):
         monkeypatch.setenv("TAF_DEFAULT_ORDER", "5")
