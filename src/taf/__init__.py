@@ -7,8 +7,8 @@ Subpackages:
 - `series`: truncated power series (one and two variables) with exact
   coefficients; composition, reversion, square roots.
 - `legendre`: homogeneous Legendre polynomials and the genus logarithm.
-- `curve`: the hyperelliptic family, its chart solve, and the curve
-  logarithm.
+- `curve`: the hyperelliptic family, its chart solve, the curve
+  logarithm, and exact automorphism identities.
 - `fgl`: formal group laws built from logarithms, the Euler closed form,
   and the isomorphism check.
 - `chromatic`: Hazewinkel-generator images, p-integrality, and the
@@ -16,6 +16,8 @@ Subpackages:
 - `qexp`: exact theta-based Fourier expansions and numeric evaluation.
 - `arithgroups`: U(1,1; Z[i]), the Cayley transform, symplectic
   embeddings, and fundamental-domain reduction.
+- `criteria`: the acceptance criteria behind `taf selftest` and the
+  acceptance tests.
 """
 
 __version__ = "0.1.0"

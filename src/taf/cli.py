@@ -2,58 +2,35 @@
 configurable orders, primes, and text/JSON output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
-series order N is 13 (override with -N or the TAF_DEFAULT_ORDER environment
-variable); the default q-expansion order K is 50.
+series order N is 13 (override with -N); the default q-expansion order K is
+50.  `selftest` runs the gating criteria of `taf.criteria`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
-from fractions import Fraction
+import time
 
 from . import __version__
-from .arithgroups import (
-    embedding_suite,
-    reduce_to_fundamental_domain,
-)
-from .chromatic import (
-    cor1_check,
-    cor2_check,
-    key_lemma_check,
-    landweber_check,
-)
-from .curve import log_phi, solve_u_of_v
+from .arithgroups import embedding_suite, reduce_to_fundamental_domain
+from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
+from .criteria import CRITERIA
+from .curve import log_phi
 from .exact import InputError
-from .fgl import euler_discrepancy, euler_law, fgl_phi, fgl_phiL, iso_check
-from .legendre import generating_check, legendre, log_phiL
+from .fgl import euler_discrepancy, euler_law, fgl_phi, iso_check
+from .legendre import legendre, log_phiL
 from .qexp import (
     anchor_check,
     eval_form,
     forms,
-    genus_qexp_consistency,
     integrality_and_identity,
     j_invariant,
     transform_check,
 )
 
 _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
-
-
-def _default_order() -> int:
-    raw = os.environ.get("TAF_DEFAULT_ORDER")
-    if raw is None:
-        return 13
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"TAF_DEFAULT_ORDER must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError("TAF_DEFAULT_ORDER must be >= 1")
-    return n
 
 
 def _emit(args, text_lines, payload) -> None:
@@ -321,160 +298,30 @@ def _cmd_verify_embeddings(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_checks(N: int, K: int):
-    """Named check thunks; each returns (ok, detail)."""
-
-    def chart_solve():
-        u = solve_u_of_v(N)
-        from .exact import ALPHA, BETA, ONE
-
-        ok = (
-            u[2] == ONE
-            and u[6] == ALPHA.scale(2)
-            and u[10] == ALPHA * ALPHA * 12 - BETA
-        )
-        return ok, "u(v) coefficients at v^2, v^6, v^10"
-
-    def logarithm():
-        from .curve import log_phi_consistency
-        from .exact import ALPHA
-        from fractions import Fraction as F
-
-        s = log_phi(9)
-        ok = s[5] == ALPHA.scale(F(6, 5)) and log_phi_consistency(N)
-        return ok, "log_phi v^5 term and chart consistency"
-
-    def legendre_anchors():
-        from .exact import ALPHA, GradedPoly
-
-        p6 = legendre(6)
-        expected = GradedPoly(
-            {
-                (6, 0): Fraction(231, 16),
-                (4, 1): Fraction(-315, 16),
-                (2, 2): Fraction(105, 16),
-                (0, 3): Fraction(-5, 16),
-            }
-        )
-        ok = legendre(1) == ALPHA and p6 == expected and generating_check(20)
-        return ok, "P_1, P_6, generating function through u^20"
-
-    def hazewinkel_closed_forms():
-        from .chromatic import hazewinkel_v
-
-        ok = True
-        for p in (5, 13):
-            v1 = hazewinkel_v(1, p)
-            v2 = hazewinkel_v(2, p)
-            lp = legendre((p - 1) // 4)
-            lp2 = legendre((p * p - 1) // 4)
-            ok &= v1 == lp
-            ok &= v2 == (lp2 - lp ** (p + 1)).scale(Fraction(1, p))
-        return ok, "v_1, v_2 closed forms at p = 5, 13"
-
-    def integrality():
-        ok = all(key_lemma_check(p, 2).all_integral() for p in (5, 13, 29, 37))
-        ok &= key_lemma_check(5, 3).all_integral()
-        return ok, "p-integrality of v_n (n <= 2 at 4 primes; n = 3 at p = 5)"
-
-    def corollary1():
-        r = landweber_check(5).landweber
-        ok = (
-            cor1_check()
-            and r.v1_nonzero_mod_p
-            and r.v2_nonzero_mod_p_v1
-            and r.height2_cozero_check
-        )
-        return ok, "mod-(5, v_1) congruences and the regularity ladder"
-
-    def corollary2():
-        ok = all(cor2_check(p).passes() for p in (5, 13, 29, 37))
-        return ok, "valuation-1 binomial and mod-(alpha) congruence"
-
-    def euler():
-        from .exact import ALPHA, GradedPoly
-
-        disc = euler_discrepancy(N)
-        law = euler_law(N)
-        deg5 = {
-            (4, 1): -ALPHA,
-            (3, 2): ALPHA.scale(-2),
-            (2, 3): ALPHA.scale(-2),
-            (1, 4): -ALPHA,
-        }
-        ok = not disc.terms and all(
-            law.coefficient(a, b) == c for (a, b), c in deg5.items()
-        )
-        return ok, "closed form vs beta = 0 law, with the degree-5 part pinned"
-
-    def fgl_axioms():
-        fgl_phi(N)
-        fgl_phiL(N)
-        return True, "unit, commutativity, associativity (construction aborts on failure)"
-
-    def qexp_anchors():
-        ok = anchor_check(K) and integrality_and_identity(K)
-        return ok, "theta anchors, integrality, alpha^2 - beta - 2^8*Delta = 0"
-
-    def zeros():
-        from math import sqrt
-
-        a = eval_form(forms(40).alpha, complex(1, sqrt(2))).value
-        b = eval_form(forms(40).beta, complex(0, 1)).value
-        ok = abs(a) < 1e-6 and abs(b) < 1e-6
-        return ok, "alpha(1 + i*sqrt(2)) and beta(i) vanish"
-
-    def transformation():
-        r = transform_check(complex(0, 2), K=60)
-        ok = r.residual_c4 < 1e-6 and r.residual_s < 1e-6
-        return ok, "weight-4 automorphy residuals at tau = 2i"
-
-    def genus_consistency():
-        ok = all(genus_qexp_consistency(p, 40) for p in (5, 13))
-        return ok, "p-integral expansions of v_1, v_2 at p = 5, 13"
-
-    def embeddings():
-        return all(embedding_suite().values()), "full exact embedding suite"
-
-    def reduction():
-        rng = random.Random(7)
-        for _ in range(100):
-            tau = complex(rng.uniform(-40, 40), rng.uniform(0.05, 20))
-            if not reduce_to_fundamental_domain(tau).certificate_ok(tau):
-                return False, f"failed at {tau}"
-        return True, "100 random points with exact certificates"
-
-    return [
-        ("chart-solve", chart_solve),
-        ("logarithm", logarithm),
-        ("legendre-anchors", legendre_anchors),
-        ("hazewinkel-closed-forms", hazewinkel_closed_forms),
-        ("integrality", integrality),
-        ("corollary-1", corollary1),
-        ("corollary-2", corollary2),
-        ("euler-law", euler),
-        ("fgl-axioms", fgl_axioms),
-        ("qexp-anchors", qexp_anchors),
-        ("zeros", zeros),
-        ("transformation", transformation),
-        ("genus-consistency", genus_consistency),
-        ("embeddings", embeddings),
-        ("reduction", reduction),
-    ]
-
-
 def _cmd_selftest(args) -> int:
     entries = []
     all_ok = True
-    for name, thunk in _selftest_checks(args.order, args.qorder):
+    for criterion in CRITERIA:
+        if not criterion.gating:
+            continue
+        t0 = time.perf_counter()
         try:
-            ok, detail = thunk()
+            ok, detail = criterion.check(args.order, args.qorder)
         except Exception as exc:  # a crash is a failure with the traceback head
             ok, detail = False, f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - t0
         all_ok &= ok
-        entries.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
+        entries.append(
+            {
+                "name": criterion.name,
+                "status": "pass" if ok else "fail",
+                "detail": detail,
+                "elapsed_s": elapsed,
+                "ceiling_s": criterion.ceiling_s,
+            }
+        )
         if args.format == "text":
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+            print(f"[{'PASS' if ok else 'FAIL'}] {criterion.name}: {detail}")
     if args.format == "json":
         json.dump(entries, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -488,7 +335,7 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser(default_n: int) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taf",
         description="Exact computations and verifications for the genus-2 "
@@ -503,7 +350,7 @@ def _build_parser(default_n: int) -> argparse.ArgumentParser:
     )
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument(
-        "-N", "--order", type=int, default=default_n, help="series truncation order"
+        "-N", "--order", type=int, default=13, help="series truncation order"
     )
     qorder = argparse.ArgumentParser(add_help=False)
     qorder.add_argument(
@@ -597,12 +444,7 @@ def _build_parser(default_n: int) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        parser = _build_parser(_default_order())
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InputError as exc:

@@ -8,18 +8,18 @@ integrating gives the curve logarithm.  A second local parameter t with
 u = t^2, v = t*sqrt(1 - 2*alpha*t^4 + beta*t^8) produces the Legendre form
 of the same logarithm (see `legendre.log_phiL`).
 
-Symbolic identity checks (curve automorphisms, the quintic derivative
-identity) run in a small sympy layer local to this module.
+The curve-automorphism identities and the quintic derivative identity are
+checked exactly in the in-house ring: the equation is a map from exponent
+pairs (x, y) to coefficients in Q[alpha, beta].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-import sympy as sp
-
-from .exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO
+from .exact import ALPHA, BETA, GaussianRational, I, InputError, ONE, ZERO
 from .series import TruncSeries, compose, integrate, revert, series_div, sqrt_unit
 
 # Smoothness of the quintic model requires beta*(alpha^2 - beta) != 0.
@@ -56,11 +56,9 @@ def _quintic_derivative(u: TruncSeries) -> TruncSeries:
 
 
 def quintic_derivative_precheck() -> bool:
-    """Symbolic sanity: 1 - 6au^2 + 5bu^4 = d/du [u(1 - 2au^2 + bu^4)]."""
-    a, b, u = sp.symbols("a b u")
-    lhs = 1 - 6 * a * u**2 + 5 * b * u**4
-    rhs = sp.diff(u * (1 - 2 * a * u**2 + b * u**4), u)
-    return sp.expand(lhs - rhs) == 0
+    """1 - 6*alpha*u^2 + 5*beta*u^4 = d/du [u - 2*alpha*u^3 + beta*u^5]."""
+    u = TruncSeries.identity(6)
+    return _quintic_value(u).differentiate() == _quintic_derivative(u).truncate(5)
 
 
 def solve_u_of_v(N: int) -> TruncSeries:
@@ -113,29 +111,6 @@ def v_of_t(N: int) -> TruncSeries:
 def t_of_v(N: int) -> TruncSeries:
     """Compositional inverse of v(t): t(v) = v + alpha*v^5 + O(v^9)."""
     return revert(v_of_t(N))
-
-
-def differential_check(N: int) -> bool:
-    """Exact identity du(t)/2v(t) = dt/sqrt(1 - 2*alpha*t^4 + beta*t^8)
-    through order N, checked cross-multiplied so no series inverse of the
-    odd v(t) is needed: 2t * sqrt(..) = 2v(t)."""
-    if N < 1:
-        raise InputError("order must be >= 1")
-    return _differential_residual(v_of_t(N), N).is_zero()
-
-
-def _differential_residual(v: TruncSeries, N: int) -> TruncSeries:
-    base = TruncSeries(
-        [
-            {0: ONE, 4: ALPHA.scale(-2), 8: BETA}.get(k, ZERO)
-            for k in range(N)
-        ],
-        N - 1,
-    )
-    root = TruncSeries([ZERO] + sqrt_unit(base).coeffs, N)
-    # du/dt = 2t, so the identity is t * sqrt(..) = v(t).
-    t_times_root = root  # sqrt shifted by one power of t
-    return t_times_root - v
 
 
 def on_curve_check(N: int) -> bool:
@@ -196,42 +171,47 @@ def curve_normal_form(a0: Fraction | int, b0: Fraction | int) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic automorphism checks
+# Automorphism checks
 # ---------------------------------------------------------------------------
 
-_A, _B, _G, _X, _Y = sp.symbols("a b g x y")
-_EQUATION = _Y**2 - _X * (_X**4 - 2 * _A * _X**2 + _B)
+# y^2 - x*(x^4 - 2*alpha*x^2 + beta) as {(x exponent, y exponent): coefficient}.
+_EQUATION = {(0, 2): ONE, (5, 0): -ONE, (3, 0): ALPHA.scale(2), (1, 0): -BETA}
 
 
-def order4_check(unit=sp.I) -> bool:
+def order4_check(unit=I) -> bool:
     """(x, y) -> (-x, unit*y) maps the curve equation to -1 times itself
-    (same vanishing locus) exactly when unit = i."""
-    image = _EQUATION.subs({_X: -_X, _Y: unit * _Y}, simultaneous=True)
-    return sp.expand(image + _EQUATION) == 0
+    (same vanishing locus) exactly when unit = +-i: it multiplies the term
+    c*x^a*y^b by (-1)^a*unit^b, which must be -1 for every term."""
+    unit = GaussianRational.coerce(unit)
+    return all(prod([unit] * b, start=(-1) ** a) == -1 for a, b in _EQUATION)
 
 
 def order4_square_is_involution() -> bool:
-    """Applying the order-4 map twice gives the hyperelliptic involution."""
-    x1, y1 = -_X, sp.I * _Y
-    x2, y2 = -x1, sp.I * y1
-    return x2 == _X and sp.expand(y2 + _Y) == 0
+    """Applying the order-4 map twice gives the hyperelliptic involution:
+    the coordinate multipliers (-1, i) square to (1, -1)."""
+    mx, my = GaussianRational(-1), I
+    return mx * mx == 1 and my * my == -1
 
 
 def inversion_check() -> bool:
-    """(x, y) -> (g^2/x, -g^3*y/x^3) preserves the equation modulo g^4 = b."""
-    image = _EQUATION.subs(
-        {_X: _G**2 / _X, _Y: -(_G**3) * _Y / _X**3}, simultaneous=True
-    )
-    # Clear the pole at x = 0 and compare up to the unit factor g^6/x^6.
-    cleared = sp.expand(image * _X**6 / _G**6)
-    residual = sp.expand(cleared - _EQUATION)
-    # Reduce modulo g^4 - b by eliminating g in favor of b.
-    reduced = sp.expand(residual.subs(_B, _G**4))
-    return sp.simplify(reduced) == 0
+    """(x, y) -> (g^2/x, -g^3*y/x^3) preserves the equation modulo g^4 = beta.
+
+    Times x^6/g^2, the image of c*x^a*y^b is
+    (-1)^b*c*g^(2a+3b-2)*x^(6-a-3b)*y^b; every g-power must be a power of
+    g^4 = beta, and the image must be g^4 = beta times the equation."""
+    image = {}
+    for (a, b), c in _EQUATION.items():
+        g_exp = 2 * a + 3 * b - 2
+        if g_exp < 0 or g_exp % 4:
+            return False
+        key = (6 - a - 3 * b, b)
+        image[key] = image.get(key, ZERO) + (c * BETA ** (g_exp // 4)).scale((-1) ** b)
+    image = {k: c for k, c in image.items() if not c.is_zero()}
+    return image == {k: c * BETA for k, c in _EQUATION.items()}
 
 
 def automorphism_checks() -> bool:
-    """All symbolic curve-automorphism identities at once."""
+    """All curve-automorphism identities and the quintic derivative identity."""
     return (
         order4_check()
         and order4_square_is_involution()

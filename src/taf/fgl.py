@@ -120,7 +120,7 @@ def _log_additivity_holds(law: BiTruncSeries, log: TruncSeries) -> bool:
     return lhs == rhs
 
 
-def build_fgl(log: TruncSeries, check_associativity: bool = True) -> FormalGroupLaw:
+def build_fgl(log: TruncSeries) -> FormalGroupLaw:
     """F(x, y) = exp(log(x) + log(y)) through total order N, with the FGL
     axioms verified at construction."""
     if not log.coeffs[0].is_zero() or log.coeffs[1] != ONE:
@@ -135,7 +135,7 @@ def build_fgl(log: TruncSeries, check_associativity: bool = True) -> FormalGroup
         raise ConsistencyError("commutativity failed")
     if not _log_additivity_holds(law, log):
         raise ConsistencyError("logarithm additivity failed")
-    if check_associativity and not _associativity_holds(law):
+    if not _associativity_holds(law):
         raise ConsistencyError("associativity failed")
     return FormalGroupLaw(law=law, log=log, order=n)
 

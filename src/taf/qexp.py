@@ -131,15 +131,6 @@ class QExpansion:
         ]
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    re: float
-    im: float
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 # ---------------------------------------------------------------------------
 # Theta constants and the generator forms
 # ---------------------------------------------------------------------------
@@ -230,20 +221,18 @@ class EvalResult:
     trunc_bound: float
 
 
-def eval_form(form: QExpansion, tau: ComplexPoint | complex, K: int | None = None) -> EvalResult:
+def eval_form(form: QExpansion, tau: complex) -> EvalResult:
     """Horner evaluation at s = e^(pi*i*tau) with a geometric tail estimate."""
-    t = tau.to_complex() if isinstance(tau, ComplexPoint) else tau
-    if t.imag <= 0:
+    if tau.imag <= 0:
         raise InputError("tau must lie in the upper half-plane")
-    s = cmath.exp(1j * cmath.pi * t)
+    s = cmath.exp(1j * cmath.pi * tau)
     r = abs(s)
     if r >= 1:
         raise InputError("evaluation point has |s| >= 1 (divergent)")
-    coeffs = form.coeffs if K is None else form.coeffs[: K + 1]
     value = 0j
-    for c in reversed(coeffs):
+    for c in reversed(form.coeffs):
         value = value * s + complex(c)
-    tail = abs(complex(coeffs[-1])) * r ** (len(coeffs) - 1) / (1 - r)
+    tail = abs(complex(form.coeffs[-1])) * r ** form.order / (1 - r)
     return EvalResult(value=value, trunc_bound=tail)
 
 
@@ -253,31 +242,34 @@ class TransformResiduals:
     residual_s: float
 
 
-def transform_check(tau: ComplexPoint | complex, K: int = 60) -> TransformResiduals:
+def transform_check(tau: complex, K: int = 60) -> TransformResiduals:
     """Numeric weight-4 automorphy residuals of alpha under the two maps
     tau -> (1+tau)/(1-tau) (automorphy factor -(1-tau)^4/4) and
     tau -> -1/tau (factor tau^4)."""
-    t = tau.to_complex() if isinstance(tau, ComplexPoint) else tau
     a = forms(K).alpha
-    t_c4 = (1 + t) / (1 - t)
-    t_s = -1 / t
+    t_c4 = (1 + tau) / (1 - tau)
+    t_s = -1 / tau
     for image in (t_c4, t_s):
         if image.imag <= 0:
             raise InputError("image point left the upper half-plane")
-    v = eval_form(a, t).value
+    v = eval_form(a, tau).value
     v_c4 = eval_form(a, t_c4).value
     v_s = eval_form(a, t_s).value
-    res_c4 = abs(v_c4 + (1 - t) ** 4 / 4 * v)
-    res_s = abs(v_s - t**4 * v)
+    res_c4 = abs(v_c4 + (1 - tau) ** 4 / 4 * v)
+    res_s = abs(v_s - tau**4 * v)
     return TransformResiduals(residual_c4=res_c4, residual_s=res_s)
 
 
-def j_invariant(tau: ComplexPoint | complex, K: int = 40, pole_tol: float = 1e-8):
+# |alpha(tau)| below this reads as a zero of alpha, a pole of j.
+_POLE_TOL = 1e-8
+
+
+def j_invariant(tau: complex, K: int = 40):
     """j = beta/(4*alpha^2); returns None (a pole signal) when alpha
     vanishes numerically at tau."""
     f = forms(K)
     a = eval_form(f.alpha, tau).value
-    if abs(a) < pole_tol:
+    if abs(a) < _POLE_TOL:
         return None
     b = eval_form(f.beta, tau).value
     return b / (4 * a * a)

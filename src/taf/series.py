@@ -355,7 +355,7 @@ class BiTruncSeries:
             {(b, a): c for (a, b), c in self.terms.items()}, self.order
         )
 
-    def set_x(self, value: "BiTruncSeries | None" = None) -> TruncSeries:
+    def set_x(self) -> TruncSeries:
         """Restrict to x = 0: the univariate series in y."""
         n = self.order
         out = [ZERO] * (n + 1)

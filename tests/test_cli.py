@@ -1,10 +1,16 @@
 """CLI dispatch, exit codes, and JSON output contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taf
 from taf.cli import main
+from taf.criteria import CRITERIA
 
 
 def run(capsys, *argv):
@@ -96,6 +102,49 @@ class TestDispatch:
         code, out = run(capsys, "iso-check", "-N", "9")
         assert code == 0
 
+    def test_selftest_json(self, capsys):
+        code, out = run(capsys, "selftest", "--format", "json")
+        assert code == 0
+        entries = json.loads(out)
+        assert [e["name"] for e in entries] == [
+            "chart-solve",
+            "logarithm",
+            "legendre-anchors",
+            "hazewinkel-closed-forms",
+            "integrality",
+            "corollary-1",
+            "corollary-2",
+            "euler-law",
+            "fgl-axioms",
+            "qexp-anchors",
+            "zeros",
+            "transformation",
+            "genus-consistency",
+            "embeddings",
+            "reduction",
+        ]
+        ceilings = {c.name: c.ceiling_s for c in CRITERIA}
+        for e in entries:
+            assert e["status"] == "pass"
+            assert e["elapsed_s"] >= 0
+            assert e["ceiling_s"] == ceilings[e["name"]]
+
+
+def test_import_loads_only_stdlib_modules():
+    # In a fresh interpreter, so that modules other tests loaded do not count.
+    code = (
+        "import sys; before = set(sys.modules); import taf.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'taf'}))"
+    )
+    src = str(Path(taf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
@@ -117,13 +166,3 @@ class TestExitCodes:
     )
     def test_reduce_non_finite_maps_to_2(self, capsys, re, im):
         assert main(["reduce", re, im]) == 2
-
-    def test_env_default_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAF_DEFAULT_ORDER", "5")
-        code, out = run(capsys, "llog")
-        assert code == 0
-        assert "O(x^6)" in out
-
-    def test_env_default_order_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAF_DEFAULT_ORDER", "zero")
-        assert main(["llog"]) == 2

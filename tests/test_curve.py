@@ -1,4 +1,4 @@
-"""Curve chart solve, logarithms, and symbolic automorphism identities."""
+"""Curve chart solve, logarithms, and exact automorphism identities."""
 
 from fractions import Fraction
 
@@ -8,7 +8,6 @@ from taf.curve import (
     NormalForm,
     automorphism_checks,
     curve_normal_form,
-    differential_check,
     log_phi,
     log_phi_consistency,
     on_curve_check,
@@ -19,7 +18,7 @@ from taf.curve import (
     t_of_v,
     v_of_t,
 )
-from taf.exact import ALPHA, BETA, InputError, ONE
+from taf.exact import ALPHA, BETA, I, InputError, ONE
 from taf.series import TruncSeries, compose
 
 
@@ -66,7 +65,6 @@ class TestLogarithms:
                 assert d & (d - 1) == 0
 
     def test_differential_and_on_curve(self):
-        assert differential_check(13)
         assert on_curve_check(13)
 
 
@@ -97,3 +95,5 @@ class TestAutomorphisms:
     def test_order4_needs_i(self):
         # A wrong root of unity breaks the identity (negative control).
         assert not order4_check(unit=1)
+        assert not order4_check(-1)
+        assert order4_check(-I)
