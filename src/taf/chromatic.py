@@ -56,19 +56,24 @@ def ell(n: int, p: int) -> GradedPoly:
     return legendre((p**n - 1) // 4).scale(Fraction(1, p**n))
 
 
+def _hazewinkel_pass(n: int, p: int) -> tuple[list[GradedPoly], list[GradedPoly]]:
+    """v_1..v_n and ell_1..ell_n from one pass of the recursion."""
+    if n < 1:
+        raise InputError("generator index must be >= 1")
+    ells = [ell(m, p) for m in range(1, n + 1)]
+    vs: list[GradedPoly] = []
+    for m in range(1, n + 1):
+        acc = ells[m - 1].scale(p)
+        for i in range(1, m):
+            acc = acc - ells[i - 1] * vs[m - i - 1] ** (p**i)
+        vs.append(acc)
+    return vs, ells
+
+
 def hazewinkel_v(n: int, p: int) -> GradedPoly:
     """Image of the n-th Hazewinkel generator, from the recursion
     p*ell_n = sum_{i<n} ell_i * v_{n-i}^(p^i)."""
-    _require_split(p)
-    if n < 1:
-        raise InputError("generator index must be >= 1")
-    vs: list[GradedPoly] = []
-    for m in range(1, n + 1):
-        acc = ell(m, p).scale(p)
-        for i in range(1, m):
-            acc = acc - ell(i, p) * vs[m - i - 1] ** (p**i)
-        vs.append(acc)
-    return vs[n - 1]
+    return _hazewinkel_pass(n, p)[0][-1]
 
 
 def binomial_valuation(p: int, n: int, k: int) -> int:
@@ -129,9 +134,7 @@ class VGenReport:
 
 def key_lemma_check(p: int, n_max: int = 2) -> VGenReport:
     """Compute v_1..v_n_max and record per-generator p-integrality."""
-    _require_split(p)
-    vs = [hazewinkel_v(n, p) for n in range(1, n_max + 1)]
-    ells = [ell(n, p) for n in range(1, n_max + 1)]
+    vs, ells = _hazewinkel_pass(n_max, p)
     verdicts = [is_p_integral(v, p) for v in vs]
     details = [
         f"v_{n}: degree {v.legendre_degree()}, "
@@ -195,10 +198,9 @@ def cor2_check(p: int) -> Cor2Result:
     binom = comb(n, k)
     val = binomial_valuation(p, n, k)
 
-    v1 = hazewinkel_v(1, p)
+    (v1, v2), _ = _hazewinkel_pass(2, p)
     alpha_divides = all(i >= 1 for i, _ in v1.terms)
 
-    v2 = hazewinkel_v(2, p)
     lhs = v2.scale(p).alpha_part()
     rhs = GradedPoly({(0, k): Fraction(binom) * Fraction(-1, 4) ** k})
     congruence = lhs == rhs

@@ -16,8 +16,10 @@ the height-two checks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import lcm
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -126,9 +128,6 @@ class GaussianRational:
 
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
-
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -262,16 +261,14 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative power of a GradedPoly")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        """Square-and-multiply on integer numerators over one common
+        denominator den: self^n = (den * self)^n / den^n."""
+        terms = self._terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        base = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        num = _power({(0, 0): 1}, base, n, _int_mul)
+        scale = den**n
+        return GradedPoly({k: Fraction(c, scale) for k, c in num.items()})
 
     def scale(self, c: Scalar) -> "GradedPoly":
         f = Fraction(c)
@@ -364,6 +361,30 @@ class GradedPoly:
         )
 
 
+def _power(one, base, n: int, mul):
+    """base^n by square-and-multiply from the identity `one`."""
+    if n < 0:
+        raise InputError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return result
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse {(i, j): int} polynomials, zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
 ZERO = GradedPoly()
 ONE = GradedPoly.const(1)
 ALPHA = GradedPoly({(1, 0): 1})
@@ -429,22 +450,10 @@ class ModPoly:
 
     def __mul__(self, other: "ModPoly"):
         self._check(other)
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = (out.get(k, 0) + c1 * c2) % self.p
-        return ModPoly(self.p, out)
+        return ModPoly(self.p, _int_mul(self._terms, other._terms))
 
     def __pow__(self, n: int):
-        result = ModPoly(self.p, {(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(ModPoly(self.p, {(0, 0): 1}), self, n, operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, ModPoly):

@@ -27,7 +27,6 @@ from .series import (
     bi_compose_slots,
     bi_from_univariate,
     bi_inverse_unit,
-    compose,
     revert,
     sqrt_unit,
 )

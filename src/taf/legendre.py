@@ -5,13 +5,15 @@ The two-variable P_k are the coefficients of the generating function
     (1 - 2*alpha*u + beta*u^2)^(-1/2) = sum_k P_k(alpha, beta) u^k,
 
 equivalently the unique degree-k homogenizations (beta tracking x -> alpha)
-of the classical P_k(x): P_k(x, 1) is the classical polynomial.  They are
-computed by the three-term recurrence
+of the classical P_k(x): P_k(x, 1) is the classical polynomial.  Each is
+computed directly from the closed form
 
-    (k+1) P_{k+1} = (2k+1) alpha P_k - k beta P_{k-1},
+    P_k = 2^-k sum_{j <= k/2} (-1)^j C(k, j) C(2k - 2j, k) alpha^(k-2j) beta^j
 
-and independently cross-checked against the generating function expanded
-with the series kernel (`generating_check`).
+and memoised per index.  At run time the generating function expanded with
+the series kernel is the independent oracle (`generating_check`); the
+three-term recurrence (k+1) P_{k+1} = (2k+1) alpha P_k - k beta P_{k-1} is
+kept in the tests as a second reference.
 
 The genus phi_L takes the value P_{l/4}(alpha, beta) on CP^l when 4 | l and
 zero otherwise; its logarithm is the term-wise integral of sum P_k x^{4k}.
@@ -20,50 +22,34 @@ zero otherwise; its logarithm is the term-wise integral of sum P_k x^{4k}.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 from .exact import ALPHA, BETA, GradedPoly, InputError, ONE
 from .series import TruncSeries, integrate, series_div, sqrt_unit
 
 
-class LegendreTable:
-    """Growable cache of P_0..P_K, filled by the three-term recurrence."""
-
-    def __init__(self):
-        self._entries: list[GradedPoly] = [ONE, ALPHA]
-
-    @property
-    def max_index(self) -> int:
-        return len(self._entries) - 1
-
-    def get(self, k: int) -> GradedPoly:
-        if k < 0:
-            raise InputError("Legendre index must be >= 0")
-        while self.max_index < k:
-            m = self.max_index
-            nxt = (
-                ALPHA * self._entries[m].scale(2 * m + 1)
-                - BETA * self._entries[m - 1].scale(m)
-            ).scale(Fraction(1, m + 1))
-            self._entries.append(nxt)
-        return self._entries[k]
-
-
-_TABLE = LegendreTable()
-
-
+@cache
 def legendre(k: int) -> GradedPoly:
-    """The homogeneous Legendre polynomial P_k(alpha, beta)."""
-    return _TABLE.get(k)
+    """The homogeneous Legendre polynomial P_k(alpha, beta), in closed form."""
+    if k < 0:
+        raise InputError("Legendre index must be >= 0")
+    return GradedPoly(
+        {
+            (k - 2 * j, j): Fraction(
+                (-1) ** j * comb(k, j) * comb(2 * k - 2 * j, k), 2**k
+            )
+            for j in range(k // 2 + 1)
+        }
+    )
 
 
 def generating_check(K: int) -> bool:
     """Expand (1 - 2*alpha*u + beta*u^2)^(-1/2) through u^K via the series
-    kernel and compare with the recurrence table term by term."""
+    kernel and compare with the closed form term by term."""
     if K < 0:
         raise InputError("order must be >= 0")
-    base = TruncSeries(
-        [ONE, ALPHA.scale(-2), BETA], K
-    )
+    base = TruncSeries([ONE, ALPHA.scale(-2), BETA], K)
     expansion = series_div(TruncSeries.one(K), sqrt_unit(base))
     return all(expansion[k] == legendre(k) for k in range(K + 1))
 

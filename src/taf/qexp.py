@@ -23,11 +23,12 @@ bound; used for the zero checks, the automorphy residuals, and j = beta/(4*alpha
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import GradedPoly, InputError
+from .exact import GradedPoly, InputError, _power
 from .chromatic import hazewinkel_v
 
 
@@ -86,14 +87,7 @@ class QExpansion:
         return QExpansion(out, n)
 
     def __pow__(self, m: int):
-        result = QExpansion([1], self.order)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base if m > 1 else base
-            m >>= 1
-        return result
+        return _power(QExpansion([1], self.order), self, m, operator.mul)
 
     def scale(self, c) -> "QExpansion":
         f = Fraction(c)

@@ -146,6 +146,26 @@ def test_import_loads_only_stdlib_modules():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("k", ["600", "2"])
+def test_closed_stdout_exits_quietly(k):
+    # P_600's JSON outgrows the pipe buffer, so the write fails inside
+    # json.dump; P_2's fits, so it fails at the final flush.
+    src = str(Path(taf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taf.cli", "legendre", k, "--format", "json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    assert err == ""
+    assert proc.returncode == 1
+
+
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -100,6 +100,28 @@ class TestGradedPoly:
             expected = expected * a
         assert a**n == expected
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 13, 54])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GradedPoly({(2, 0): Fraction(3, 2), (0, 1): Fraction(-5, 6)}),
+            GradedPoly({(1, 0): Fraction(-2, 3), (0, 1): Fraction(5, 4), (0, 0): 7}),
+            ZERO,
+        ],
+        ids=["homogeneous", "non-homogeneous", "zero"],
+    )
+    def test_power_matches_repeated_fraction_product(self, g, n):
+        # The power runs on integer numerators; the oracle is Fraction `*`.
+        expected = ONE
+        for _ in range(n):
+            expected = expected * g
+        assert g**n == expected
+
+    @pytest.mark.parametrize("g", [ALPHA, ZERO, DELTA_G])
+    def test_negative_power_rejected(self, g):
+        with pytest.raises(InputError):
+            g ** -1
+
     @given(graded_polys(), fractions, fractions)
     @settings(max_examples=40)
     def test_evaluate_is_ring_map(self, a, x, y):
@@ -173,6 +195,14 @@ class TestModLayer:
         a = ModPoly(5, {(3, 0): 1, (1, 0): 4})
         b = ModPoly(5, {(1, 0): 1, (0, 0): 4})
         assert dehom_gcd(a, b) == [4, 1]
+
+    def test_power_is_reduction_of_exact_power(self):
+        g = GradedPoly({(1, 0): Fraction(3, 2), (0, 1): -4, (0, 0): 1})
+        a = reduce_mod_p(g, 7)
+        for n in (0, 1, 2, 7, 10):
+            assert a**n == reduce_mod_p(g**n, 7)
+        with pytest.raises(InputError):
+            a**-1
 
     def test_mixed_characteristic_rejected(self):
         with pytest.raises(InputError):

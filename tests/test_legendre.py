@@ -1,11 +1,21 @@
-"""Legendre polynomials: recurrence vs generating function, genus logarithm."""
+"""Legendre polynomials: closed form vs recurrence and generating function,
+genus logarithm."""
 
 from fractions import Fraction
 
 import pytest
 
-from taf.exact import ALPHA, GradedPoly, InputError, ONE
+from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE
 from taf.legendre import cp_coefficient, generating_check, legendre, log_phiL
+
+
+def recurrence_table(K):
+    """P_0..P_K from (k+1) P_{k+1} = (2k+1) alpha P_k - k beta P_{k-1}."""
+    table = [ONE, ALPHA]
+    for m in range(1, K):
+        nxt = ALPHA * table[m].scale(2 * m + 1) - BETA * table[m - 1].scale(m)
+        table.append(nxt.scale(Fraction(1, m + 1)))
+    return table[: K + 1]
 
 
 class TestLegendre:
@@ -38,6 +48,10 @@ class TestLegendre:
         # P_k(1, 1) = 1 for every k (classical P_k(1) = 1).
         for k in range(10):
             assert legendre(k).evaluate(1, 1) == 1
+
+    def test_closed_form_matches_recurrence(self):
+        for k, expected in enumerate(recurrence_table(200)):
+            assert legendre(k) == expected, k
 
     def test_generating_function_oracle(self):
         assert generating_check(20)

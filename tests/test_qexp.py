@@ -28,6 +28,8 @@ class TestQExpansion:
         assert a + b == QExpansion([1, 3, 3], 2)
         assert a * b == QExpansion([0, 1, 2], 2)
         assert a**2 == a * a
+        with pytest.raises(InputError):
+            a**-1
 
     def test_mixed_orders_rejected(self):
         with pytest.raises(InputError):
