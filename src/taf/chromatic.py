@@ -31,6 +31,7 @@ from .exact import (
     reduce_mod_v1,
     require_prime,
     _poly_mod,
+    _power,
 )
 from .legendre import legendre
 
@@ -230,15 +231,7 @@ def _divides_power_of(g: list[int], base: list[int], power: int, p: int) -> bool
                     out[i + j] = (out[i + j] + x * y) % p
         return _poly_mod(out, g, p)
 
-    result = _poly_mod([1], g, p)
-    acc = _poly_mod(base, g, p)
-    n = power
-    while n:
-        if n & 1:
-            result = mul(result, acc) if result else []
-        acc = mul(acc, acc)
-        n >>= 1
-    return not result
+    return not _power(_poly_mod([1], g, p), _poly_mod(base, g, p), power, mul)
 
 
 def landweber_check(p: int) -> VGenReport:

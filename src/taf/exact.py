@@ -4,6 +4,8 @@ Rationals are `fractions.Fraction` (always canonical: reduced, positive
 denominator).  A `GradedPoly` is a sparse bivariate polynomial in the ring
 generators alpha and beta, stored as a dict mapping exponent pairs (i, j)
 -- meaning alpha^i * beta^j -- to nonzero Fraction coefficients.
+Products accumulate on one term map: `_dot` sums a * b over a list of
+pairs, and the series layer makes one `_dot` per output coefficient.
 
 The grading assigns degree 1 to alpha and degree 2 to beta ("Legendre
 degree"); weight is 4x that and topological degree 8x.  The zero polynomial
@@ -208,9 +210,6 @@ class GradedPoly:
     def weight(self) -> int:
         return 4 * self.legendre_degree()
 
-    def topological_degree(self) -> int:
-        return 8 * self.legendre_degree()
-
     def coefficient(self, i: int, j: int) -> Fraction:
         return self._terms.get((i, j), Fraction(0))
 
@@ -244,19 +243,7 @@ class GradedPoly:
         return GradedPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = GradedPoly.coerce(other)
-        if not self._terms or not o._terms:
-            return ZERO
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in o._terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return GradedPoly(out)
+        return _dot([(self, GradedPoly.coerce(other))])
 
     __rmul__ = __mul__
 
@@ -301,13 +288,6 @@ class GradedPoly:
             (c * a**i * b**j for (i, j), c in self._terms.items()),
             Fraction(0),
         )
-
-    def dehomogenize(self) -> dict[int, Fraction]:
-        """p(x, 1) as a sparse univariate map degree -> coefficient."""
-        out: dict[int, Fraction] = {}
-        for (i, _j), c in self._terms.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
 
     # -- rendering ----------------------------------------------------------
 
@@ -373,6 +353,18 @@ def _power(one, base, n: int, mul):
         if n:
             base = mul(base, base)
     return result
+
+
+def _dot(pairs) -> GradedPoly:
+    """Sum of a * b over GradedPoly pairs (a, b), accumulated on one term map."""
+    out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
+    for a, b in pairs:
+        for (i1, j1), c1 in a._terms.items():
+            for (i2, j2), c2 in b._terms.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = get(k, 0) + c1 * c2
+    return GradedPoly(out)
 
 
 def _int_mul(a: dict, b: dict) -> dict:
@@ -528,13 +520,19 @@ def reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
     if set(lead) != {0}:
         raise InputError("alpha-leading coefficient of v1 is not scalar")
     lead_inv = pow(lead[0], -1, p)
-    rem = a
-    while not rem.is_zero() and rem.alpha_degree() >= d:
-        e = rem.alpha_degree()
-        top = {(i - d, j): c for (i, j), c in rem.terms.items() if i == e}
-        factor = ModPoly(p, {k: c * lead_inv for k, c in top.items()})
-        rem = rem - factor * v1
-    return rem
+    tail = [(i, j, c) for (i, j), c in v1._terms.items() if i < d]
+    # rows[i] maps beta exponent -> coefficient of alpha^i; one top-down pass
+    # cancels each row of alpha-degree >= d against the leading term of v1.
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), c in a._terms.items():
+        rows.setdefault(i, {})[j] = c
+    for e in range(max(rows, default=-1), d - 1, -1):
+        for j, c in rows.pop(e, {}).items():
+            f = c * lead_inv % p
+            for i2, j2, c2 in tail:
+                row = rows.setdefault(i2 + e - d, {})
+                row[j + j2] = (row.get(j + j2, 0) - f * c2) % p
+    return ModPoly(p, {(i, j): c for i, row in rows.items() for j, c in row.items()})
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:

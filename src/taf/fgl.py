@@ -3,8 +3,8 @@
 A law is built as F(x, y) = exp(log(x) + log(y)) with exp the compositional
 inverse of the logarithm; the unit, commutativity, and associativity axioms
 are verified at construction and a failure aborts rather than returning a
-bad law.  Associativity is checked on the full truncated triple composite
-in a small trivariate layer.
+bad law.  Associativity is checked on the full truncated triple composite,
+with the sparse substitution kernel of `series` on three-variable maps.
 
 `euler_law` expands the closed form
 
@@ -29,6 +29,7 @@ from .series import (
     bi_inverse_unit,
     revert,
     sqrt_unit,
+    _substitute,
 )
 from .curve import log_phi, t_of_v
 
@@ -38,64 +39,17 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Trivariate helper for the associativity axiom
+# Construction
 # ---------------------------------------------------------------------------
-
-
-def _tri_mul(f, g, order):
-    out = {}
-    for k1, c1 in f.items():
-        a1, b1, c1_ = k1
-        for k2, c2 in g.items():
-            a, b, c = a1 + k2[0], b1 + k2[1], c1_ + k2[2]
-            if a + b + c > order:
-                continue
-            s = out.get((a, b, c), ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop((a, b, c), None)
-            else:
-                out[(a, b, c)] = s
-    return out
-
-
-def _tri_substitute(law: BiTruncSeries, first: dict, second: dict, order: int) -> dict:
-    """law(first, second) where first/second are trivariate term maps."""
-    max_a = max((a for a, _ in law.terms), default=0)
-    max_b = max((b for _, b in law.terms), default=0)
-    one = {(0, 0, 0): ONE}
-    pow1 = [one]
-    for _ in range(max_a):
-        pow1.append(_tri_mul(pow1[-1], first, order))
-    pow2 = [one]
-    for _ in range(max_b):
-        pow2.append(_tri_mul(pow2[-1], second, order))
-    out: dict = {}
-    for (a, b), c in law.terms.items():
-        prod = _tri_mul(pow1[a], pow2[b], order)
-        for k, v in prod.items():
-            s = out.get(k, ZERO) + c * v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
 
 
 def _associativity_holds(law: BiTruncSeries) -> bool:
+    """F(F(x, y), z) = F(x, F(y, z)) through total degree N in three variables."""
     n = law.order
-    x = {(1, 0, 0): ONE}
-    y = {(0, 1, 0): ONE}
-    z = {(0, 0, 1): ONE}
-    f_xy = _tri_substitute(law, x, y, n)
-    f_yz = _tri_substitute(law, y, z, n)
-    lhs = _tri_substitute(law, f_xy, z, n)
-    rhs = _tri_substitute(law, x, f_yz, n)
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# Construction
-# ---------------------------------------------------------------------------
+    x, y, z = ({e: ONE} for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    f_xy = _substitute(law.terms, x, y, n)
+    f_yz = _substitute(law.terms, y, z, n)
+    return _substitute(law.terms, f_xy, z, n) == _substitute(law.terms, x, f_yz, n)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,22 @@ series of different orders is an error, never an implicit min.
 A `BiTruncSeries` is its two-variable sibling truncated at total degree N,
 used for formal group laws.
 
+Every product of coefficients is one `exact._dot` per output coefficient.
+`_truncated_product` and `_substitute` work on sparse {exponent tuple:
+GradedPoly} maps in any number of variables: two for `BiTruncSeries`, three
+for the associativity check of `fgl`.
+
 Reversion and square roots use Newton iteration (the working order doubles
 each step), which keeps high-order exact-rational runs fast.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .exact import GradedPoly, InputError, ONE, ZERO
+from .exact import GradedPoly, InputError, ONE, ZERO, _dot
 
 Coeff = Union[GradedPoly, int, Fraction]
 
@@ -120,16 +126,11 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries"):
         self._check(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(out, n)
+        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        b, n = other.coeffs, self.order
+        return TruncSeries(
+            [_dot([(c, b[k - i]) for i, c in a if i <= k]) for k in range(n + 1)], n
+        )
 
     def scale(self, c: Coeff) -> "TruncSeries":
         g = _co(c)
@@ -203,10 +204,8 @@ def series_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     n = f.order
     out: list[GradedPoly] = []
     for k in range(n + 1):
-        acc = f.coeffs[k]
-        for i in range(k):
-            acc = acc - out[i] * g.coeffs[k - i]
-        out.append(acc.scale(inv0))
+        acc = _dot([(out[i], g.coeffs[k - i]) for i in range(k)])
+        out.append((f.coeffs[k] - acc).scale(inv0))
     return TruncSeries(out, n)
 
 
@@ -250,6 +249,55 @@ def revert(f: TruncSeries) -> TruncSeries:
         den = compose(fpk, gk)
         g = gk - series_div(num, den)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Sparse series in any number of variables
+# ---------------------------------------------------------------------------
+
+Terms = Mapping[tuple[int, ...], GradedPoly]
+
+
+def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], GradedPoly]:
+    """a * b with every term of total degree above n dropped; no stored zeros."""
+    b_items = [(kb, sum(kb), cb) for kb, cb in b.items()]
+    groups: dict[tuple[int, ...], list] = {}
+    for ka, ca in a.items():
+        room = n - sum(ka)
+        for kb, db, cb in b_items:
+            if db <= room:
+                groups.setdefault(tuple(map(operator.add, ka, kb)), []).append((ca, cb))
+    return {k: c for k, pairs in groups.items() if not (c := _dot(pairs)).is_zero()}
+
+
+def _substitute(
+    law: Mapping[tuple[int, int], GradedPoly], first: Terms, second: Terms, n: int
+) -> dict[tuple[int, ...], GradedPoly]:
+    """law(first, second) through total degree n for sparse maps of one arity.
+
+    Summed as first^a * (sum_b law[a, b] * second^b) over the rows a of the
+    law, each row added into the output as soon as it is formed.
+    """
+    rows: dict[int, list] = {}
+    for (a, b), c in law.items():
+        rows.setdefault(a, []).append((b, c))
+    # The arity comes from the inner series; two zero series count as bivariate.
+    one = {tuple(0 for _ in next(iter(first or second), (0, 0))): ONE}
+    pow1, pow2 = [one], [one]
+    while len(pow1) <= max(rows, default=0):
+        pow1.append(_truncated_product(pow1[-1], first, n))
+    while len(pow2) <= max((b for _, b in law), default=0):
+        pow2.append(_truncated_product(pow2[-1], second, n))
+    out: dict[tuple[int, ...], GradedPoly] = {}
+    for a, row in rows.items():
+        groups: dict[tuple[int, ...], list] = {}
+        for b, c in row:
+            for k, v in pow2[b].items():
+                groups.setdefault(k, []).append((c, v))
+        inner = {k: _dot(pairs) for k, pairs in groups.items()}
+        for k, v in _truncated_product(pow1[a], inner, n).items():
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +367,9 @@ class BiTruncSeries:
 
     def __mul__(self, other: "BiTruncSeries"):
         self._check(other)
-        n = self.order
-        out: dict[tuple[int, int], GradedPoly] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > n:
-                    continue
-                s = out.get((a, b), ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop((a, b), None)
-                else:
-                    out[(a, b)] = s
-        return BiTruncSeries(out, n)
+        return BiTruncSeries(
+            _truncated_product(self.terms, other.terms, self.order), self.order
+        )
 
     def scale(self, c: Coeff) -> "BiTruncSeries":
         g = _co(c)
@@ -344,11 +382,6 @@ class BiTruncSeries:
 
     def __hash__(self):
         return hash((self.order, frozenset(self.terms.items())))
-
-    def degree_part(self, d: int) -> "BiTruncSeries":
-        return BiTruncSeries(
-            {k: c for k, c in self.terms.items() if k[0] + k[1] == d}, self.order
-        )
 
     def swap(self) -> "BiTruncSeries":
         return BiTruncSeries(
@@ -425,33 +458,8 @@ def bi_compose_slots(
         raise InputError("mixed truncation orders in slot substitution")
     if not gx.coeffs[0].is_zero() or not gy.coeffs[0].is_zero():
         raise InputError("slot series must have zero constant terms")
-    # Precompute powers of gx and gy.
-    max_a = max((a for a, _ in f.terms), default=0)
-    max_b = max((b for _, b in f.terms), default=0)
-    powx = [TruncSeries.one(n)]
-    for _ in range(max_a):
-        powx.append(powx[-1] * gx)
-    powy = [TruncSeries.one(n)]
-    for _ in range(max_b):
-        powy.append(powy[-1] * gy)
-    out: dict[tuple[int, int], GradedPoly] = {}
-    for (a, b), c in f.terms.items():
-        fa, fb = powx[a], powy[b]
-        for m in range(n + 1):
-            cm = fa.coeffs[m]
-            if cm.is_zero():
-                continue
-            for k in range(n + 1 - m):
-                ck = fb.coeffs[k]
-                if ck.is_zero():
-                    continue
-                key = (m, k)
-                s = out.get(key, ZERO) + c * cm * ck
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return BiTruncSeries(out, n)
+    x, y = bi_from_univariate(gx, 0, n), bi_from_univariate(gy, 1, n)
+    return BiTruncSeries(_substitute(f.terms, x.terms, y.terms, n), n)
 
 
 def bi_inverse_unit(g: BiTruncSeries) -> BiTruncSeries:

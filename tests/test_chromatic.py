@@ -1,6 +1,8 @@
 """Hazewinkel generators, integrality, congruences, Landweber ladder."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,8 +15,9 @@ from taf.chromatic import (
     hazewinkel_v,
     key_lemma_check,
     landweber_check,
+    _divides_power_of,
 )
-from taf.exact import ALPHA, is_p_integral
+from taf.exact import ALPHA, _poly_mod, is_p_integral
 from taf.legendre import legendre
 
 
@@ -62,8 +65,6 @@ class TestIntegrality:
 
 class TestValuation:
     def test_binomial_valuation_matches_direct(self):
-        from math import comb
-
         for p in (5, 13):
             for n, k in [(10, 4), (30, 15), (126, 63)]:
                 c = comb(n, k)
@@ -104,3 +105,21 @@ class TestLandweber:
         d = landweber_check(5).to_json_dict()
         assert d["prime"] == 5
         assert d["landweber"]["v1_nonzero_mod_p"] is True
+
+    def test_divides_power_of_matches_direct_power(self):
+        # Step (c) calls this only for a non-constant gcd(v_1, v_2), which no
+        # split p <= 97 has; check it against (x^2 - 1)^n from the binomial
+        # theorem for every monic g of degree 1 to 3 over F_5.
+        p = 5
+        seen = set()
+        for deg in (1, 2, 3):
+            for low in itertools.product(range(p), repeat=deg):
+                g = list(low) + [1]
+                for n in range(1, 5):
+                    direct = [0] * (2 * n + 1)
+                    for k in range(n + 1):
+                        direct[2 * k] = comb(n, k) * (-1) ** (n - k) % p
+                    expected = not _poly_mod(direct, g, p)
+                    assert _divides_power_of(g, [p - 1, 0, 1], n, p) == expected
+                    seen.add(expected)
+        assert seen == {True, False}

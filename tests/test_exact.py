@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taf.chromatic import hazewinkel_v
 from taf.exact import (
     ALPHA,
     BETA,
@@ -22,9 +23,39 @@ from taf.exact import (
     is_prime,
     reduce_mod_p,
     reduce_mod_v1,
+    _dot,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def pairwise_product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
+    """The term-by-term Fraction product that `_dot` replaced, kept as the
+    reference: one partial sum per pair of terms, zeros popped as they appear."""
+    out = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            k = (i1 + i2, j1 + j2)
+            s = out.get(k, Fraction(0)) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return GradedPoly(out)
+
+
+def stepwise_reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
+    """The division loop `reduce_mod_v1` replaced, kept as the reference:
+    one ModPoly multiply and subtraction per leading alpha-row of a."""
+    p, d = v1.p, v1.alpha_degree()
+    lead_inv = pow(v1.terms[(d, 0)], -1, p)
+    rem = a
+    while not rem.is_zero() and rem.alpha_degree() >= d:
+        e = rem.alpha_degree()
+        top = {(i - d, j): c for (i, j), c in rem.terms.items() if i == e}
+        factor = ModPoly(p, {k: c * lead_inv for k, c in top.items()})
+        rem = rem - factor * v1
+    return rem
 
 
 @st.composite
@@ -92,6 +123,20 @@ class TestGradedPoly:
         assert a + ZERO == a
         assert a - a == ZERO
 
+    @given(st.lists(st.tuples(graded_polys(), graded_polys()), max_size=6))
+    @settings(max_examples=60)
+    def test_dot_is_sum_of_pairwise_products(self, pairs):
+        expected = ZERO
+        for a, b in pairs:
+            expected = expected + pairwise_product(a, b)
+        got = _dot(pairs)
+        assert got == expected
+        assert all(got.terms.values())
+
+    def test_dot_cancels_to_zero(self):
+        assert _dot([(ALPHA, BETA), (BETA, -ALPHA)]).terms == {}
+        assert _dot([]) == ZERO
+
     @given(graded_polys(), st.integers(0, 4))
     @settings(max_examples=40)
     def test_power_is_repeated_product(self, a, n):
@@ -111,10 +156,11 @@ class TestGradedPoly:
         ids=["homogeneous", "non-homogeneous", "zero"],
     )
     def test_power_matches_repeated_fraction_product(self, g, n):
-        # The power runs on integer numerators; the oracle is Fraction `*`.
+        # The power runs on integer numerators; the oracle is the pairwise
+        # Fraction product.
         expected = ONE
         for _ in range(n):
-            expected = expected * g
+            expected = pairwise_product(expected, g)
         assert g**n == expected
 
     @pytest.mark.parametrize("g", [ALPHA, ZERO, DELTA_G])
@@ -137,7 +183,6 @@ class TestGradedPoly:
         assert ALPHA.legendre_degree() == 1
         assert BETA.legendre_degree() == 2
         assert (ALPHA * BETA).weight() == 12
-        assert (ALPHA * BETA).topological_degree() == 24
         assert (ALPHA**2 + BETA).is_homogeneous()
         assert not (ALPHA + BETA).is_homogeneous()
 
@@ -148,7 +193,6 @@ class TestGradedPoly:
         p = ALPHA * BETA + ALPHA**3 + BETA**2
         assert p.set_beta_zero() == ALPHA**3
         assert p.alpha_part() == BETA**2
-        assert p.dehomogenize() == {1: Fraction(1), 3: Fraction(1), 0: Fraction(1)}
 
     @given(graded_polys())
     @settings(max_examples=40)
@@ -184,6 +228,28 @@ class TestModLayer:
         p = ModPoly(5, {(2, 1): 1, (1, 0): 1, (0, 1): 1})
         v1 = ModPoly(5, {(1, 0): 1})
         assert reduce_mod_v1(p, v1) == ModPoly(5, {(0, 1): 1})
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_reduce_mod_v1_matches_stepwise_division(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 13]))
+        d = data.draw(st.integers(0, 4))
+        keys = st.tuples(st.integers(0, 9), st.integers(0, 4))
+        coeffs = st.integers(0, p - 1)
+        a = ModPoly(p, data.draw(st.dictionaries(keys, coeffs, max_size=12)))
+        lower = st.tuples(st.integers(0, max(d - 1, 0)), st.integers(0, 4))
+        tail = data.draw(st.dictionaries(lower, coeffs, max_size=6))
+        tail = {k: c for k, c in tail.items() if k[0] < d}
+        v1 = ModPoly(p, {**tail, (d, 0): data.draw(st.integers(1, p - 1))})
+        r = reduce_mod_v1(a, v1)
+        assert r == stepwise_reduce_mod_v1(a, v1)
+        assert r.is_zero() or r.alpha_degree() < d
+
+    @pytest.mark.parametrize("p", [5, 13, 29, 53])
+    def test_reduce_mod_v1_on_hazewinkel_generators(self, p):
+        v1, v2 = (reduce_mod_p(hazewinkel_v(n, p), p) for n in (1, 2))
+        for a in (v2, v1 * v2 + v2, v1):
+            assert reduce_mod_v1(a, v1) == stepwise_reduce_mod_v1(a, v1)
 
     def test_reduce_mod_v1_rejects_nonscalar_lead(self):
         v1 = ModPoly(5, {(1, 1): 1})

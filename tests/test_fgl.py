@@ -5,6 +5,8 @@ import pytest
 from taf.exact import ALPHA, InputError
 from taf.fgl import (
     ConsistencyError,
+    _associativity_holds,
+    _log_additivity_holds,
     beta_zero_law,
     build_fgl,
     euler_discrepancy,
@@ -13,7 +15,7 @@ from taf.fgl import (
     fgl_phiL,
     iso_check,
 )
-from taf.series import TruncSeries
+from taf.series import BiTruncSeries, TruncSeries
 
 
 class TestConstruction:
@@ -32,6 +34,18 @@ class TestConstruction:
         # these laws exist iff the axioms hold.
         fgl_phi(13)
         fgl_phiL(13)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_construction_checks_reject_a_perturbed_law(self, d):
+        # F + alpha*(x^(d-1)*y + x*y^(d-1)) is still commutative and keeps the
+        # unit, but it is neither associative nor linearised by the log.
+        f = fgl_phiL(9)
+        law = f.law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
+        law = law + BiTruncSeries({(1, d - 1): ALPHA}, 9)
+        assert law == law.swap()
+        assert _associativity_holds(f.law) and _log_additivity_holds(f.law, f.log)
+        assert not _associativity_holds(law)
+        assert not _log_additivity_holds(law, f.log)
 
     def test_log_linearizes_the_law(self):
         f = fgl_phiL(9)

@@ -19,7 +19,9 @@ from taf.series import (
     revert,
     series_div,
     sqrt_unit,
+    _truncated_product,
 )
+from test_exact import pairwise_product
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -143,6 +145,10 @@ class TestBivariate:
         gx = TruncSeries.identity(4).scale(GradedPoly.const(2))
         gy = TruncSeries.identity(4).scale(GradedPoly.const(3))
         assert bi_compose_slots(f, gx, gy) == f.scale(GradedPoly.const(6))
+        # Zero slot series leave only the constant term of f.
+        g = BiTruncSeries({(0, 0): BETA, (1, 2): ALPHA}, 4)
+        zero = TruncSeries.zero(4)
+        assert bi_compose_slots(g, zero, zero) == BiTruncSeries({(0, 0): BETA}, 4)
 
     def test_inverse_unit(self):
         g = BiTruncSeries({(0, 0): ONE, (1, 1): ALPHA}, 6)
@@ -153,6 +159,55 @@ class TestBivariate:
         with pytest.raises(InputError):
             bi_inverse_unit(BiTruncSeries({(1, 0): ONE}, 3))
 
-    def test_degree_part(self):
-        f = BiTruncSeries({(1, 0): ONE, (1, 1): BETA}, 3)
-        assert f.degree_part(2) == BiTruncSeries({(1, 1): BETA}, 3)
+
+
+def tri_mul(f, g, order):
+    """The trivariate product `_truncated_product` replaced, generalised to
+    maps of any arity and kept as the reference: one partial sum per pair of
+    terms, coefficient products by the pairwise Fraction reference."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            if sum(k) > order:
+                continue
+            s = out.get(k, ZERO) + pairwise_product(c1, c2)
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+# Few distinct coefficients, so that sums cancel often.
+small_coeffs = st.sampled_from(
+    [ONE, -ONE, ALPHA, -ALPHA, BETA, ALPHA + BETA, GradedPoly.const(Fraction(1, 2))]
+)
+
+
+def sparse_maps(arity):
+    keys = st.tuples(*[st.integers(0, 3)] * arity)
+    return st.dictionaries(keys, small_coeffs, max_size=6)
+
+
+class TestTruncatedProduct:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, arity, data):
+        a = data.draw(sparse_maps(arity))
+        b = data.draw(sparse_maps(arity))
+        n = data.draw(st.integers(0, 3 * arity))
+        got = _truncated_product(a, b, n)
+        assert got == tri_mul(a, b, n)
+        assert all(not c.is_zero() and sum(k) <= n for k, c in got.items())
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_cancellation_and_top_degree(self, arity):
+        # (1 + x)(1 - x) = 1 - x^2: the x terms cancel and nothing is stored
+        # for them; x^2 sits exactly at degree n = 2 and is dropped at n = 1.
+        one, x, xx = (tuple([e] + [0] * (arity - 1)) for e in (0, 1, 2))
+        plus, minus = {one: ONE, x: ONE}, {one: ONE, x: -ONE}
+        assert _truncated_product(plus, minus, 2) == {one: ONE, xx: -ONE}
+        assert _truncated_product(plus, minus, 1) == {one: ONE}
+        assert _truncated_product(plus, minus, 2) == tri_mul(plus, minus, 2)
