@@ -30,6 +30,7 @@ from .exact import (
     reduce_mod_p,
     reduce_mod_v1,
     require_prime,
+    _kron_mul,
     _poly_mod,
     _power,
 )
@@ -224,12 +225,8 @@ def _divides_power_of(g: list[int], base: list[int], power: int, p: int) -> bool
     """Does the monic univariate g divide base^power over F_p?"""
     # base^power mod g via square-and-multiply on dense lists.
     def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % p
-        return _poly_mod(out, g, p)
+        out = _kron_mul(a, b, len(a) + len(b) - 1)
+        return _poly_mod([c % p for c in out], g, p)
 
     return not _power(_poly_mod([1], g, p), _poly_mod(base, g, p), power, mul)
 

@@ -4,8 +4,12 @@ Rationals are `fractions.Fraction` (always canonical: reduced, positive
 denominator).  A `GradedPoly` is a sparse bivariate polynomial in the ring
 generators alpha and beta, stored as a dict mapping exponent pairs (i, j)
 -- meaning alpha^i * beta^j -- to nonzero Fraction coefficients.
-Products accumulate on one term map: `_dot` sums a * b over a list of
-pairs, and the series layer makes one `_dot` per output coefficient.
+The private kernels are `_dot`, `_power` and `_kron_mul`.  Products
+accumulate on one term map: `_dot` sums a * b over a list of pairs, and
+the series layer makes one `_dot` per output coefficient.  `_power` is
+square-and-multiply for any of the product types.  `_kron_mul` multiplies
+dense integer coefficient lists by Kronecker substitution (one big-int
+multiply); the q-expansions and the dense F_p lists run on it.
 
 The grading assigns degree 1 to alpha and degree 2 to beta ("Legendre
 degree"); weight is 4x that and topological degree 8x.  The zero polynomial
@@ -375,6 +379,43 @@ def _int_mul(a: dict, b: dict) -> dict:
             k = (i1 + i2, j1 + j2)
             out[k] = out.get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
+
+
+def _kron_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """First n coefficients of the product of two dense integer polynomials
+    (coefficient lists, low degree first), by Kronecker substitution.
+
+    Each factor becomes one int whose base-2^B digits are its coefficients,
+    one big-int multiply forms the product, and the product's digits are
+    read back.  B is a multiple of 8 with every product coefficient inside
+    [-2^(B-1), 2^(B-1)).  Digits are signed: adding 2^(B-1) to each makes
+    them non-negative, so packing and unpacking are one `int.to_bytes` /
+    `int.from_bytes` pass each, linear in the length (a shift per digit
+    would be quadratic)."""
+    n = max(n, 0)
+    a, b = a[:n], b[:n]
+    bound = a and b and max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    w = bound.bit_length() // 8 + 1  # bytes per digit, so B - 1 >= bits(bound)
+    bias = 1 << (8 * w - 1)
+    bias_digit = bias.to_bytes(w, "little")
+
+    def biases(k: int) -> int:
+        return int.from_bytes(bias_digit * k, "little")
+
+    def pack(v: list[int]) -> int:
+        digits = b"".join((c + bias).to_bytes(w, "little") for c in v)
+        return int.from_bytes(digits, "little") - biases(len(v))
+
+    m = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + biases(m)
+    raw = product.to_bytes(m * w, "little")
+    out = [
+        int.from_bytes(raw[i : i + w], "little") - bias
+        for i in range(0, min(n, m) * w, w)
+    ]
+    return out + [0] * (n - len(out))
 
 
 ZERO = GradedPoly()

@@ -16,6 +16,11 @@ The theta conventions are validated against hard leading-term anchors
 (delta' = -1/8 + O(s), eps' = -s + O(s^2), alpha = 1 + O(s),
 Delta = s + O(s^2)); a convention mismatch fails loudly there.
 
+Every product runs on `exact._kron_mul`, the packed-integer kernel: a
+product scales both factors to integer numerators over one common
+denominator, and `substitute_forms` works on integer vectors until one
+division at the end.
+
 Numeric evaluation is double-precision Horner in s with a geometric tail
 bound; used for the zero checks, the automorphy residuals, and j = beta/(4*alpha^2).
 """
@@ -27,9 +32,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .exact import GradedPoly, InputError, _power
-from .chromatic import hazewinkel_v
+from .exact import GradedPoly, InputError, _kron_mul, _power
+from .chromatic import _require_split, hazewinkel_v
 
 
 class QExpansion:
@@ -73,18 +79,20 @@ class QExpansion:
     def __sub__(self, other: "QExpansion"):
         return self + (-other)
 
+    def _numerators(self) -> tuple[int, list[int]]:
+        """(d, [d*c for c in coeffs]) for the least common denominator d."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def __mul__(self, other: "QExpansion"):
         self._check(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QExpansion(out, n)
+        da, a = self._numerators()
+        db, b = other._numerators()
+        den = da * db
+        return QExpansion(
+            [Fraction(c, den) for c in _kron_mul(a, b, self.order + 1)],
+            self.order,
+        )
 
     def __pow__(self, m: int):
         return _power(QExpansion([1], self.order), self, m, operator.mul)
@@ -275,26 +283,39 @@ def j_invariant(tau: complex, K: int = 40):
 
 
 def substitute_forms(poly: GradedPoly, K: int) -> QExpansion:
-    """Evaluate a polynomial in alpha, beta on the generator expansions."""
+    """Evaluate a polynomial in alpha, beta on the generator expansions.
+
+    Works on integer numerators throughout: with D the common denominator
+    of poly and a, b those of alpha and beta (alpha = A/a, beta = B/b),
+    row_j = sum_i D*c_ij * a^(I-i) * A^i, and Horner in beta,
+    r <- r*B + b^(J-j) * row_j, gives D * a^I * b^J * poly(alpha, beta)."""
     f = forms(K)
-    max_i = max((i for i, _ in poly.terms), default=0)
-    max_j = max((j for _, j in poly.terms), default=0)
-    pow_a = [QExpansion([1], K)]
-    for _ in range(max_i):
-        pow_a.append(pow_a[-1] * f.alpha)
-    pow_b = [QExpansion([1], K)]
-    for _ in range(max_j):
-        pow_b.append(pow_b[-1] * f.beta)
-    acc = QExpansion([0], K)
-    for (i, j), c in poly.terms.items():
-        acc = acc + (pow_a[i] * pow_b[j]).scale(c)
-    return acc
+    n = K + 1
+    terms = poly.terms
+    top_i = max((i for i, _ in terms), default=0)
+    top_j = max((j for _, j in terms), default=0)
+    den = lcm(*(c.denominator for c in terms.values()))
+    da, a = f.alpha._numerators()
+    db, b = f.beta._numerators()
+    pow_a = [[1] + [0] * K]
+    for _ in range(top_i):
+        pow_a.append(_kron_mul(pow_a[-1], a, n))
+    rows = [[0] * n for _ in range(top_j + 1)]
+    for (i, j), c in terms.items():
+        scale = c.numerator * (den // c.denominator) * da ** (top_i - i)
+        rows[j] = [r + scale * x for r, x in zip(rows[j], pow_a[i])]
+    acc = rows[top_j]
+    for j in range(top_j - 1, -1, -1):
+        lift = db ** (top_j - j)
+        acc = [x + lift * r for x, r in zip(_kron_mul(acc, b, n), rows[j])]
+    common = den * da**top_i * db**top_j
+    return QExpansion([Fraction(c, common) for c in acc], K)
 
 
 def genus_qexp_consistency(p: int, K: int = 40) -> bool:
-    """The expansions of v_1 and v_2 are p-integral through s^K."""
-    if p not in (5, 13):
-        raise InputError("consistency check is pinned to the primes 5 and 13")
+    """The expansions of v_1 and v_2 are p-integral through s^K, for a
+    split prime p (1 mod 4)."""
+    _require_split(p)
     for n in (1, 2):
         expansion = substitute_forms(hazewinkel_v(n, p), K)
         if not expansion.is_p_integral(p):

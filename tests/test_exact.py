@@ -24,6 +24,7 @@ from taf.exact import (
     reduce_mod_p,
     reduce_mod_v1,
     _dot,
+    _kron_mul,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -42,6 +43,18 @@ def pairwise_product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
             else:
                 out.pop(k, None)
     return GradedPoly(out)
+
+
+def schoolbook_mul(a: list, b: list, n: int) -> list:
+    """The dense double loop that `_kron_mul` replaced in
+    `QExpansion.__mul__` and `_divides_power_of`, kept as the reference:
+    the first n coefficients of a*b, one partial sum per pair below n."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
 def stepwise_reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
@@ -202,6 +215,60 @@ class TestGradedPoly:
     def test_negative_exponent_rejected(self):
         with pytest.raises(InputError):
             GradedPoly({(-1, 0): 1})
+
+
+def _boundary(k: int, sign: int, offset: int) -> int:
+    return sign * (2**k + offset)
+
+
+# Coefficients that sit on a digit boundary (+-2^k, +-(2^k +- 1)), small
+# ones, and arbitrary 200-bit ones.
+kron_coeffs = st.one_of(
+    st.builds(
+        _boundary, st.integers(0, 200), st.sampled_from([1, -1]), st.integers(-1, 1)
+    ),
+    st.integers(-3, 3),
+    st.integers(-(2**200), 2**200),
+)
+
+
+class TestKronMul:
+    @given(
+        st.lists(kron_coeffs, max_size=12),
+        st.lists(kron_coeffs, max_size=12),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=200)
+    def test_matches_schoolbook(self, a, b, n):
+        # n runs both below and above len(a) + len(b) - 1.
+        assert _kron_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+    @given(
+        st.lists(st.integers(-(2**70), -1), min_size=1, max_size=12),
+        st.lists(st.integers(-(2**70), -1), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60)
+    def test_all_negative(self, a, b):
+        n = len(a) + len(b) - 1
+        assert _kron_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 199, 200])
+    def test_digit_boundaries(self, k):
+        values = [_boundary(k, s, d) for s in (1, -1) for d in (-1, 0, 1)]
+        for x in values:
+            for y in values:
+                for a, b in (([x], [y]), ([x, y, x], [y, x]), ([x] * 5, [-y] * 4)):
+                    n = len(a) + len(b) - 1
+                    assert _kron_mul(a, b, n) == schoolbook_mul(a, b, n)
+
+    def test_zero_and_length_one(self):
+        assert _kron_mul([0, 0, 0], [5, -7], 4) == [0, 0, 0, 0]
+        assert _kron_mul([], [5], 2) == [0, 0]
+        assert _kron_mul([3], [], 1) == [0]
+        assert _kron_mul([1, 2], [3], 0) == []
+        assert _kron_mul([-6], [7], 1) == [-42]
+        assert _kron_mul([-6], [7], 3) == [-42, 0, 0]
+        assert _kron_mul([1, 1], [1, -1], 2) == [1, 0]
 
 
 class TestPrimality:

@@ -5,9 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from taf.exact import InputError
+from taf.chromatic import UnsupportedPrimeError, hazewinkel_v
+from taf.exact import ZERO, GradedPoly, InputError
+from taf import qexp
 from taf.qexp import (
+    GeneratorForms,
     QExpansion,
     anchor_check,
     eval_form,
@@ -19,6 +23,30 @@ from taf.qexp import (
     theta_fourth_powers,
     transform_check,
 )
+
+from test_exact import graded_polys, schoolbook_mul
+
+
+def schoolbook_qmul(x: QExpansion, y: QExpansion) -> QExpansion:
+    """The Fraction double loop `QExpansion.__mul__` used to run, kept as
+    the reference for the packed product."""
+    x._check(y)
+    return QExpansion(schoolbook_mul(x.coeffs, y.coeffs, x.order + 1), x.order)
+
+
+def termwise_substitute(poly: GradedPoly, f: GeneratorForms, K: int) -> QExpansion:
+    """The term-by-term evaluation `substitute_forms` replaced, on
+    schoolbook products: one alpha^i * beta^j product per term."""
+    one = QExpansion([1], K)
+    acc = QExpansion([0], K)
+    for (i, j), c in poly.terms.items():
+        term = one
+        for _ in range(i):
+            term = schoolbook_qmul(term, f.alpha)
+        for _ in range(j):
+            term = schoolbook_qmul(term, f.beta)
+        acc = acc + term.scale(c)
+    return acc
 
 
 class TestQExpansion:
@@ -34,6 +62,15 @@ class TestQExpansion:
     def test_mixed_orders_rejected(self):
         with pytest.raises(InputError):
             QExpansion([1], 1) + QExpansion([1], 2)
+        with pytest.raises(InputError):
+            QExpansion([1], 1) * QExpansion([1], 2)
+
+    def test_fraction_product_matches_schoolbook(self):
+        a = QExpansion([Fraction(1, 6), Fraction(-3, 4), 0, Fraction(5, 9)], 5)
+        b = QExpansion([Fraction(-2, 3), 7, Fraction(1, 10)], 5)
+        assert a * b == schoolbook_qmul(a, b)
+        assert a * a == schoolbook_qmul(a, a)
+        assert a * QExpansion([0], 5) == QExpansion([0], 5)
 
     def test_integrality_predicates(self):
         f = QExpansion([Fraction(1, 2), 1], 1)
@@ -84,6 +121,14 @@ class TestForms:
         d8 = f.delta_prime.scale(8)
         assert f.beta == (d8 * d8 * d8 * d8).scale(Fraction(1, 1))
 
+    @pytest.mark.parametrize("K", [2, 3, 60])
+    def test_forms_match_schoolbook_products(self, K, monkeypatch):
+        got = forms.__wrapped__(K)
+        with monkeypatch.context() as m:
+            m.setattr(QExpansion, "__mul__", schoolbook_qmul)
+            expected = forms.__wrapped__(K)
+        assert got == expected
+
     def test_alpha_first_coefficients(self):
         a = forms(10).alpha
         assert a[0] == 1
@@ -120,6 +165,41 @@ class TestGenusConsistency:
 
         assert substitute_forms(GradedPoly.const(3), 10) == QExpansion([3], 10)
 
-    @pytest.mark.parametrize("p", [5, 13])
+    def test_substitute_zero(self):
+        assert substitute_forms(ZERO, 10) == QExpansion([0], 10)
+
+    @given(graded_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute_matches_termwise(self, poly):
+        K = 12
+        assert substitute_forms(poly, K) == termwise_substitute(poly, forms(K), K)
+
+    def test_substitute_on_fractional_forms(self, monkeypatch):
+        # alpha and beta have integer coefficients; give them denominators
+        # so that every scaling in the integer Horner scheme is exercised.
+        K = 8
+        f = forms(K)
+        shifted = GeneratorForms(
+            f.delta_prime,
+            f.eps_prime,
+            f.alpha.scale(Fraction(1, 3)),
+            (f.beta + QExpansion([0, Fraction(1, 2)], K)).scale(Fraction(5, 4)),
+            f.delta_g,
+        )
+        monkeypatch.setattr(qexp, "forms", lambda K: shifted)
+        poly = GradedPoly(
+            {(3, 0): Fraction(2, 7), (1, 2): -1, (0, 1): Fraction(3, 5), (0, 0): 4}
+        )
+        assert substitute_forms(poly, K) == termwise_substitute(poly, shifted, K)
+
+    @pytest.mark.parametrize("p", [5, 13, 17, 29])
     def test_p_integral_expansions(self, p):
         assert genus_qexp_consistency(p, 40)
+        # The check can fail: v_1 / p is not p-integral at the cusp.
+        v1_over_p = hazewinkel_v(1, p).scale(Fraction(1, p))
+        assert not substitute_forms(v1_over_p, 40).is_p_integral(p)
+
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_non_split_primes_refused(self, p):
+        with pytest.raises(UnsupportedPrimeError):
+            genus_qexp_consistency(p, 40)
