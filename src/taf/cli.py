@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -336,8 +337,20 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads "-7.6e-05" as a negative number, not as
+    an option: argparse's own pattern for negative numbers has no exponent.
+    Subparsers are built with the class of their parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taf",
         description="Exact computations and verifications for the genus-2 "
         "formal-group / automorphic-forms pipeline.",

@@ -297,9 +297,15 @@ def substitute_forms(poly: GradedPoly, K: int) -> QExpansion:
     den = lcm(*(c.denominator for c in terms.values()))
     da, a = f.alpha._numerators()
     db, b = f.beta._numerators()
-    pow_a = [[1] + [0] * K]
-    for _ in range(top_i):
-        pow_a.append(_kron_mul(pow_a[-1], a, n))
+    # Only the powers poly uses: one chain of each parity in steps of A^2
+    # (a homogeneous poly uses one parity only).
+    pow_a = {0: [1] + [0] * K, 1: a}
+    if top_i > 1:
+        pow_a[2] = _kron_mul(a, a, n)
+    top = {i % 2: i for i, _ in sorted(terms)}
+    for i in range(3, top_i + 1):
+        if i <= top.get(i % 2, 0):
+            pow_a[i] = _kron_mul(pow_a[i - 2], pow_a[2], n)
     rows = [[0] * n for _ in range(top_j + 1)]
     for (i, j), c in terms.items():
         scale = c.numerator * (den // c.denominator) * da ** (top_i - i)

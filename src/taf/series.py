@@ -437,16 +437,39 @@ def bi_from_univariate(f: TruncSeries, slot: int, order: int) -> BiTruncSeries:
 
 
 def bi_compose_outer(f: TruncSeries, g: BiTruncSeries) -> BiTruncSeries:
-    """f(g(x, y)) for univariate f and bivariate g with no constant term."""
+    """f(g(x, y)) for univariate f and bivariate g with no constant term.
+
+    Horner over the support k_0 < .. < k_m of f only: r <- c_{k_m}, then
+    r <- r*g^(k_{i+1} - k_i) + c_{k_i} down to i = 0, and last r*g^(k_0).
+    The powers of g are built on demand by squaring.  An f with only
+    x^{4k+1} terms (the logarithms and their inverses) costs g^2, g^4, one
+    step per term and one final product, instead of one product per
+    coefficient.
+    """
     if not g.coefficient(0, 0).is_zero():
         raise InputError("inner series must have zero constant term")
     n = g.order
     if f.order != n:
         raise InputError(f"mixed truncation orders {f.order} and {n}")
-    result = BiTruncSeries.zero(n)
-    for c in reversed(f.coeffs):
-        result = result * g + BiTruncSeries({(0, 0): c}, n)
-    return result
+    powers = {1: g.terms}
+
+    def power(e: int) -> dict[tuple[int, ...], GradedPoly]:
+        if e not in powers:
+            half = power(e // 2)
+            sq = _truncated_product(half, half, n)
+            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
+        return powers[e]
+
+    support = [k for k, c in enumerate(f.coeffs) if not c.is_zero()]
+    if not support:
+        return BiTruncSeries.zero(n)
+    result = {(0, 0): f.coeffs[support[-1]]}
+    for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
+        result = _truncated_product(result, power(hi - lo), n)
+        result[(0, 0)] = f.coeffs[lo]
+    if support[0]:
+        result = _truncated_product(result, power(support[0]), n)
+    return BiTruncSeries(result, n)
 
 
 def bi_compose_slots(

@@ -93,6 +93,33 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["certificate"] is True
 
+    @pytest.mark.parametrize("re", ["-1e-3", "-7.6e-05", "-0.5"])
+    @pytest.mark.parametrize(
+        "command", [["reduce"], ["eval-tau", "alpha"], ["jg"], ["transform-check"]]
+    )
+    def test_negative_real_part_is_a_number(self, capsys, command, re):
+        # argparse's own pattern takes "-7.6e-05" for an option.
+        code, out = run(capsys, *command, re, "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)
+
+    def test_reduce_negative_exponent_point(self, capsys):
+        code, out = run(
+            capsys,
+            "reduce",
+            "-7.620975539879282e-05",
+            "0.0059540511686692965",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"] is True
+
+    def test_negative_exponent_option_value(self, capsys):
+        code, out = run(capsys, "transform-check", "0", "2", "--tolerance", "-1e-3")
+        assert code == 1  # no residual is below a negative tolerance
+        assert "FAIL" in out
+
     def test_verify_embeddings(self, capsys):
         code, out = run(capsys, "verify-embeddings", "--format", "json")
         assert code == 0

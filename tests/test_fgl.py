@@ -2,7 +2,7 @@
 
 import pytest
 
-from taf.exact import ALPHA, InputError
+from taf.exact import ALPHA, InputError, ONE
 from taf.fgl import (
     ConsistencyError,
     _associativity_holds,
@@ -15,7 +15,17 @@ from taf.fgl import (
     fgl_phiL,
     iso_check,
 )
-from taf.series import BiTruncSeries, TruncSeries
+from taf.series import BiTruncSeries, TruncSeries, _substitute
+
+
+def two_sided_associativity(law):
+    """The check `_associativity_holds` made before it used commutativity,
+    kept as the reference: both triple composites, compared directly."""
+    n = law.order
+    x, y, z = ({e: ONE} for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    f_xy = _substitute(law.terms, x, y, n)
+    f_yz = _substitute(law.terms, y, z, n)
+    return _substitute(law.terms, f_xy, z, n) == _substitute(law.terms, x, f_yz, n)
 
 
 class TestConstruction:
@@ -46,6 +56,27 @@ class TestConstruction:
         assert _associativity_holds(f.law) and _log_additivity_holds(f.law, f.log)
         assert not _associativity_holds(law)
         assert not _log_additivity_holds(law, f.log)
+
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [1, 5, 9, 13])
+    def test_cyclic_associativity_matches_two_sided(self, build, n):
+        law = build(n).law
+        assert _associativity_holds(law) and two_sided_associativity(law)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_cyclic_check_refuses_what_two_sided_refuses(self, d):
+        # The commutative perturbations of the test above.
+        law = fgl_phiL(9).law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
+        law = law + BiTruncSeries({(1, d - 1): ALPHA}, 9)
+        assert not _associativity_holds(law) and not two_sided_associativity(law)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_non_commutative_law_is_refused(self, d):
+        # F + alpha*x^(d-1)*y breaks commutativity, so the cyclic argument
+        # does not apply; the two-sided check refuses it as well.
+        law = fgl_phiL(9).law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
+        assert law != law.swap()
+        assert not _associativity_holds(law) and not two_sided_associativity(law)
 
     def test_log_linearizes_the_law(self):
         f = fgl_phiL(9)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from taf.chromatic import UnsupportedPrimeError, hazewinkel_v
-from taf.exact import ZERO, GradedPoly, InputError
+from taf.exact import ZERO, GradedPoly, InputError, _kron_mul
 from taf import qexp
+from taf.legendre import legendre
 from taf.qexp import (
     GeneratorForms,
     QExpansion,
@@ -191,6 +192,24 @@ class TestGenusConsistency:
             {(3, 0): Fraction(2, 7), (1, 2): -1, (0, 1): Fraction(3, 5), (0, 0): 4}
         )
         assert substitute_forms(poly, K) == termwise_substitute(poly, shifted, K)
+
+    @pytest.mark.parametrize("k,products", [(5, 5), (6, 6)])
+    def test_substitute_builds_only_used_powers(self, monkeypatch, k, products):
+        # P_k has the terms alpha^(k-2j) beta^j, j <= k/2: the table needs
+        # alpha^2 and the k/2 - 1 (or (k-1)/2) steps of one parity, then
+        # Horner makes one product per power of beta.
+        K = 12
+        f = forms(K)
+        calls = []
+
+        def counted(a, b, n):
+            calls.append(n)
+            return _kron_mul(a, b, n)
+
+        monkeypatch.setattr(qexp, "_kron_mul", counted)
+        poly = legendre(k)
+        assert substitute_forms(poly, K) == termwise_substitute(poly, f, K)
+        assert len(calls) == products
 
     @pytest.mark.parametrize("p", [5, 13, 17, 29])
     def test_p_integral_expansions(self, p):

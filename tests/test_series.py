@@ -1,5 +1,6 @@
 """Truncated-series engine: strict orders, composition, reversion, roots."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -180,9 +181,10 @@ def tri_mul(f, g, order):
 
 
 # Few distinct coefficients, so that sums cancel often.
-small_coeffs = st.sampled_from(
-    [ONE, -ONE, ALPHA, -ALPHA, BETA, ALPHA + BETA, GradedPoly.const(Fraction(1, 2))]
-)
+SMALL_COEFFS = [
+    ONE, -ONE, ALPHA, -ALPHA, BETA, ALPHA + BETA, GradedPoly.const(Fraction(1, 2))
+]
+small_coeffs = st.sampled_from(SMALL_COEFFS)
 
 
 def sparse_maps(arity):
@@ -211,3 +213,75 @@ class TestTruncatedProduct:
         assert _truncated_product(plus, minus, 2) == {one: ONE, xx: -ONE}
         assert _truncated_product(plus, minus, 1) == {one: ONE}
         assert _truncated_product(plus, minus, 2) == tri_mul(plus, minus, 2)
+
+
+def dense_compose_outer(f, g):
+    """The Horner loop `bi_compose_outer` ran before it skipped the zero
+    coefficients of f, kept as the reference: one bivariate product per
+    coefficient."""
+    n = g.order
+    result = BiTruncSeries.zero(n)
+    for c in reversed(f.coeffs):
+        result = result * g + BiTruncSeries({(0, 0): c}, n)
+    return result
+
+
+def outer_series(kind, n, rng):
+    """A univariate f of order n whose support has the given shape."""
+    if kind == "zero":
+        support = []
+    elif kind == "top":
+        support = [n]
+    elif kind == "dense":
+        support = range(n + 1)
+    else:
+        support = sorted(rng.sample(range(1, n + 1), max(1, n // 3)))
+        if kind == "constant":
+            support = [0] + support
+    coeffs = [rng.choice(SMALL_COEFFS) for _ in range(n + 1)]
+    return TruncSeries([c if k in support else ZERO for k, c in enumerate(coeffs)], n)
+
+
+def inner_series(kind, n, rng):
+    """A bivariate g of order n with no constant term."""
+    keys = [(a, d - a) for d in range(1, n + 1) for a in range(d + 1)]
+    if kind == "sparse":
+        keys = rng.sample(keys, min(3, len(keys)))
+    return BiTruncSeries({k: rng.choice(SMALL_COEFFS) for k in keys}, n)
+
+
+class TestSparseHorner:
+    @pytest.mark.parametrize("n", [1, 5, 13])
+    @pytest.mark.parametrize("f_kind", ["gaps", "constant", "top", "zero", "dense"])
+    @pytest.mark.parametrize("g_kind", ["sparse", "dense"])
+    def test_matches_dense_horner(self, n, f_kind, g_kind):
+        rng = random.Random(f"{n}-{f_kind}-{g_kind}")
+        f = outer_series(f_kind, n, rng)
+        g = inner_series(g_kind, n, rng)
+        assert bi_compose_outer(f, g) == dense_compose_outer(f, g)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_supports(self, data):
+        n = data.draw(st.integers(1, 9))
+        support = data.draw(st.sets(st.integers(0, n), max_size=4))
+        coeffs = [data.draw(small_coeffs) for _ in range(n + 1)]
+        f = TruncSeries([c if k in support else ZERO for k, c in enumerate(coeffs)], n)
+        keys = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+            lambda k: 1 <= sum(k) <= n
+        )
+        terms = data.draw(st.dictionaries(keys, small_coeffs, max_size=4))
+        g = BiTruncSeries(terms, n)
+        assert bi_compose_outer(f, g) == dense_compose_outer(f, g)
+
+    def test_odd4_logarithm(self):
+        # The case it is built for: an x^{4k+1} series composed with x + y.
+        f = TruncSeries([ALPHA if k % 4 == 1 else ZERO for k in range(14)], 13)
+        g = BiTruncSeries.variable(0, 13) + BiTruncSeries.variable(1, 13)
+        assert bi_compose_outer(f, g) == dense_compose_outer(f, g)
+
+    def test_rejects_constant_inner_and_mixed_orders(self):
+        with pytest.raises(InputError):
+            bi_compose_outer(TruncSeries.identity(3), BiTruncSeries({(0, 0): ONE}, 3))
+        with pytest.raises(InputError):
+            bi_compose_outer(TruncSeries.identity(3), BiTruncSeries.variable(0, 4))
