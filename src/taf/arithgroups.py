@@ -18,7 +18,14 @@ T is pinned down (up to the pointwise stabilizer of the image family,
 which acts trivially on the embedded group) by two exact conditions: it
 carries every ball-model period matrix to the corresponding half-plane
 one, and it conjugates J to the fixed order-four matrix K4 below.  Both
-conditions are re-verified in the test suite.
+conditions are re-verified in the test suite, and the twisted J-identity
+on the period matrices (1, Omega_tau) is checked with K4 itself.
+
+One matrix type, `Mat`, holds every shape: the 2x2 group elements, the
+4x4 symplectic matrices and the 2x4 period matrices (1, Omega) multiply
+with the same product, and a mismatch of shapes raises `InputError`.  One
+Gauss-Jordan pass gives both the determinant and the inverse, and the
+fixed matrices are inverted once, at import.
 
 Fundamental-domain reduction runs in Q(i) as well: a float input point is
 converted exactly, the greedy walk tests |tau -+ 1|^2 >= 2 in Q, and the
@@ -27,6 +34,7 @@ certificate is an exact equality, with no tolerance and no step cap.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
@@ -36,88 +44,78 @@ from .exact import GaussianRational, InputError, I
 GR = GaussianRational
 
 
-def _gr(x) -> GR:
-    return GR.coerce(x)
-
-
 class Mat:
-    """Dense square matrix over Q(i); immutable."""
+    """Dense matrix over Q(i) of any shape; immutable.
 
-    __slots__ = ("n", "rows")
+    Every row has the same length, and `shape` is (rows, columns).  `+` and
+    `-` need equal shapes, `A * B` needs as many columns in A as rows in B,
+    and `det` and `inv` need a square matrix; each raises `InputError`
+    otherwise, as the constructor does on ragged rows.  `det` and `inv`
+    share one Gauss-Jordan pass.
+    """
+
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rs = tuple(tuple(_gr(x) for x in row) for row in rows)
-        n = len(rs)
-        if any(len(r) != n for r in rs):
-            raise InputError("matrix must be square")
-        object.__setattr__(self, "n", n)
+        rs = tuple(tuple(GR.coerce(x) for x in row) for row in rows)
+        if len({len(r) for r in rs}) > 1:
+            raise InputError("matrix rows must have equal lengths")
         object.__setattr__(self, "rows", rs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.rows[0]) if self.rows else 0
+
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(n: int) -> "Mat":
-        return Mat([[0] * n for _ in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
+    def _entrywise(self, other: "Mat", op) -> "Mat":
+        if self.shape != other.shape:
+            raise InputError(f"shapes {self.shape} and {other.shape} differ")
+        return Mat(map(op, r1, r2) for r1, r2 in zip(self.rows, other.rows))
+
     def __add__(self, other: "Mat"):
-        return Mat(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Mat"):
-        return Mat(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return Mat([[-a for a in r] for r in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            n = self.n
-            return Mat(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                            GR(0),
-                        )
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
-        return self.scale(other)
+        if not isinstance(other, Mat):
+            return self.scale(other)
+        if self.shape[1] != other.shape[0]:
+            raise InputError(f"cannot multiply {self.shape} by {other.shape}")
+        cols = tuple(zip(*other.rows))
+        return Mat(
+            [sum((a * b for a, b in zip(r, c)), GR(0)) for c in cols]
+            for r in self.rows
+        )
 
     def scale(self, c) -> "Mat":
-        c = _gr(c)
+        c = GR.coerce(c)
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return Mat(zip(*self.rows))
 
     def conj(self) -> "Mat":
         return Mat([[a.conj() for a in r] for r in self.rows])
@@ -125,19 +123,26 @@ class Mat:
     def conj_transpose(self) -> "Mat":
         return self.conj().transpose()
 
-    def inv(self) -> "Mat":
-        """Gauss-Jordan inverse over Q(i)."""
-        n = self.n
+    def _gauss_jordan(self) -> tuple[GR, "Mat | None"]:
+        """(det, inverse) from one Gauss-Jordan pass over Q(i); the inverse
+        is None when the determinant is 0."""
+        n, m = self.shape
+        if n != m:
+            raise InputError(f"a {n}x{m} matrix is not square")
         a = [list(r) for r in self.rows]
         b = [[GR(1) if i == j else GR(0) for j in range(n)] for i in range(n)]
+        det = GR(1)
         for col in range(n):
             pivot = next(
                 (r for r in range(col, n) if not a[r][col].is_zero()), None
             )
             if pivot is None:
-                raise InputError("singular matrix")
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
+                return GR(0), None
+            if pivot != col:
+                a[col], a[pivot] = a[pivot], a[col]
+                b[col], b[pivot] = b[pivot], b[col]
+                det = -det
+            det = det * a[col][col]
             inv_p = a[col][col].inv()
             a[col] = [x * inv_p for x in a[col]]
             b[col] = [x * inv_p for x in b[col]]
@@ -146,36 +151,21 @@ class Mat:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat(b)
+        return det, Mat(b)
+
+    def inv(self) -> "Mat":
+        """Exact inverse over Q(i); `InputError` when singular."""
+        inverse = self._gauss_jordan()[1]
+        if inverse is None:
+            raise InputError("singular matrix")
+        return inverse
 
     def det(self) -> GR:
-        """Determinant by fraction-free-ish elimination over Q(i)."""
-        n = self.n
-        a = [list(r) for r in self.rows]
-        det = GR(1)
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if not a[r][col].is_zero()), None
-            )
-            if pivot is None:
-                return GR(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv_p = a[col][col].inv()
-            for r in range(col + 1, n):
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
+        """Exact determinant over Q(i)."""
+        return self._gauss_jordan()[0]
 
     def block(self, i0: int, j0: int, size: int) -> "Mat":
-        return Mat(
-            [
-                [self.rows[i0 + i][j0 + j] for j in range(size)]
-                for i in range(size)
-            ]
-        )
+        return Mat(r[j0 : j0 + size] for r in self.rows[i0 : i0 + size])
 
     def is_gaussian_integral(self) -> bool:
         return all(a.is_gaussian_integer() for r in self.rows for a in r)
@@ -186,10 +176,7 @@ class Mat:
         )
 
     def apply(self, vec):
-        return [
-            sum((self.rows[i][j] * vec[j] for j in range(self.n)), GR(0))
-            for i in range(self.n)
-        ]
+        return [sum((a * x for a, x in zip(r, vec)), GR(0)) for r in self.rows]
 
     def to_json(self):
         return [
@@ -209,41 +196,32 @@ class Mat:
         return "Mat([" + ", ".join(str(list(map(str, r))) for r in self.rows) + "])"
 
 
+def hstack(a: Mat, b: Mat) -> Mat:
+    """(a, b): two matrices with as many rows side by side."""
+    if a.shape[0] != b.shape[0]:
+        raise InputError(f"cannot put {a.shape} beside {b.shape}")
+    return Mat(x + y for x, y in zip(a.rows, b.rows))
+
+
 def block4(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
-    rows = []
-    for i in range(2):
-        rows.append(list(a.rows[i]) + list(b.rows[i]))
-    for i in range(2):
-        rows.append(list(c.rows[i]) + list(d.rows[i]))
-    return Mat(rows)
+    """((a, b), (c, d))."""
+    return Mat(hstack(a, b).rows + hstack(c, d).rows)
 
 
 # -- fixed matrices ---------------------------------------------------------
 
 H = Mat([[1, 0], [0, -1]])
-J0 = block4(Mat.zeros(2), Mat.identity(2), -Mat.identity(2), Mat.zeros(2))
-J = block4(Mat.zeros(2), -H, H, Mat.zeros(2))
+# The standard symplectic form (0, 1; -1, 0) and J = (0, -H; H, 0).
+J0 = Mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+J = Mat([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 
 # The twisted-embedding conjugator (see module docstring).
-T_MATRIX = Mat(
-    [
-        [0, 1, 0, 0],
-        [1, 0, 0, 0],
-        [1, 0, 0, 1],
-        [0, 1, 1, 0],
-    ]
-)
+T_MATRIX = Mat([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]])
+_T_MATRIX_INV = T_MATRIX.inv()
 
 # sigma(T) J sigma(T)^{-1}: the order-four matrix acting on the half-plane
 # family of period matrices.
-K4 = Mat(
-    [
-        [0, 1, 1, 0],
-        [-1, 0, 0, -1],
-        [0, 0, 0, 1],
-        [0, 0, -1, 0],
-    ]
-)
+K4 = Mat([[0, 1, 1, 0], [-1, 0, 0, -1], [0, 0, 0, 1], [0, 0, -1, 0]])
 
 # Generators: the unit-ball group and their Cayley images.
 U_GEN_PARABOLIC = Mat([[GR(1, 1), 1], [1, GR(1, -1)]])  # (1+i, 1; 1, 1-i)
@@ -256,6 +234,10 @@ G_GEN_C4 = Mat([[1, 1], [-1, 1]]).scale(GR(Fraction(1, 2), Fraction(1, 2)))
 _T_INV = Mat([[1, -2], [0, 1]])
 _C4_INV = Mat([[1, -1], [1, 1]]).scale(GR(Fraction(1, 2), Fraction(-1, 2)))
 _G_GENERATORS = (G_GEN_TRANSLATION, _T_INV, G_GEN_S, -G_GEN_S, G_GEN_C4, _C4_INV)
+
+# sqrt(2)*g0 and sqrt(2)*g0^{-1}, for the Cayley element g0 = (1, i; i, 1)/sqrt(2).
+_G0 = Mat([[1, I], [I, 1]])
+_G0_INV = Mat([[1, -I], [-I, 1]])
 
 
 def sigma(m: Mat) -> Mat:
@@ -310,24 +292,13 @@ def rho_unchecked(g: Mat) -> Mat:
 
 
 def cayley(g: Mat) -> Mat:
-    """Conjugation by g0 = (1, i; i, 1)/sqrt(2), written out so everything
-    stays in Q(i):  (a, b; c, d) -> ((a+ic-ib+d, -ia+c+b+id),
-    (ia+c+b-id, a-ic+ib+d))/2."""
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    half = GR(Fraction(1, 2))
-    return Mat(
-        [
-            [a + I * c - I * b + d, -I * a + c + b + I * d],
-            [I * a + c + b - I * d, a - I * c + I * b + d],
-        ]
-    ).scale(half)
+    """g0 g g0^{-1}, exactly: (1, i; i, 1) g (1, -i; -i, 1) / 2."""
+    return (_G0 * g * _G0_INV).scale(GR(Fraction(1, 2)))
 
 
 def cayley_inverse(gamma: Mat) -> Mat:
     """g0^{-1} gamma g0, exactly: (1, -i; -i, 1) gamma (1, i; i, 1) / 2."""
-    left = Mat([[1, -I], [-I, 1]])
-    right = Mat([[1, I], [I, 1]])
-    return (left * gamma * right).scale(GR(Fraction(1, 2)))
+    return (_G0_INV * gamma * _G0).scale(GR(Fraction(1, 2)))
 
 
 def iota(gamma: Mat) -> Mat:
@@ -335,7 +306,7 @@ def iota(gamma: Mat) -> Mat:
     pre = cayley_inverse(gamma)
     if not in_u11(pre):
         raise InputError("input is not in G = g0 U(1,1; Z[i]) g0^{-1}")
-    return T_MATRIX * rho_unchecked(pre) * T_MATRIX.inv()
+    return T_MATRIX * rho_unchecked(pre) * _T_MATRIX_INV
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +317,7 @@ def iota(gamma: Mat) -> Mat:
 def omega_ball(z: GR) -> Mat:
     """Ball-model period matrix i/(1-z^2) * ((1+z^2, 2z), (2z, 1+z^2));
     needs |z| < 1."""
-    z = _gr(z)
+    z = GR.coerce(z)
     if z.norm() >= 1:
         raise InputError("ball parameter needs |z| < 1")
     factor = I / (GR(1) - z * z)
@@ -355,7 +326,7 @@ def omega_ball(z: GR) -> Mat:
 
 def omega_halfplane(tau: GR) -> Mat:
     """Half-plane period matrix ((tau/2, 1/2), (1/2, tau/2)); needs im > 0."""
-    tau = _gr(tau)
+    tau = GR.coerce(tau)
     if tau.im <= 0:
         raise InputError("tau must lie in the upper half-plane")
     half = GR(Fraction(1, 2))
@@ -368,73 +339,43 @@ def r_matrix(z: GR) -> Mat:
     return (omega_ball(z) * H).scale(-I)
 
 
+def _siegel_image(m: Mat, omega: Mat) -> tuple[Mat, Mat]:
+    """(A*Omega + B)(C*Omega + D)^{-1} and (C*Omega + D)^{-1} for a 4x4 m
+    over a 2x2 Omega; one elimination both finds the point degenerate or
+    not and inverts."""
+    if m.shape != (4, 4):
+        raise InputError(f"the action needs a 4x4 matrix, not {m.shape}")
+    denom = m.block(2, 0, 2) * omega + m.block(2, 2, 2)
+    inverse = denom._gauss_jordan()[1]
+    if inverse is None:
+        raise InputError("degenerate point: C*Omega + D is singular")
+    return (m.block(0, 0, 2) * omega + m.block(0, 2, 2)) * inverse, inverse
+
+
 def siegel_action(m: Mat, omega: Mat) -> Mat:
     """(A*Omega + B)(C*Omega + D)^{-1} for a 4x4 over a 2x2."""
-    a, b = m.block(0, 0, 2), m.block(0, 2, 2)
-    c, d = m.block(2, 0, 2), m.block(2, 2, 2)
-    denom = c * omega + d
-    if denom.det().is_zero():
-        raise InputError("degenerate point: C*Omega + D is singular")
-    return (a * omega + b) * denom.inv()
+    return _siegel_image(m, omega)[0]
 
 
 def extended_action(m: Mat, omega: Mat, vec) -> tuple[Mat, list]:
     """The action on (Omega, w): fractional-linear on Omega and
     ((C*Omega + D)^tr)^{-1} on the vector."""
-    c, d = m.block(2, 0, 2), m.block(2, 2, 2)
-    denom = c * omega + d
-    if denom.det().is_zero():
-        raise InputError("degenerate point: C*Omega + D is singular")
-    return siegel_action(m, omega), denom.transpose().inv().apply(vec)
-
-
-def _row_pair(omega: Mat) -> Mat:
-    """The 2x4 period block (1, Omega) padded into a 4x4 (top two rows)."""
-    rows = [
-        [GR(1) if i == j else GR(0) for j in range(2)] + list(omega.rows[i])
-        for i in range(2)
-    ]
-    return rows
-
-
-def _mul_2x4(rows, m: Mat):
-    return [
-        [
-            sum((rows[i][k] * m.rows[k][j] for k in range(4)), GR(0))
-            for j in range(4)
-        ]
-        for i in range(2)
-    ]
-
-
-def _mul_2x2_2x4(m: Mat, rows):
-    return [
-        [
-            sum((m.rows[i][k] * rows[k][j] for k in range(2)), GR(0))
-            for j in range(4)
-        ]
-        for i in range(2)
-    ]
+    image, inverse = _siegel_image(m, omega)
+    return image, inverse.transpose().apply(vec)
 
 
 def j_identities(z: GR) -> bool:
     """The exact J-identities at a ball point: (1, Omega_z) J = (Omega_z H, -H)
     = i R_z (1, Omega_z), R_z (z, 1)^tr = -(z, 1)^tr, det R_z = -1, and the
     twisted analog (1, Omega_tau) K4 = (0, 1; -1, 0) (1, Omega_tau)."""
-    z = _gr(z)
+    z = GR.coerce(z)
     omega = omega_ball(z)
-    rows = _row_pair(omega)
-    lhs = _mul_2x4(rows, J)
-    oh = omega * H
-    expected = [
-        list(oh.rows[0]) + [-H[0, 0], GR(0)],
-        list(oh.rows[1]) + [GR(0), -H[1, 1]],
-    ]
-    if lhs != expected:
+    period = hstack(Mat.identity(2), omega)
+    lhs = period * J
+    if lhs != hstack(omega * H, -H):
         return False
     rz = r_matrix(z)
-    irz = _mul_2x2_2x4(rz.scale(I), rows)
-    if lhs != irz:
+    if lhs != rz.scale(I) * period:
         return False
     if rz.apply([z, GR(1)]) != [-z, GR(-1)]:
         return False
@@ -442,10 +383,8 @@ def j_identities(z: GR) -> bool:
         return False
     # Twisted version at the Cayley image of z.
     tau = (z + I) / (GR(1) + I * z)
-    rows_tau = _row_pair(omega_halfplane(tau))
-    lhs_tau = _mul_2x4(rows_tau, sigma(T_MATRIX) * J * sigma(T_MATRIX).inv())
-    rhs_tau = _mul_2x2_2x4(Mat([[0, 1], [-1, 0]]), rows_tau)
-    return lhs_tau == rhs_tau
+    period_tau = hstack(Mat.identity(2), omega_halfplane(tau))
+    return period_tau * K4 == Mat([[0, 1], [-1, 0]]) * period_tau
 
 
 def eq2_check(g: Mat) -> bool:
@@ -463,7 +402,7 @@ def eq6_check() -> bool:
 def cayley_compatibility(z: GR) -> bool:
     """T carries the ball period matrix at z to the half-plane one at the
     Cayley image of z."""
-    z = _gr(z)
+    z = GR.coerce(z)
     tau = (z + I) / (GR(1) + I * z)
     return siegel_action(T_MATRIX, omega_ball(z)) == omega_halfplane(tau)
 
@@ -471,7 +410,7 @@ def cayley_compatibility(z: GR) -> bool:
 def equivariance_check(gamma: Mat, tau: GR, w: GR) -> bool:
     """Prop-2-style diagram: iota(gamma) acting on (Omega_tau, (iw, w))
     equals the image of (gamma.tau, w/(c*tau + d))."""
-    tau, w = _gr(tau), _gr(w)
+    tau, w = GR.coerce(tau), GR.coerce(w)
     m = iota(gamma)
     lhs_omega, lhs_vec = extended_action(m, omega_halfplane(tau), [I * w, w])
     a, b = gamma[0, 0], gamma[0, 1]
@@ -601,7 +540,7 @@ def _exact_point(tau) -> GR:
         if not (isfinite(tau.real) and isfinite(tau.imag)):
             raise InputError("tau must be finite")
         return GR(tau.real, tau.imag)
-    return _gr(tau)
+    return GR.coerce(tau)
 
 
 def _act(m: Mat, tau: GR) -> GR:

@@ -29,7 +29,6 @@ from .series import (
     bi_compose_outer,
     bi_compose_slots,
     bi_from_univariate,
-    bi_inverse_unit,
     revert,
     sqrt_unit,
     _substitute,
@@ -132,8 +131,11 @@ def euler_law(N: int) -> BiTruncSeries:
     x = BiTruncSeries.variable(0, N)
     y = BiTruncSeries.variable(1, N)
     numerator = x * root_y + y * root_x
-    denominator = BiTruncSeries({(0, 0): ONE, (2, 2): ALPHA.scale(2)}, N)
-    return numerator * bi_inverse_unit(denominator)
+    # 1/(1 + t) at t = 2a*x^2*y^2, as the geometric series sum (-t)^k; t has
+    # total degree 4, so the terms past k = N/4 truncate to zero.
+    geometric = TruncSeries([(-1) ** k for k in range(N // 4 + 1)], N)
+    t = BiTruncSeries({(2, 2): ALPHA.scale(2)}, N)
+    return numerator * bi_compose_outer(geometric, t)
 
 
 def beta_zero_law(N: int) -> BiTruncSeries:

@@ -483,19 +483,3 @@ def bi_compose_slots(
         raise InputError("slot series must have zero constant terms")
     x, y = bi_from_univariate(gx, 0, n), bi_from_univariate(gy, 1, n)
     return BiTruncSeries(_substitute(f.terms, x.terms, y.terms, n), n)
-
-
-def bi_inverse_unit(g: BiTruncSeries) -> BiTruncSeries:
-    """Inverse of a bivariate series with constant term 1 (Neumann series)."""
-    if g.coefficient(0, 0) != ONE:
-        raise InputError("bivariate inverse needs constant term 1")
-    n = g.order
-    u = g - BiTruncSeries({(0, 0): 1}, n)
-    result = BiTruncSeries({(0, 0): 1}, n)
-    power = BiTruncSeries({(0, 0): 1}, n)
-    for _ in range(n):
-        power = power * (-u)
-        if not power.terms:
-            break
-        result = result + power
-    return result

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +16,7 @@ from taf.arithgroups import (
     IOTA_IMAGE_S,
     IOTA_IMAGE_TRANSLATION,
     J,
+    J0,
     Mat,
     T_MATRIX,
     U_GEN_C4,
@@ -26,7 +28,9 @@ from taf.arithgroups import (
     eq2_check,
     eq6_check,
     equivariance_check,
+    extended_action,
     generator_correspondence_check,
+    hstack,
     in_fundamental_domain,
     in_g,
     in_gamma_theta,
@@ -43,10 +47,114 @@ from taf.arithgroups import (
     random_halfplane_point,
     reduce_to_fundamental_domain,
     rho,
+    siegel_action,
     sigma,
 )
 from taf.exact import GaussianRational as GR
 from taf.exact import I, InputError
+
+
+def mul_2x4(rows, m: Mat):
+    """The 2x4-by-4x4 index loop that `Mat` products replaced in
+    `j_identities`, kept as the reference."""
+    return [
+        [
+            sum((rows[i][k] * m.rows[k][j] for k in range(4)), GR(0))
+            for j in range(4)
+        ]
+        for i in range(2)
+    ]
+
+
+def mul_2x2_2x4(m: Mat, rows):
+    """The 2x2-by-2x4 index loop that `Mat` products replaced, kept as the
+    reference."""
+    return [
+        [
+            sum((m.rows[i][k] * rows[k][j] for k in range(2)), GR(0))
+            for j in range(4)
+        ]
+        for i in range(2)
+    ]
+
+
+def index_apply(m: Mat, vec):
+    """The square matrix-vector index loop, kept as the reference."""
+    n = len(vec)
+    return [sum((m.rows[i][j] * vec[j] for j in range(n)), GR(0)) for i in range(n)]
+
+
+def hand_cayley(g: Mat) -> Mat:
+    """The hand-expanded Cayley entries that the product form replaced, kept
+    as the reference: (a, b; c, d) -> ((a+ic-ib+d, -ia+c+b+id),
+    (ia+c+b-id, a-ic+ib+d))/2."""
+    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    half = GR(Fraction(1, 2))
+    return Mat(
+        [
+            [a + I * c - I * b + d, -I * a + c + b + I * d],
+            [I * a + c + b - I * d, a - I * c + I * b + d],
+        ]
+    ).scale(half)
+
+
+def leibniz_det(m: Mat) -> GR:
+    """The permutation-sum determinant, the reference for elimination."""
+    n = m.shape[0]
+    total = GR(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = GR(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total + term
+    return total
+
+
+def random_mat(rng, rows: int, cols: int) -> Mat:
+    """Random Gaussian-rational entries, zero about one time in five."""
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        den = rng.randint(1, 3)
+        return GR(Fraction(rng.randint(-4, 4), den), Fraction(rng.randint(-4, 4), den))
+
+    return Mat([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def swapping_mat(seed: int, n: int) -> Mat:
+    """A random n x n matrix with a zero in the corner, so that elimination
+    swaps rows."""
+    rows = [list(r) for r in random_mat(random.Random(seed), n, n).rows]
+    rows[0][0] = 0
+    return Mat(rows)
+
+
+# Square matrices whose elimination swaps rows: the first by an odd number
+# of swaps, the singular one ends without a pivot, the rest are random.
+PIVOTING = [
+    Mat([[0, 1, 2], [1, 0, 3], [4, 5, 6]]),
+    Mat([[0, 0, 1, 0], [0, 1, 0, 0], [I, 0, 0, 2], [0, 0, 0, 1]]),
+    Mat([[0, 1, 2], [0, 3, 4], [5, 6, 7]]),
+    Mat([[0, 1, 1], [0, 2, 2], [3, 4, 5]]),
+    *(swapping_mat(seed, n) for n in (3, 4) for seed in range(4)),
+]
+
+# Each call mixes shapes that do not fit together.
+SHAPE_ERRORS = {
+    "add": lambda: Mat([[1, 2], [3, 4]]) + Mat([[1]]),
+    "sub": lambda: Mat([[1, 2], [3, 4]]) - Mat([[1, 2]]),
+    "mul": lambda: Mat([[1, 2], [3, 4]]) * T_MATRIX,
+    "inv": lambda: Mat([[1, 2, 3], [4, 5, 6]]).inv(),
+    "det": lambda: Mat([[1, 2, 3], [4, 5, 6]]).det(),
+    "ragged": lambda: Mat([[1, 2], [3]]),
+    "hstack": lambda: hstack(Mat.identity(2), T_MATRIX),
+    "siegel": lambda: siegel_action(Mat([[1, 2], [3, 4]]), Mat.identity(2)),
+    "extended": lambda: extended_action(
+        Mat([[1, 2], [3, 4]]), Mat.identity(2), [GR(1), GR(1)]
+    ),
+}
 
 
 class TestMat:
@@ -65,6 +173,39 @@ class TestMat:
     def test_conj_transpose(self):
         m = Mat([[I, 1], [0, -I]])
         assert m.conj_transpose() == Mat([[-I, 0], [1, I]])
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
+    def test_shape_mismatch_raises(self, name):
+        with pytest.raises(InputError):
+            SHAPE_ERRORS[name]()
+
+    def test_rectangular_products_match_index_loops(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            a, b = random_mat(rng, 2, 4), random_mat(rng, 2, 2)
+            m, v = random_mat(rng, 4, 4), random_mat(rng, 4, 1)
+            assert a * m == Mat(mul_2x4(a.rows, m))
+            assert b * a == Mat(mul_2x2_2x4(b, a.rows))
+            column = [r[0] for r in v.rows]
+            assert m * v == Mat([[x] for x in index_apply(m, column)])
+            assert m.apply(column) == index_apply(m, column)
+            assert (a * m).shape == (2, 4) and (m * v).shape == (4, 1)
+            assert a.transpose().shape == (4, 2)
+            assert a.transpose().transpose() == a
+            assert hstack(b, a) == Mat(x + y for x, y in zip(b.rows, a.rows))
+            assert hstack(b, a).shape == (2, 6)
+
+    @pytest.mark.parametrize("m", PIVOTING)
+    def test_det_and_inverse_with_row_swaps(self, m):
+        det = m.det()
+        assert det == leibniz_det(m)
+        if det.is_zero():
+            with pytest.raises(InputError):
+                m.inv()
+        else:
+            n = m.shape[0]
+            assert m * m.inv() == Mat.identity(n)
+            assert m.inv() * m == Mat.identity(n)
 
 
 class TestMembership:
@@ -99,6 +240,14 @@ class TestCayley:
         for _ in range(5):
             gamma = random_group_element(rng)
             assert cayley(cayley_inverse(gamma)) == gamma
+
+    def test_cayley_matches_hand_expansion(self):
+        rng = random.Random(17)
+        for _ in range(10):
+            g = cayley_inverse(random_group_element(rng))
+            assert cayley(g) == hand_cayley(g)
+            m = random_mat(rng, 2, 2)
+            assert cayley(m) == hand_cayley(m)
 
     def test_cayley_is_homomorphism(self):
         lhs = cayley(U_GEN_PARABOLIC * U_GEN_ROTATION)
@@ -171,6 +320,20 @@ class TestPeriodMatrices:
         rng = random.Random(2)
         for _ in range(10):
             assert j_identities(random_ball_point(rng))
+
+    def test_j_identities_need_k4(self, monkeypatch):
+        z = GR(Fraction(1, 5), Fraction(2, 5))
+        assert j_identities(z)
+        monkeypatch.setattr("taf.arithgroups.K4", J)
+        assert not j_identities(z)
+
+    def test_degenerate_point_is_refused(self):
+        # J0 has C = -1 and D = 0, so C*Omega + D = -Omega is singular here.
+        omega = Mat([[1, 1], [1, 1]])
+        with pytest.raises(InputError, match="degenerate point"):
+            extended_action(J0, omega, [GR(1), GR(1)])
+        with pytest.raises(InputError, match="degenerate point"):
+            siegel_action(J0, omega)
 
     def test_equivariance_random(self):
         rng = random.Random(9)

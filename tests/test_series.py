@@ -14,7 +14,6 @@ from taf.series import (
     bi_compose_outer,
     bi_compose_slots,
     bi_from_univariate,
-    bi_inverse_unit,
     compose,
     integrate,
     revert,
@@ -150,15 +149,6 @@ class TestBivariate:
         g = BiTruncSeries({(0, 0): BETA, (1, 2): ALPHA}, 4)
         zero = TruncSeries.zero(4)
         assert bi_compose_slots(g, zero, zero) == BiTruncSeries({(0, 0): BETA}, 4)
-
-    def test_inverse_unit(self):
-        g = BiTruncSeries({(0, 0): ONE, (1, 1): ALPHA}, 6)
-        inv = bi_inverse_unit(g)
-        assert g * inv == BiTruncSeries({(0, 0): ONE}, 6)
-
-    def test_inverse_needs_unit_constant(self):
-        with pytest.raises(InputError):
-            bi_inverse_unit(BiTruncSeries({(1, 0): ONE}, 3))
 
 
 
