@@ -9,6 +9,7 @@ series order N is 13 (override with -N); the default q-expansion order K is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
 from .criteria import CRITERIA
 from .curve import log_phi
 from .exact import InputError
-from .fgl import euler_discrepancy, euler_law, fgl_phi, iso_check
+from .fgl import beta_zero_law, euler_law, fgl_phi, iso_check
 from .legendre import legendre, log_phiL
 from .qexp import (
     anchor_check,
@@ -90,7 +91,7 @@ def _cmd_fgl(args) -> int:
 
 def _cmd_euler(args) -> int:
     law = euler_law(args.order)
-    disc = euler_discrepancy(args.order)
+    disc = beta_zero_law(args.order) - law
     match = not disc.terms
     lines = [f"F_E(x, y) = {law}"]
     if match:
@@ -349,6 +350,7 @@ class _Parser(argparse.ArgumentParser):
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="taf",
@@ -458,6 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The parser is built once, on the first call, and reused: parse_args
+    # keeps no state between calls, and a build of every subcommand and its
+    # options takes milliseconds, a large share of a short command.
     args = _build_parser().parse_args(argv)
     try:
         code = args.handler(args)

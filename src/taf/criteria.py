@@ -25,7 +25,7 @@ from .chromatic import (
 )
 from .curve import log_phi, log_phi_consistency, solve_u_of_v
 from .exact import ALPHA, BETA, GradedPoly, ONE
-from .fgl import euler_discrepancy, euler_law, fgl_phi, fgl_phiL
+from .fgl import beta_zero_law, euler_law, fgl_phi, fgl_phiL
 from .legendre import generating_check, legendre
 from .qexp import (
     anchor_check,
@@ -102,8 +102,8 @@ def _corollary_2(N, K):
 
 
 def _euler_law(N, K):
-    disc = euler_discrepancy(N)
     law = euler_law(N)
+    disc = beta_zero_law(N) - law
     deg5 = {
         (4, 1): -ALPHA,
         (3, 2): ALPHA.scale(-2),

@@ -9,6 +9,10 @@ G(x, y, z) = F(F(x, y), z), built with the sparse substitution kernel of
 F(x, F(y, z)) = G(y, z, x), so F is associative iff G equals its cyclic
 shift.
 
+Each law is built and verified once per process: `fgl_phi(N)` and
+`fgl_phiL(N)` are memoised per N, a construction that fails raises and so is
+never cached, and `fgl_phi.__wrapped__(N)` builds and verifies afresh.
+
 `euler_law` expands the closed form
 
     (x*sqrt(1 - 2*alpha*y^4) + y*sqrt(1 - 2*alpha*x^4)) / (1 + 2*alpha*x^2*y^2)
@@ -20,6 +24,7 @@ reproduce it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO
 from .legendre import log_phiL
@@ -101,13 +106,17 @@ def build_fgl(log: TruncSeries) -> FormalGroupLaw:
     return FormalGroupLaw(law=law, log=log, order=n)
 
 
+@lru_cache(maxsize=8)
 def fgl_phi(N: int) -> FormalGroupLaw:
-    """The law of the curve logarithm."""
+    """The law of the curve logarithm, built and verified once per process
+    for each N; `fgl_phi.__wrapped__(N)` builds it afresh."""
     return build_fgl(log_phi(N))
 
 
+@lru_cache(maxsize=8)
 def fgl_phiL(N: int) -> FormalGroupLaw:
-    """The law of the Legendre-genus logarithm."""
+    """The law of the Legendre-genus logarithm, built and verified once per
+    process for each N; `fgl_phiL.__wrapped__(N)` builds it afresh."""
     return build_fgl(log_phiL(N))
 
 
@@ -141,11 +150,6 @@ def euler_law(N: int) -> BiTruncSeries:
 def beta_zero_law(N: int) -> BiTruncSeries:
     """The Legendre-genus law with beta set to 0."""
     return fgl_phiL(N).law.map_coeffs(GradedPoly.set_beta_zero)
-
-
-def euler_discrepancy(N: int) -> BiTruncSeries:
-    """beta_zero_law - euler_law; zero iff the closed form matches exactly."""
-    return beta_zero_law(N) - euler_law(N)
 
 
 def iso_check(N: int, reparametrize: bool = True) -> bool:

@@ -193,6 +193,30 @@ def test_closed_stdout_exits_quietly(k):
     assert proc.returncode == 1
 
 
+class TestParserReuse:
+    # main reuses one parser; no call may leave state for the next.
+    def test_defaults_return_after_explicit_values(self, capsys):
+        code, out = run(capsys, "fgl", "-N", "5", "--format", "json")
+        assert code == 0 and json.loads(out)["order"] == 5
+        code, out = run(capsys, "llog")
+        assert code == 0
+        assert out == f"log_phiL = {taf.log_phiL(13)}\n"
+
+    def test_valid_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fgl", "-N", "five"])
+        assert exc.value.code == 2
+        code, out = run(capsys, "llog", "-N", "5", "--format", "json")
+        assert code == 0 and json.loads(out)["order"] == 5
+
+    def test_negative_exponent_after_other_commands(self, capsys):
+        run(capsys, "legendre", "2")
+        run(capsys, "transform-check", "0", "2", "--tolerance", "-1e-3")
+        code, out = run(capsys, "reduce", "-7.6e-05", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["certificate"] is True
+
+
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import taf.fgl as fgl
 from taf.exact import ALPHA, InputError, ONE
 from taf.fgl import (
     ConsistencyError,
@@ -9,7 +10,6 @@ from taf.fgl import (
     _log_additivity_holds,
     beta_zero_law,
     build_fgl,
-    euler_discrepancy,
     euler_law,
     fgl_phi,
     fgl_phiL,
@@ -87,6 +87,34 @@ class TestConstruction:
         assert issubclass(ConsistencyError, RuntimeError)
 
 
+class TestMemoisation:
+    def test_one_build_per_process(self, monkeypatch):
+        fgl_phi.cache_clear()
+        fgl_phiL.cache_clear()
+        logs = []
+        build = fgl.build_fgl
+        monkeypatch.setattr(
+            fgl, "build_fgl", lambda log: logs.append(log) or build(log)
+        )
+        first = fgl_phi(9)
+        assert fgl_phi(9) is first
+        assert len(logs) == 1
+        assert fgl_phiL(9) is fgl_phiL(9)
+        assert len(logs) == 2
+        assert fgl_phi.__wrapped__(9).law == first.law
+        assert len(logs) == 3
+
+    def test_failed_construction_is_not_cached(self, monkeypatch):
+        fgl_phi.cache_clear()
+        fgl_phiL.cache_clear()
+        monkeypatch.setattr(fgl, "_associativity_holds", lambda law: False)
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="associativity"):
+                fgl_phi(5)
+        monkeypatch.undo()
+        assert fgl_phi(5).order == 5
+
+
 class TestEulerLaw:
     def test_degree5_part(self):
         law = euler_law(13)
@@ -98,7 +126,7 @@ class TestEulerLaw:
         assert law.coefficient(0, 1) == 1
 
     def test_beta_zero_law_matches_closed_form(self):
-        assert not euler_discrepancy(13).terms
+        assert beta_zero_law(13) == euler_law(13)
 
     def test_no_beta_survives(self):
         for c in beta_zero_law(9).terms.values():
