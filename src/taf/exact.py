@@ -1,30 +1,34 @@
 """Exact coefficient arithmetic: Q, Q(i), and the graded ring Q[alpha, beta].
 
 Rationals are `fractions.Fraction` (always canonical: reduced, positive
-denominator).  A `GradedPoly` is a sparse bivariate polynomial in the ring
-generators alpha and beta, stored as a dict mapping exponent pairs (i, j)
--- meaning alpha^i * beta^j -- to nonzero Fraction coefficients.
-The private kernels are `_dot`, `_power` and `_kron_mul`.  Products
-accumulate on one term map: `_dot` sums a * b over a list of pairs, and
-the series layer makes one `_dot` per output coefficient.  `_power` is
-square-and-multiply for any of the product types.  `_kron_mul` multiplies
-dense integer coefficient lists by Kronecker substitution (one big-int
-multiply); the q-expansions and the dense F_p lists run on it.
+denominator).  The grading gives alpha degree 1 and beta degree 2 ("Legendre
+degree"); weight is 4x that and topological degree 8x.
 
-The grading assigns degree 1 to alpha and degree 2 to beta ("Legendre
-degree"); weight is 4x that and topological degree 8x.  The zero polynomial
-is the empty term map and has no degree: degree queries on it raise.
+Every element of Q[alpha, beta] the pipeline builds is homogeneous, and a
+`GradedPoly` must be: one of Legendre degree d is stored as
+(d, den, [c_0, .., c_{d//2}]), meaning (sum_j c_j alpha^(d-2j) beta^j) / den
+with integer c_j and den the least common denominator.  The list is the
+beta = 1 dehomogenization in steps of x^2, so a product is a convolution of
+lists.  Zero has the empty list and no degree: degree queries on it raise.
+Non-homogeneous input raises `InputError`, from the constructor and from a
+sum or `_dot` that mixes degrees.  `ModPoly` is the same list mod p.
 
-Mod-p reductions live in `ModPoly` (coefficients in {1, .., p-1}), with
-division by a polynomial in the alpha-variable and a univariate gcd used by
-the height-two checks.
+The private kernels are `_dot`, `_power` and `_kron_mul`.  `_kron_mul`
+multiplies dense integer lists by Kronecker substitution (one big-int
+multiply).  `_dot` sums the convolutions of a list of pairs over one common
+denominator, on `_kron_mul` or, for short lists, a plain loop; the series
+layer makes one `_dot` per output coefficient.  `GradedPoly.__pow__`,
+`ModPoly.__mul__`, the q-expansions and the dense F_p lists run on
+`_kron_mul`, and `_power` is square-and-multiply for any product type.
+Division by v_1 in alpha and the height-two gcd work on the beta = 1 lists
+over F_p (`_poly_mod`).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -155,28 +159,104 @@ I = GaussianRational(0, 1)
 # ---------------------------------------------------------------------------
 
 
-class GradedPoly:
-    """Sparse exact polynomial in alpha, beta over Q.
+def _layout(terms: Mapping[tuple[int, int], int]) -> tuple[int, list[int]]:
+    """(d, [c_0..c_{d//2}]) of a homogeneous {(i, j): c} map; d = 0 if empty."""
+    bad = [k for k in terms if min(k) < 0]
+    if bad:
+        raise InputError(f"negative exponent pair {bad[0]}")
+    degs = sorted({i + 2 * j for i, j in terms})
+    if len(degs) > 1:
+        raise InputError(f"not homogeneous: terms of Legendre degrees {degs}")
+    deg = degs[0] if degs else 0
+    vec = [0] * (deg // 2 + 1)
+    for (_i, j), c in terms.items():
+        vec[j] = c
+    return deg, vec
 
-    Terms map (i, j) -> Fraction with no stored zeros; alpha has degree 1
-    and beta degree 2 in the Legendre grading.
-    """
 
-    __slots__ = ("_terms",)
+def _make(cls, deg: int | None, vec: list[int], **fields):
+    """An instance of cls with the given fields; an all-zero vec makes zero,
+    and a short one is padded to deg // 2 + 1 entries."""
+    if any(vec):
+        vec = vec + [0] * (deg // 2 + 1 - len(vec))
+    else:
+        deg, vec = None, []
+    out = object.__new__(cls)
+    for name, value in {"deg": deg, "vec": vec, **fields}.items():
+        object.__setattr__(out, name, value)
+    return out
 
-    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise InputError(f"negative exponent pair ({i}, {j})")
-                f = Fraction(c)
-                if f != 0:
-                    clean[(i, j)] = f
-        object.__setattr__(self, "_terms", clean)
+
+class _Homogeneous:
+    """What GradedPoly and ModPoly share: a homogeneous polynomial of
+    Legendre degree `deg` whose integer list vec holds the coefficient of
+    alpha^(deg-2j) beta^j at j (over `den` in GradedPoly); zero has deg None
+    and vec []."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
-        raise AttributeError("GradedPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.vec
+
+    def legendre_degree(self) -> int:
+        """The degree i + 2j of every term; undefined (raises) for zero."""
+        if not self.vec:
+            raise InputError("degree of the zero polynomial is undefined")
+        return self.deg
+
+    def alpha_degree(self) -> int:
+        return self.legendre_degree() - 2 * next(j for j, c in enumerate(self.vec) if c)
+
+    def _same_degree(self, other: "_Homogeneous") -> None:
+        if self.deg != other.deg:
+            raise InputError(f"mixed Legendre degrees {self.deg} and {other.deg}")
+
+    def __str__(self):
+        parts = []
+        for (i, j), c in self.terms.items():
+            powers = (("a", i), ("b", j))
+            m = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+            if not m:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(m if c == 1 else f"-{m}")
+            else:
+                parts.append(f"{c}*{m}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def _graded(deg: int | None, den: int, vec: list[int]) -> "GradedPoly":
+    """The GradedPoly (sum_j vec[j] alpha^(deg-2j) beta^j) / den, in lowest
+    terms."""
+    g = gcd(den, *vec)
+    if g > 1:
+        den //= g
+        vec = [c // g for c in vec]
+    return _make(GradedPoly, deg, vec, den=den)
+
+
+class GradedPoly(_Homogeneous):
+    """Homogeneous exact polynomial in alpha, beta over Q.
+
+    Stored as (deg, den, vec): vec[j] / den is the coefficient of
+    alpha^(deg-2j) beta^j.  The fields are canonical (den > 0 and
+    gcd(den, *vec) = 1), so equal polynomials have equal fields; zero has
+    den 1.  A term map {(i, j): c} is accepted only if every nonzero term has
+    the same i + 2j; otherwise the constructor raises `InputError`.
+    """
+
+    __slots__ = ("deg", "den", "vec")
+
+    def __new__(cls, terms: Mapping[tuple[int, int], Scalar] | None = None):
+        clean = {k: f for k, c in (terms or {}).items() if (f := Fraction(c))}
+        den = lcm(*(f.denominator for f in clean.values()))
+        deg, vec = _layout(
+            {k: f.numerator * (den // f.denominator) for k, f in clean.items()}
+        )
+        return _graded(deg, den, vec)
 
     # -- constructors -------------------------------------------------------
 
@@ -194,51 +274,34 @@ class GradedPoly:
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def legendre_degree(self) -> int:
-        """Max of i + 2j over the support; undefined (raises) for zero."""
-        if not self._terms:
-            raise InputError("degree of the zero polynomial is undefined")
-        return max(i + 2 * j for i, j in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        degs = {i + 2 * j for i, j in self._terms}
-        return len(degs) == 1
+        """{(i, j): coefficient of alpha^i beta^j} over the nonzero terms."""
+        d, den = self.deg, self.den
+        return {(d - 2 * j, j): Fraction(c, den) for j, c in enumerate(self.vec) if c}
 
     def weight(self) -> int:
         return 4 * self.legendre_degree()
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), Fraction(0))
-
-    def alpha_degree(self) -> int:
-        if not self._terms:
-            raise InputError("degree of the zero polynomial is undefined")
-        return max(i for i, _ in self._terms)
+        if i < 0 or j < 0 or i + 2 * j != self.deg:
+            return Fraction(0)
+        return Fraction(self.vec[j], self.den)
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         o = GradedPoly.coerce(other)
-        out = dict(self._terms)
-        for k, c in o._terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return GradedPoly(out)
+        if not (self.vec and o.vec):
+            return self if o.is_zero() else o
+        self._same_degree(o)
+        den = lcm(self.den, o.den)
+        fa, fb = den // self.den, den // o.den
+        vec = [fa * x + fb * y for x, y in zip(self.vec, o.vec)]
+        return _graded(self.deg, den, vec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly({k: -c for k, c in self._terms.items()})
+        return _graded(self.deg, self.den, [-c for c in self.vec])
 
     def __sub__(self, other):
         return self + (-GradedPoly.coerce(other))
@@ -252,97 +315,57 @@ class GradedPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Square-and-multiply on integer numerators over one common
-        denominator den: self^n = (den * self)^n / den^n."""
-        terms = self._terms
-        den = lcm(*(c.denominator for c in terms.values()))
-        base = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-        num = _power({(0, 0): 1}, base, n, _int_mul)
-        scale = den**n
-        return GradedPoly({k: Fraction(c, scale) for k, c in num.items()})
+        """Square-and-multiply on the integer list: self^n = vec^n / den^n."""
+        vec = _power([1], self.vec, n, _full_mul)
+        return _graded((self.deg or 0) * n, self.den**n, vec)
 
     def scale(self, c: Scalar) -> "GradedPoly":
         f = Fraction(c)
-        if f == 0:
-            return ZERO
-        return GradedPoly({k: v * f for k, v in self._terms.items()})
+        vec = [x * f.numerator for x in self.vec]
+        return _graded(self.deg, self.den * f.denominator, vec)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GradedPoly.const(other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return (self.deg, self.den, self.vec) == (other.deg, other.den, other.vec)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.deg, self.den, tuple(self.vec)))
 
     # -- substitutions ------------------------------------------------------
 
     def set_beta_zero(self) -> "GradedPoly":
-        return GradedPoly({k: c for k, c in self._terms.items() if k[1] == 0})
+        return _graded(self.deg, self.den, self.vec[:1])
 
     def alpha_part(self) -> "GradedPoly":
         """Terms with no alpha factor dropped; the image mod the ideal (alpha)."""
-        return GradedPoly({k: c for k, c in self._terms.items() if k[0] == 0})
+        if not self.vec or self.deg % 2:
+            return ZERO
+        return _graded(self.deg, self.den, [0] * (len(self.vec) - 1) + self.vec[-1:])
 
     def evaluate(self, a: Scalar, b: Scalar) -> Fraction:
         a, b = Fraction(a), Fraction(b)
-        return sum(
-            (c * a**i * b**j for (i, j), c in self._terms.items()),
-            Fraction(0),
-        )
+        return sum((c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0))
 
-    # -- rendering ----------------------------------------------------------
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self._terms, key=lambda k: (-k[0], -k[1])):
-            c = self._terms[(i, j)]
-            mono = []
-            if i == 1:
-                mono.append("a")
-            elif i > 1:
-                mono.append(f"a^{i}")
-            if j == 1:
-                mono.append("b")
-            elif j > 1:
-                mono.append(f"b^{j}")
-            m = "*".join(mono)
-            if not m:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(m)
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+    # -- rendering and serialization ----------------------------------------
 
     def __repr__(self):
-        return f"GradedPoly({self._terms!r})"
-
-    # -- serialization ------------------------------------------------------
+        return f"GradedPoly({self.terms!r})"
 
     def to_json_dict(self) -> dict:
         return {
             "terms": [
                 {"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
-                for (i, j), c in sorted(self._terms.items())
+                for (i, j), c in sorted(self.terms.items())
             ]
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "GradedPoly":
-        return GradedPoly(
-            {
-                (t["i"], t["j"]): Fraction(int(t["num"]), int(t["den"]))
-                for t in d["terms"]
-            }
-        )
+        rows = ((t["i"], t["j"], int(t["num"]), int(t["den"])) for t in d["terms"])
+        return GradedPoly({(i, j): Fraction(num, den) for i, j, num, den in rows})
 
 
 def _power(one, base, n: int, mul):
@@ -360,25 +383,41 @@ def _power(one, base, n: int, mul):
 
 
 def _dot(pairs) -> GradedPoly:
-    """Sum of a * b over GradedPoly pairs (a, b), accumulated on one term map."""
-    out: dict[tuple[int, int], Fraction] = {}
-    get = out.get
-    for a, b in pairs:
-        for (i1, j1), c1 in a._terms.items():
-            for (i2, j2), c2 in b._terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = get(k, 0) + c1 * c2
-    return GradedPoly(out)
+    """Sum of a * b over GradedPoly pairs (a, b): the convolutions of their
+    integer lists, each lifted to one common denominator and summed.
+
+    A pair with a factor of at most four entries (every law coefficient
+    through N = 29 has at most four) is convolved by a plain loop, which
+    costs less than packing; longer pairs run on `_kron_mul`."""
+    products = [
+        (a.deg + b.deg, a.den * b.den, a.vec, b.vec)
+        for a, b in pairs
+        if a.vec and b.vec
+    ]
+    if not products:
+        return ZERO
+    deg = products[0][0]
+    n = deg // 2 + 1
+    den = lcm(*(d for _, d, _, _ in products))
+    acc = [0] * n
+    for d, pden, u, v in products:
+        if d != deg:
+            raise InputError(f"sum of products of Legendre degrees {deg} and {d}")
+        lift = den // pden
+        if len(u) > 4 and len(v) > 4:
+            acc = [x + lift * y for x, y in zip(acc, _kron_mul(u, v, n))]
+            continue
+        for i, x in enumerate(u):
+            if x:
+                x *= lift
+                for j, y in enumerate(v, i):
+                    acc[j] += x * y
+    return _graded(deg, den, acc)
 
 
-def _int_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse {(i, j): int} polynomials, zeros dropped."""
-    out: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+def _full_mul(a: list[int], b: list[int]) -> list[int]:
+    """The whole product of two dense integer polynomials."""
+    return _kron_mul(a, b, len(a) + len(b) - 1)
 
 
 def _kron_mul(a: list[int], b: list[int], n: int) -> list[int]:
@@ -430,7 +469,7 @@ DELTA_G = (ALPHA * ALPHA - BETA).scale(Fraction(1, 256))
 def is_p_integral(a: GradedPoly, p: int) -> bool:
     """True iff every coefficient denominator is coprime to p."""
     require_prime(p)
-    return all(c.denominator % p != 0 for c in a._terms.values())
+    return a.den % p != 0
 
 
 # ---------------------------------------------------------------------------
@@ -438,31 +477,24 @@ def is_p_integral(a: GradedPoly, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ModPoly:
-    """Sparse polynomial in alpha, beta over F_p; coefficients in {1, .., p-1}."""
+def _modpoly(p: int, deg: int | None, vec: list[int]) -> "ModPoly":
+    return _make(ModPoly, deg, [c % p for c in vec], p=p)
 
-    __slots__ = ("p", "_terms")
 
-    def __init__(self, p: int, terms: Mapping[tuple[int, int], int] | None = None):
+class ModPoly(_Homogeneous):
+    """Homogeneous polynomial in alpha, beta over F_p: the GradedPoly layout
+    (deg, vec) with no denominator and vec[j] in {0, .., p-1}."""
+
+    __slots__ = ("p", "deg", "vec")
+
+    def __new__(cls, p: int, terms: Mapping[tuple[int, int], int] | None = None):
         require_prime(p)
-        object.__setattr__(self, "p", p)
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for k, c in terms.items():
-                c %= p
-                if c:
-                    clean[k] = c
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModPoly is immutable")
+        return _modpoly(p, *_layout({k: c for k, c in (terms or {}).items() if c % p}))
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        d = self.deg
+        return {(d - 2 * j, j): c for j, c in enumerate(self.vec) if c}
 
     def _check(self, other: "ModPoly") -> None:
         if self.p != other.p:
@@ -470,129 +502,99 @@ class ModPoly:
 
     def __add__(self, other: "ModPoly"):
         self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = (out.get(k, 0) + c) % self.p
-        return ModPoly(self.p, out)
+        if not (self.vec and other.vec):
+            return self if other.is_zero() else other
+        self._same_degree(other)
+        return _modpoly(self.p, self.deg, [x + y for x, y in zip(self.vec, other.vec)])
 
     def __neg__(self):
-        return ModPoly(self.p, {k: -c for k, c in self._terms.items()})
+        return _modpoly(self.p, self.deg, [-c for c in self.vec])
 
     def __sub__(self, other: "ModPoly"):
         return self + (-other)
 
     def __mul__(self, other: "ModPoly"):
         self._check(other)
-        return ModPoly(self.p, _int_mul(self._terms, other._terms))
+        deg = (self.deg or 0) + (other.deg or 0)
+        return _modpoly(self.p, deg, _kron_mul(self.vec, other.vec, deg // 2 + 1))
 
     def __pow__(self, n: int):
-        return _power(ModPoly(self.p, {(0, 0): 1}), self, n, operator.mul)
+        return _power(_modpoly(self.p, 0, [1]), self, n, operator.mul)
 
     def __eq__(self, other):
         if not isinstance(other, ModPoly):
             return NotImplemented
-        return self.p == other.p and self._terms == other._terms
+        return (self.p, self.deg, self.vec) == (other.p, other.deg, other.vec)
 
     def __hash__(self):
-        return hash((self.p, frozenset(self._terms.items())))
-
-    def alpha_degree(self) -> int:
-        if not self._terms:
-            raise InputError("degree of the zero polynomial is undefined")
-        return max(i for i, _ in self._terms)
+        return hash((self.p, self.deg, tuple(self.vec)))
 
     def set_beta_zero(self) -> "ModPoly":
-        return ModPoly(self.p, {k: c for k, c in self._terms.items() if k[1] == 0})
-
-    def dehomogenize(self) -> list[int]:
-        """Dense coefficient list of p(x, 1) over F_p, low degree first."""
-        if not self._terms:
-            return []
-        deg = self.alpha_degree()
-        out = [0] * (deg + 1)
-        for (i, _j), c in self._terms.items():
-            out[i] = (out[i] + c) % self.p
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self._terms, key=lambda k: (-k[0], -k[1])):
-            c = self._terms[(i, j)]
-            mono = []
-            if i:
-                mono.append("a" if i == 1 else f"a^{i}")
-            if j:
-                mono.append("b" if j == 1 else f"b^{j}")
-            m = "*".join(mono)
-            parts.append(f"{c}*{m}" if m and c != 1 else (m or str(c)))
-        return " + ".join(parts)
+        return _modpoly(self.p, self.deg, self.vec[:1])
 
     def __repr__(self):
-        return f"ModPoly({self.p}, {self._terms!r})"
+        return f"ModPoly({self.p}, {self.terms!r})"
+
+
+def _dehomogenize(a: ModPoly) -> list[int]:
+    """Dense coefficient list of a(x, 1) over F_p, low degree first, with no
+    trailing zeros."""
+    if not a.vec:
+        return []
+    out = [0] * (a.deg + 1)
+    out[a.deg :: -2] = a.vec
+    while not out[-1]:
+        out.pop()
+    return out
 
 
 def reduce_mod_p(a: GradedPoly, p: int) -> ModPoly:
     """Coefficient-wise reduction into F_p; requires p-integrality."""
     if not is_p_integral(a, p):
         raise InputError(f"polynomial is not {p}-integral")
-    terms = {}
-    for k, c in a.terms.items():
-        terms[k] = c.numerator * pow(c.denominator, -1, p) % p
-    return ModPoly(p, terms)
+    inv = pow(a.den, -1, p)
+    return _modpoly(p, a.deg, [c * inv for c in a.vec])
 
 
 def reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
     """Remainder of a on division by v1 in the variable alpha over F_p[beta].
 
     Requires the alpha-leading coefficient of v1 to be an invertible scalar
-    (no beta factor); the remainder has alpha-degree below that of v1.
+    (no beta factor); the remainder has alpha-degree below that of v1.  With
+    that leading coefficient, division commutes with setting beta = 1: the
+    remainder is the univariate one of a(x, 1) by v1(x, 1), homogenized
+    again at the degree of a.
     """
     if v1.is_zero():
         raise InputError("division by the zero polynomial")
     p = v1.p
     if a.p != p:
         raise InputError("mixed characteristics")
-    d = v1.alpha_degree()
-    lead = {j: c for (i, j), c in v1.terms.items() if i == d}
-    if set(lead) != {0}:
+    if not v1.vec[0]:
         raise InputError("alpha-leading coefficient of v1 is not scalar")
-    lead_inv = pow(lead[0], -1, p)
-    tail = [(i, j, c) for (i, j), c in v1._terms.items() if i < d]
-    # rows[i] maps beta exponent -> coefficient of alpha^i; one top-down pass
-    # cancels each row of alpha-degree >= d against the leading term of v1.
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), c in a._terms.items():
-        rows.setdefault(i, {})[j] = c
-    for e in range(max(rows, default=-1), d - 1, -1):
-        for j, c in rows.pop(e, {}).items():
-            f = c * lead_inv % p
-            for i2, j2, c2 in tail:
-                row = rows.setdefault(i2 + e - d, {})
-                row[j + j2] = (row.get(j + j2, 0) - f * c2) % p
-    return ModPoly(p, {(i, j): c for i, row in rows.items() for j, c in row.items()})
+    if a.is_zero():
+        return a
+    r = _poly_mod(_dehomogenize(a), _dehomogenize(v1), p)
+    r += [0] * (a.deg + 1 - len(r))
+    return _modpoly(p, a.deg, r[a.deg :: -2])
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b for dense univariate F_p coefficient lists (low first)."""
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] * pow(b[-1], -1, p) % p
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    """a mod b over F_p for dense integer coefficient lists (low first), with
+    b's last entry nonzero mod p; the remainder is reduced into
+    {0, .., p-1} and has no trailing zeros."""
+    a = [c % p for c in a]
+    top = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for e in range(len(a) - 1, top - 1, -1):
+        factor = a[e] * inv % p
+        if factor:
+            for i, c in enumerate(b, e - top):
+                a[i] = (a[i] - factor * c) % p
+    r = a[:top]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def dehom_gcd(a: ModPoly, b: ModPoly) -> list[int]:
@@ -602,7 +604,7 @@ def dehom_gcd(a: ModPoly, b: ModPoly) -> list[int]:
     p = a.p
     if b.p != p:
         raise InputError("mixed characteristics")
-    u, v = a.dehomogenize(), b.dehomogenize()
+    u, v = _dehomogenize(a), _dehomogenize(b)
     while v:
         u, v = v, _poly_mod(u, v, p)
     inv = pow(u[-1], -1, p)

@@ -8,12 +8,18 @@ equivalently the unique degree-k homogenizations (beta tracking x -> alpha)
 of the classical P_k(x): P_k(x, 1) is the classical polynomial.  Each is
 computed directly from the closed form
 
-    P_k = 2^-k sum_{j <= k/2} (-1)^j C(k, j) C(2k - 2j, k) alpha^(k-2j) beta^j
+    P_k = 2^-k sum_{j <= k/2} t_j alpha^(k-2j) beta^j,
+    t_j = (-1)^j C(k, j) C(2k - 2j, k),
 
-and memoised per index.  At run time the generating function expanded with
-the series kernel is the independent oracle (`generating_check`); the
-three-term recurrence (k+1) P_{k+1} = (2k+1) alpha P_k - k beta P_{k-1} is
-kept in the tests as a second reference.
+term by term through the exact ratio
+t_{j+1} / t_j = -(k-j)(k-2j)(k-2j-1) / ((j+1)(2k-2j)(2k-2j-1)), and
+memoised per index.  An index above MAX_INDEX is refused up front: the
+largest index any check uses is 6,097 (v_3 at p = 29), and the Hazewinkel
+recursion raises P_k to powers that grow with the index.  At run time the
+generating function expanded with the series kernel is the independent
+oracle (`generating_check`); the three-term recurrence
+(k+1) P_{k+1} = (2k+1) alpha P_k - k beta P_{k-1} is kept in the tests as a
+second reference.
 
 The genus phi_L takes the value P_{l/4}(alpha, beta) on CP^l when 4 | l and
 zero otherwise; its logarithm is the term-wise integral of sum P_k x^{4k}.
@@ -21,12 +27,14 @@ zero otherwise; its logarithm is the term-wise integral of sum P_k x^{4k}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .exact import ALPHA, BETA, GradedPoly, InputError, ONE
+from .exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
 from .series import TruncSeries, integrate, series_div, sqrt_unit
+
+
+MAX_INDEX = 10_000
 
 
 @cache
@@ -34,14 +42,15 @@ def legendre(k: int) -> GradedPoly:
     """The homogeneous Legendre polynomial P_k(alpha, beta), in closed form."""
     if k < 0:
         raise InputError("Legendre index must be >= 0")
-    return GradedPoly(
-        {
-            (k - 2 * j, j): Fraction(
-                (-1) ** j * comb(k, j) * comb(2 * k - 2 * j, k), 2**k
-            )
-            for j in range(k // 2 + 1)
-        }
-    )
+    if k > MAX_INDEX:
+        raise InputError(f"Legendre index {k} is above the limit {MAX_INDEX}")
+    t = comb(2 * k, k)
+    vec = [t]
+    for j in range(k // 2):
+        t = -t * (k - j) * (k - 2 * j) * (k - 2 * j - 1)
+        t //= (j + 1) * (2 * k - 2 * j) * (2 * k - 2 * j - 1)
+        vec.append(t)
+    return _graded(k, 2**k, vec)
 
 
 def generating_check(K: int) -> bool:
@@ -59,7 +68,7 @@ def cp_coefficient(l: int) -> GradedPoly:
     if l < 0:
         raise InputError("index must be >= 0")
     if l % 4 != 0:
-        return GradedPoly()
+        return ZERO
     return legendre(l // 4)
 
 

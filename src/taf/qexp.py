@@ -18,8 +18,8 @@ Delta = s + O(s^2)); a convention mismatch fails loudly there.
 
 Every product runs on `exact._kron_mul`, the packed-integer kernel: a
 product scales both factors to integer numerators over one common
-denominator, and `substitute_forms` works on integer vectors until one
-division at the end.
+denominator, and `substitute_forms` works on the integer list of a
+homogeneous polynomial until one division at the end.
 
 Numeric evaluation is double-precision Horner in s with a geometric tail
 bound; used for the zero checks, the automorphy residuals, and j = beta/(4*alpha^2).
@@ -59,7 +59,9 @@ class QExpansion:
         raise AttributeError("QExpansion is immutable")
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
+        if 0 <= k <= self.order:
+            return self.coeffs[k]
+        raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def _check(self, other: "QExpansion") -> None:
         if self.order != other.order:
@@ -283,39 +285,32 @@ def j_invariant(tau: complex, K: int = 40):
 
 
 def substitute_forms(poly: GradedPoly, K: int) -> QExpansion:
-    """Evaluate a polynomial in alpha, beta on the generator expansions.
+    """Evaluate a homogeneous polynomial in alpha, beta on the generator
+    expansions.
 
-    Works on integer numerators throughout: with D the common denominator
-    of poly and a, b those of alpha and beta (alpha = A/a, beta = B/b),
-    row_j = sum_i D*c_ij * a^(I-i) * A^i, and Horner in beta,
-    r <- r*B + b^(J-j) * row_j, gives D * a^I * b^J * poly(alpha, beta)."""
+    Works on integer numerators throughout: poly of degree d is
+    (sum_j c_j alpha^(d-2j) beta^j) / D, and with alpha = A/a, beta = B/b,
+    row_j = c_j * a^(2j) * A^(d-2j) and Horner in beta,
+    r <- r*B + b^(J-j) * row_j for J = d//2, give D * a^d * b^J * poly.
+    The powers of A are one chain in steps of A^2."""
+    if poly.is_zero():
+        return QExpansion([], K)
     f = forms(K)
     n = K + 1
-    terms = poly.terms
-    top_i = max((i for i, _ in terms), default=0)
-    top_j = max((j for _, j in terms), default=0)
-    den = lcm(*(c.denominator for c in terms.values()))
+    d, vec = poly.deg, poly.vec
+    J = d // 2
     da, a = f.alpha._numerators()
     db, b = f.beta._numerators()
-    # Only the powers poly uses: one chain of each parity in steps of A^2
-    # (a homogeneous poly uses one parity only).
     pow_a = {0: [1] + [0] * K, 1: a}
-    if top_i > 1:
+    if d > 1:
         pow_a[2] = _kron_mul(a, a, n)
-    top = {i % 2: i for i, _ in sorted(terms)}
-    for i in range(3, top_i + 1):
-        if i <= top.get(i % 2, 0):
-            pow_a[i] = _kron_mul(pow_a[i - 2], pow_a[2], n)
-    rows = [[0] * n for _ in range(top_j + 1)]
-    for (i, j), c in terms.items():
-        scale = c.numerator * (den // c.denominator) * da ** (top_i - i)
-        rows[j] = [r + scale * x for r, x in zip(rows[j], pow_a[i])]
-    acc = rows[top_j]
-    for j in range(top_j - 1, -1, -1):
-        lift = db ** (top_j - j)
-        acc = [x + lift * r for x, r in zip(_kron_mul(acc, b, n), rows[j])]
-    common = den * da**top_i * db**top_j
-    return QExpansion([Fraction(c, common) for c in acc], K)
+    for i in range(4 - d % 2, d + 1, 2):
+        pow_a[i] = _kron_mul(pow_a[i - 2], pow_a[2], n)
+    acc = [vec[J] * da ** (2 * J) * x for x in pow_a[d - 2 * J]]
+    for j in range(J - 1, -1, -1):
+        lift = vec[j] * da ** (2 * j) * db ** (J - j)
+        acc = [x + lift * y for x, y in zip(_kron_mul(acc, b, n), pow_a[d - 2 * j])]
+    return QExpansion([Fraction(c, poly.den * da**d * db**J) for c in acc], K)
 
 
 def genus_qexp_consistency(p: int, K: int = 40) -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,16 @@ class TestExitCodes:
     def test_input_error_maps_to_2(self, capsys):
         # 7 = 3 (mod 4): the chromatic pipeline rejects it as a usage error.
         assert main(["vgens", "-p", "7"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["vgens", "-p", "5", "-n", "12"], ["legendre", "100000000"]]
+    )
+    def test_costly_legendre_index_refused_up_front(self, capsys, argv):
+        # v_12 at p = 5 needs P_((5^12 - 1)/4), about P_(6.1e7).
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "re,im", [("inf", "1"), ("nan", "1"), ("0", "inf"), ("1", "nan")]

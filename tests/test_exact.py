@@ -1,6 +1,7 @@
 """Ring and field axioms of the exact coefficient layer."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,23 @@ from taf.exact import (
     reduce_mod_v1,
     _dot,
     _kron_mul,
+    _poly_mod,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def sparse_int_mul(a: dict, b: dict) -> dict:
+    """The sparse product `GradedPoly.__pow__` and `ModPoly.__mul__` ran
+    before they convolved integer lists, kept as the reference: the product
+    of two {(i, j): int} polynomials, one partial sum per pair of terms,
+    zeros dropped."""
+    out: dict[tuple[int, int], int] = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def pairwise_product(a: GradedPoly, b: GradedPoly) -> GradedPoly:
@@ -77,13 +92,31 @@ def gaussian_rationals(draw):
 
 
 @st.composite
-def graded_polys(draw):
-    n = draw(st.integers(0, 5))
-    terms = {}
-    for _ in range(n):
-        key = (draw(st.integers(0, 4)), draw(st.integers(0, 3)))
-        terms[key] = draw(fractions)
-    return GradedPoly(terms)
+def graded_polys(draw, degree=None):
+    """A homogeneous polynomial: a random Legendre degree d (or the given
+    one), then a random list of d//2 + 1 Fractions, the coefficients of
+    alpha^(d-2j) beta^j."""
+    d = draw(st.integers(0, 12)) if degree is None else degree
+    vec = draw(st.lists(fractions, min_size=d // 2 + 1, max_size=d // 2 + 1))
+    return GradedPoly({(d - 2 * j, j): c for j, c in enumerate(vec)})
+
+
+@st.composite
+def product_pairs(draw):
+    """Up to six pairs (a, b) whose products all have one Legendre degree;
+    above degree 16 both factors can be long enough for `_kron_mul`."""
+    total = draw(st.integers(0, 20))
+    splits = draw(st.lists(st.integers(0, total), max_size=6))
+    return [(draw(graded_polys(d)), draw(graded_polys(total - d))) for d in splits]
+
+
+@st.composite
+def mod_polys(draw, p, max_degree):
+    """A homogeneous polynomial over F_p of Legendre degree <= max_degree."""
+    d = draw(st.integers(0, max_degree))
+    size = d // 2 + 1
+    vec = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+    return ModPoly(p, {(d - 2 * j, j): c for j, c in enumerate(vec)})
 
 
 class TestGaussianRational:
@@ -125,18 +158,23 @@ class TestGaussianRational:
 
 
 class TestGradedPoly:
-    @given(graded_polys(), graded_polys(), graded_polys())
+    @given(
+        st.integers(0, 8).flatmap(lambda d: st.tuples(*[graded_polys(d)] * 3)),
+        graded_polys(),
+    )
     @settings(max_examples=60)
-    def test_ring_axioms(self, a, b, c):
+    def test_ring_axioms(self, abc, e):
+        # a, b, c share a degree, so that they can be added; e has any.
+        a, b, c = abc
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert (a * e) * c == a * (e * c)
+        assert e * (b + c) == e * b + e * c
         assert a * ONE == a
         assert a + ZERO == a
         assert a - a == ZERO
 
-    @given(st.lists(st.tuples(graded_polys(), graded_polys()), max_size=6))
+    @given(product_pairs())
     @settings(max_examples=60)
     def test_dot_is_sum_of_pairwise_products(self, pairs):
         expected = ZERO
@@ -150,6 +188,11 @@ class TestGradedPoly:
         assert _dot([(ALPHA, BETA), (BETA, -ALPHA)]).terms == {}
         assert _dot([]) == ZERO
 
+    def test_dot_skips_zero_factors_and_rejects_mixed_degrees(self):
+        assert _dot([(ALPHA, ZERO), (ZERO, ONE), (BETA, ONE)]) == BETA
+        with pytest.raises(InputError):
+            _dot([(ALPHA, ALPHA), (ALPHA, ONE)])
+
     @given(graded_polys(), st.integers(0, 4))
     @settings(max_examples=40)
     def test_power_is_repeated_product(self, a, n):
@@ -158,19 +201,37 @@ class TestGradedPoly:
             expected = expected * a
         assert a**n == expected
 
+    @given(graded_polys(), st.integers(0, 9))
+    @settings(max_examples=60)
+    def test_power_matches_sparse_int_power(self, g, n):
+        # The power before the integer lists: numerators over the common
+        # denominator, multiplied as sparse maps, divided by den^n at the end.
+        terms = g.terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        base = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        num = {(0, 0): 1}
+        for _ in range(n):
+            num = sparse_int_mul(num, base)
+        assert g**n == GradedPoly({k: Fraction(c, den**n) for k, c in num.items()})
+
     @pytest.mark.parametrize("n", [0, 1, 2, 13, 54])
     @pytest.mark.parametrize(
-        "g",
+        "terms",
         [
-            GradedPoly({(2, 0): Fraction(3, 2), (0, 1): Fraction(-5, 6)}),
-            GradedPoly({(1, 0): Fraction(-2, 3), (0, 1): Fraction(5, 4), (0, 0): 7}),
-            ZERO,
+            {(2, 0): Fraction(3, 2), (0, 1): Fraction(-5, 6)},
+            {(1, 0): Fraction(-2, 3), (0, 1): Fraction(5, 4), (0, 0): 7},
+            {},
         ],
         ids=["homogeneous", "non-homogeneous", "zero"],
     )
-    def test_power_matches_repeated_fraction_product(self, g, n):
-        # The power runs on integer numerators; the oracle is the pairwise
-        # Fraction product.
+    def test_power_matches_repeated_fraction_product(self, terms, n):
+        # The power runs on integer lists; the oracle is the pairwise
+        # Fraction product.  A non-homogeneous term map is refused.
+        if len({i + 2 * j for i, j in terms}) > 1:
+            with pytest.raises(InputError):
+                GradedPoly(terms)
+            return
+        g = GradedPoly(terms)
         expected = ONE
         for _ in range(n):
             expected = pairwise_product(expected, g)
@@ -181,11 +242,16 @@ class TestGradedPoly:
         with pytest.raises(InputError):
             g ** -1
 
-    @given(graded_polys(), fractions, fractions)
+    @given(
+        st.integers(0, 8).flatmap(lambda d: st.tuples(*[graded_polys(d)] * 2)),
+        graded_polys(),
+        fractions,
+        fractions,
+    )
     @settings(max_examples=40)
-    def test_evaluate_is_ring_map(self, a, x, y):
-        b = ALPHA + BETA
-        assert (a * b).evaluate(x, y) == a.evaluate(x, y) * b.evaluate(x, y)
+    def test_evaluate_is_ring_map(self, ab, e, x, y):
+        a, b = ab
+        assert (a * e).evaluate(x, y) == a.evaluate(x, y) * e.evaluate(x, y)
         assert (a + b).evaluate(x, y) == a.evaluate(x, y) + b.evaluate(x, y)
 
     def test_zero_degree_raises(self):
@@ -196,16 +262,37 @@ class TestGradedPoly:
         assert ALPHA.legendre_degree() == 1
         assert BETA.legendre_degree() == 2
         assert (ALPHA * BETA).weight() == 12
-        assert (ALPHA**2 + BETA).is_homogeneous()
-        assert not (ALPHA + BETA).is_homogeneous()
+        assert (ALPHA**2 + BETA).legendre_degree() == 2
+        with pytest.raises(InputError):
+            ALPHA + BETA
+
+    def test_non_homogeneous_input_rejected(self):
+        with pytest.raises(InputError):
+            GradedPoly({(1, 0): 1, (0, 0): 1})
+        for bad in (lambda: ALPHA + 1, lambda: BETA - ALPHA, lambda: 1 - ALPHA):
+            with pytest.raises(InputError):
+                bad()
+        assert ALPHA + ZERO == ALPHA and ZERO - BETA == -BETA
+        # A map whose mixed-degree terms are all zero is homogeneous.
+        assert GradedPoly({(1, 0): 2, (0, 0): 0}) == ALPHA.scale(2)
+
+    def test_fields_are_canonical(self):
+        # One layout per polynomial: den is the least common denominator.
+        g = GradedPoly({(2, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+        assert (g.deg, g.den, g.vec) == (2, 6, [3, 2])
+        h = g.scale(6) - ALPHA**2 * 3
+        assert (h.deg, h.den, h.vec) == (2, 1, [0, 2])
+        assert h == BETA.scale(2) and hash(h) == hash(BETA.scale(2))
+        assert (ZERO.deg, ZERO.den, ZERO.vec) == (None, 1, [])
 
     def test_delta_g(self):
         assert DELTA_G.scale(256) == ALPHA * ALPHA - BETA
 
     def test_substitutions(self):
-        p = ALPHA * BETA + ALPHA**3 + BETA**2
-        assert p.set_beta_zero() == ALPHA**3
+        p = ALPHA**2 * BETA + ALPHA**4 + BETA**2
+        assert p.set_beta_zero() == ALPHA**4
         assert p.alpha_part() == BETA**2
+        assert (ALPHA * BETA).alpha_part() == ZERO
 
     @given(graded_polys())
     @settings(max_examples=40)
@@ -291,31 +378,33 @@ class TestModLayer:
         assert r == ModPoly(5, {(2, 0): 3, (0, 1): 2})
 
     def test_reduce_mod_v1_euclidean(self):
-        # Divide a^2*b + a + b by v1 = a over F_5: remainder b.
-        p = ModPoly(5, {(2, 1): 1, (1, 0): 1, (0, 1): 1})
-        v1 = ModPoly(5, {(1, 0): 1})
-        assert reduce_mod_v1(p, v1) == ModPoly(5, {(0, 1): 1})
+        # Divide a^4 + a^2*b by v1 = a^2 - b over F_5: a^2 = b, so the
+        # remainder is 2*b^2; by v1 = a it is b^2.
+        p = ModPoly(5, {(4, 0): 1, (2, 1): 1, (0, 2): 1})
+        v1 = ModPoly(5, {(2, 0): 1, (0, 1): -1})
+        assert reduce_mod_v1(p - ModPoly(5, {(0, 2): 1}), v1) == ModPoly(5, {(0, 2): 2})
+        assert reduce_mod_v1(p, ModPoly(5, {(1, 0): 1})) == ModPoly(5, {(0, 2): 1})
 
     @given(st.data())
     @settings(max_examples=80)
     def test_reduce_mod_v1_matches_stepwise_division(self, data):
         p = data.draw(st.sampled_from([2, 3, 5, 13]))
-        d = data.draw(st.integers(0, 4))
-        keys = st.tuples(st.integers(0, 9), st.integers(0, 4))
-        coeffs = st.integers(0, p - 1)
-        a = ModPoly(p, data.draw(st.dictionaries(keys, coeffs, max_size=12)))
-        lower = st.tuples(st.integers(0, max(d - 1, 0)), st.integers(0, 4))
-        tail = data.draw(st.dictionaries(lower, coeffs, max_size=6))
-        tail = {k: c for k, c in tail.items() if k[0] < d}
-        v1 = ModPoly(p, {**tail, (d, 0): data.draw(st.integers(1, p - 1))})
+        a = data.draw(mod_polys(p, 18))
+        v1 = data.draw(mod_polys(p, 8))
+        if v1.is_zero() or (v1.deg, 0) not in v1.terms:
+            # Zero, or an alpha-leading coefficient with a beta factor.
+            with pytest.raises(InputError):
+                reduce_mod_v1(a, v1)
+            return
         r = reduce_mod_v1(a, v1)
         assert r == stepwise_reduce_mod_v1(a, v1)
-        assert r.is_zero() or r.alpha_degree() < d
+        assert r.is_zero() or r.alpha_degree() < v1.deg
 
     @pytest.mark.parametrize("p", [5, 13, 29, 53])
     def test_reduce_mod_v1_on_hazewinkel_generators(self, p):
         v1, v2 = (reduce_mod_p(hazewinkel_v(n, p), p) for n in (1, 2))
-        for a in (v2, v1 * v2 + v2, v1):
+        shift = reduce_mod_p(ALPHA**v1.deg, p)
+        for a in (v2, v1 * v2 + shift * v2, v1):
             assert reduce_mod_v1(a, v1) == stepwise_reduce_mod_v1(a, v1)
 
     def test_reduce_mod_v1_rejects_nonscalar_lead(self):
@@ -323,20 +412,44 @@ class TestModLayer:
         with pytest.raises(InputError):
             reduce_mod_v1(ModPoly(5, {(2, 0): 1}), v1)
 
+    def test_poly_mod_reduces_its_input(self):
+        # x^3 + 5 = x^3 mod (5, x + 1) is -1 = 4; unreduced entries that are
+        # never touched by the division are reduced too.
+        assert _poly_mod([5, 0, 0, 1], [1, 1], 5) == [4]
+        assert _poly_mod([10, 7], [0, 0, 1], 5) == [0, 2]
+        assert _poly_mod([5, 0, 5], [0, 1], 5) == []
+
     def test_dehom_gcd(self):
-        # (x^2 - 1)*x and (x - 1) share the factor x - 1 over F_5.
-        a = ModPoly(5, {(3, 0): 1, (1, 0): 4})
-        b = ModPoly(5, {(1, 0): 1, (0, 0): 4})
-        assert dehom_gcd(a, b) == [4, 1]
+        # At beta = 1, (x^2 - 1)*x and (x^2 - 1)*(x^2 + 4) share the factor
+        # x^2 - 1 over F_5.
+        a = ModPoly(5, {(3, 0): 1, (1, 1): 4})
+        b = ModPoly(5, {(4, 0): 1, (2, 1): 3, (0, 2): 1})
+        assert dehom_gcd(a, b) == [4, 0, 1]
+        assert dehom_gcd(a, ModPoly(5, {(2, 0): 1, (0, 1): 1})) == [1]
 
     def test_power_is_reduction_of_exact_power(self):
-        g = GradedPoly({(1, 0): Fraction(3, 2), (0, 1): -4, (0, 0): 1})
+        g = GradedPoly({(3, 0): Fraction(3, 2), (1, 1): -4})
         a = reduce_mod_p(g, 7)
         for n in (0, 1, 2, 7, 10):
             assert a**n == reduce_mod_p(g**n, 7)
         with pytest.raises(InputError):
             a**-1
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_mul_matches_sparse_int_mul(self, data):
+        p = data.draw(st.sampled_from([2, 5, 13, 97]))
+        a, b = data.draw(mod_polys(p, 12)), data.draw(mod_polys(p, 12))
+        assert a * b == ModPoly(p, sparse_int_mul(a.terms, b.terms))
+
     def test_mixed_characteristic_rejected(self):
         with pytest.raises(InputError):
             ModPoly(5, {(0, 0): 1}) + ModPoly(13, {(0, 0): 1})
+
+    def test_non_homogeneous_input_rejected(self):
+        with pytest.raises(InputError):
+            ModPoly(5, {(1, 0): 1, (0, 0): 1})
+        with pytest.raises(InputError):
+            ModPoly(5, {(1, 0): 1}) + ModPoly(5, {(0, 1): 1})
+        # Terms that vanish mod p do not count.
+        assert ModPoly(5, {(1, 0): 1, (0, 0): 5}) == ModPoly(5, {(1, 0): 1})

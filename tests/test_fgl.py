@@ -28,6 +28,20 @@ def two_sided_associativity(law):
     return _substitute(law.terms, f_xy, z, n) == _substitute(law.terms, x, f_yz, n)
 
 
+def perturbation(d: int, mirror: bool) -> BiTruncSeries:
+    """alpha^k * x^(t-s) * y^s, and its mirror x^s * y^(t-s) if asked, with
+    t = 4k + 1: d = 2..5 give s = 1..4 at t = 5, and d = 6..9 give s = 1..4
+    at t = 9.  A law's coefficient at total degree t has Legendre degree
+    (t - 1)/4, so the perturbed law mixes no degrees: its only fault is the
+    perturbation."""
+    k, s = (d - 2) // 4 + 1, (d - 2) % 4 + 1
+    t = 4 * k + 1
+    terms = {(t - s, s): ALPHA**k}
+    if mirror:
+        terms[(s, t - s)] = ALPHA**k
+    return BiTruncSeries(terms, 9)
+
+
 class TestConstruction:
     def test_additive_law(self):
         f = build_fgl(TruncSeries.identity(7))
@@ -47,11 +61,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_construction_checks_reject_a_perturbed_law(self, d):
-        # F + alpha*(x^(d-1)*y + x*y^(d-1)) is still commutative and keeps the
+        # F plus a mirrored perturbation is still commutative and keeps the
         # unit, but it is neither associative nor linearised by the log.
         f = fgl_phiL(9)
-        law = f.law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
-        law = law + BiTruncSeries({(1, d - 1): ALPHA}, 9)
+        law = f.law + perturbation(d, mirror=True)
         assert law == law.swap()
         assert _associativity_holds(f.law) and _log_additivity_holds(f.law, f.log)
         assert not _associativity_holds(law)
@@ -66,15 +79,14 @@ class TestConstruction:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_cyclic_check_refuses_what_two_sided_refuses(self, d):
         # The commutative perturbations of the test above.
-        law = fgl_phiL(9).law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
-        law = law + BiTruncSeries({(1, d - 1): ALPHA}, 9)
+        law = fgl_phiL(9).law + perturbation(d, mirror=True)
         assert not _associativity_holds(law) and not two_sided_associativity(law)
 
     @pytest.mark.parametrize("d", range(3, 10))
     def test_non_commutative_law_is_refused(self, d):
-        # F + alpha*x^(d-1)*y breaks commutativity, so the cyclic argument
-        # does not apply; the two-sided check refuses it as well.
-        law = fgl_phiL(9).law + BiTruncSeries({(d - 1, 1): ALPHA}, 9)
+        # An unmirrored perturbation breaks commutativity, so the cyclic
+        # argument does not apply; the two-sided check refuses it as well.
+        law = fgl_phiL(9).law + perturbation(d, mirror=False)
         assert law != law.swap()
         assert not _associativity_holds(law) and not two_sided_associativity(law)
 

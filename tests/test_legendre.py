@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE
-from taf.legendre import cp_coefficient, generating_check, legendre, log_phiL
+from taf.legendre import (
+    MAX_INDEX,
+    cp_coefficient,
+    generating_check,
+    legendre,
+    log_phiL,
+)
 
 
 def recurrence_table(K):
@@ -40,7 +46,7 @@ class TestLegendre:
     def test_homogeneous_of_degree_k(self):
         for k in range(12):
             p = legendre(k) if k else ONE
-            assert p.is_homogeneous()
+            assert {i + 2 * j for i, j in p.terms} == {k}
             if k:
                 assert p.legendre_degree() == k
 
@@ -59,6 +65,10 @@ class TestLegendre:
     def test_negative_index_rejected(self):
         with pytest.raises(InputError):
             legendre(-1)
+
+    def test_index_above_the_limit_rejected(self):
+        with pytest.raises(InputError):
+            legendre(MAX_INDEX + 1)
 
 
 class TestGenus:

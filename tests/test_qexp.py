@@ -60,6 +60,13 @@ class TestQExpansion:
         with pytest.raises(InputError):
             a**-1
 
+    def test_index_outside_the_order_raises(self):
+        f = forms(10)
+        assert f.alpha[10] == f.alpha.coeffs[10]
+        for k in (-1, 11):
+            with pytest.raises(IndexError):
+                f.alpha[k]
+
     def test_mixed_orders_rejected(self):
         with pytest.raises(InputError):
             QExpansion([1], 1) + QExpansion([1], 2)
@@ -188,10 +195,12 @@ class TestGenusConsistency:
             f.delta_g,
         )
         monkeypatch.setattr(qexp, "forms", lambda K: shifted)
-        poly = GradedPoly(
-            {(3, 0): Fraction(2, 7), (1, 2): -1, (0, 1): Fraction(3, 5), (0, 0): 4}
-        )
-        assert substitute_forms(poly, K) == termwise_substitute(poly, shifted, K)
+        for poly in (
+            GradedPoly({(5, 0): Fraction(2, 7), (3, 1): -1, (1, 2): Fraction(3, 5)}),
+            GradedPoly({(4, 0): 4, (2, 1): Fraction(2, 7), (0, 2): -1}),
+            GradedPoly({(2, 1): Fraction(3, 5)}),
+        ):
+            assert substitute_forms(poly, K) == termwise_substitute(poly, shifted, K)
 
     @pytest.mark.parametrize("k,products", [(5, 5), (6, 6)])
     def test_substitute_builds_only_used_powers(self, monkeypatch, k, products):

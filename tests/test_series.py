@@ -170,16 +170,22 @@ def tri_mul(f, g, order):
     return out
 
 
-# Few distinct coefficients, so that sums cancel often.
-SMALL_COEFFS = [
-    ONE, -ONE, ALPHA, -ALPHA, BETA, ALPHA + BETA, GradedPoly.const(Fraction(1, 2))
-]
-small_coeffs = st.sampled_from(SMALL_COEFFS)
+def small_coeffs(d: int) -> list[GradedPoly]:
+    """Few distinct coefficients of Legendre degree d, so that sums cancel
+    often."""
+    a = ALPHA**d
+    b = ALPHA ** (d - 2) * BETA if d >= 2 else a.scale(3)
+    return [a, -a, b, a + b, a.scale(Fraction(1, 2))]
 
 
-def sparse_maps(arity):
+def graded_maps(arity, shift=0):
+    """Sparse maps whose coefficient at k has Legendre degree sum(k) + shift,
+    so that every product of two maps is a sum of like degrees."""
     keys = st.tuples(*[st.integers(0, 3)] * arity)
-    return st.dictionaries(keys, small_coeffs, max_size=6)
+    picks = st.dictionaries(keys, st.integers(0, 4), max_size=6)
+    return picks.map(
+        lambda m: {k: small_coeffs(sum(k) + shift)[i] for k, i in m.items()}
+    )
 
 
 class TestTruncatedProduct:
@@ -187,8 +193,8 @@ class TestTruncatedProduct:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, arity, data):
-        a = data.draw(sparse_maps(arity))
-        b = data.draw(sparse_maps(arity))
+        a = data.draw(graded_maps(arity))
+        b = data.draw(graded_maps(arity, shift=1))
         n = data.draw(st.integers(0, 3 * arity))
         got = _truncated_product(a, b, n)
         assert got == tri_mul(a, b, n)
@@ -216,6 +222,10 @@ def dense_compose_outer(f, g):
     return result
 
 
+# Graded so that f(g) sums like degrees: f's coefficient at x^k has degree
+# k, and g's at x^a y^b has degree a + b - 1.
+
+
 def outer_series(kind, n, rng):
     """A univariate f of order n whose support has the given shape."""
     if kind == "zero":
@@ -228,7 +238,7 @@ def outer_series(kind, n, rng):
         support = sorted(rng.sample(range(1, n + 1), max(1, n // 3)))
         if kind == "constant":
             support = [0] + support
-    coeffs = [rng.choice(SMALL_COEFFS) for _ in range(n + 1)]
+    coeffs = [rng.choice(small_coeffs(k)) for k in range(n + 1)]
     return TruncSeries([c if k in support else ZERO for k, c in enumerate(coeffs)], n)
 
 
@@ -237,7 +247,7 @@ def inner_series(kind, n, rng):
     keys = [(a, d - a) for d in range(1, n + 1) for a in range(d + 1)]
     if kind == "sparse":
         keys = rng.sample(keys, min(3, len(keys)))
-    return BiTruncSeries({k: rng.choice(SMALL_COEFFS) for k in keys}, n)
+    return BiTruncSeries({k: rng.choice(small_coeffs(sum(k) - 1)) for k in keys}, n)
 
 
 class TestSparseHorner:
@@ -255,13 +265,13 @@ class TestSparseHorner:
     def test_random_supports(self, data):
         n = data.draw(st.integers(1, 9))
         support = data.draw(st.sets(st.integers(0, n), max_size=4))
-        coeffs = [data.draw(small_coeffs) for _ in range(n + 1)]
+        coeffs = [data.draw(st.sampled_from(small_coeffs(k))) for k in range(n + 1)]
         f = TruncSeries([c if k in support else ZERO for k, c in enumerate(coeffs)], n)
         keys = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
             lambda k: 1 <= sum(k) <= n
         )
-        terms = data.draw(st.dictionaries(keys, small_coeffs, max_size=4))
-        g = BiTruncSeries(terms, n)
+        picks = data.draw(st.dictionaries(keys, st.integers(0, 4), max_size=4))
+        g = BiTruncSeries({k: small_coeffs(sum(k) - 1)[i] for k, i in picks.items()}, n)
         assert bi_compose_outer(f, g) == dense_compose_outer(f, g)
 
     def test_odd4_logarithm(self):
