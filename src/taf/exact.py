@@ -16,8 +16,8 @@ sum or `_dot` that mixes degrees.  `ModPoly` is the same list mod p.
 The private kernels are `_dot`, `_power` and `_kron_mul`.  `_kron_mul`
 multiplies dense integer lists by Kronecker substitution (one big-int
 multiply).  `_dot` sums the convolutions of a list of pairs over one common
-denominator, on `_kron_mul` or, for short lists, a plain loop; the series
-layer makes one `_dot` per output coefficient.  `GradedPoly.__pow__`,
+denominator by a plain loop; the series layer makes one `_dot` per output
+coefficient.  `GradedPoly.__pow__`,
 `ModPoly.__mul__`, the q-expansions and the dense F_p lists run on
 `_kron_mul`, and `_power` is square-and-multiply for any product type.
 Division by v_1 in alpha and the height-two gcd work on the beta = 1 lists
@@ -386,9 +386,10 @@ def _dot(pairs) -> GradedPoly:
     """Sum of a * b over GradedPoly pairs (a, b): the convolutions of their
     integer lists, each lifted to one common denominator and summed.
 
-    A pair with a factor of at most four entries (every law coefficient
-    through N = 29 has at most four) is convolved by a plain loop, which
-    costs less than packing; longer pairs run on `_kron_mul`."""
+    Each pair is convolved by a plain loop: the lists met here are short
+    or lopsided (a law coefficient by a law coefficient, ell_i by a power
+    of v_1), where a loop over the nonzero entries costs less than packing
+    both into `_kron_mul`."""
     products = [
         (a.deg + b.deg, a.den * b.den, a.vec, b.vec)
         for a, b in pairs
@@ -397,16 +398,12 @@ def _dot(pairs) -> GradedPoly:
     if not products:
         return ZERO
     deg = products[0][0]
-    n = deg // 2 + 1
     den = lcm(*(d for _, d, _, _ in products))
-    acc = [0] * n
+    acc = [0] * (deg // 2 + 1)
     for d, pden, u, v in products:
         if d != deg:
             raise InputError(f"sum of products of Legendre degrees {deg} and {d}")
         lift = den // pden
-        if len(u) > 4 and len(v) > 4:
-            acc = [x + lift * y for x, y in zip(acc, _kron_mul(u, v, n))]
-            continue
         for i, x in enumerate(u):
             if x:
                 x *= lift

@@ -103,8 +103,8 @@ def graded_polys(draw, degree=None):
 
 @st.composite
 def product_pairs(draw):
-    """Up to six pairs (a, b) whose products all have one Legendre degree;
-    above degree 16 both factors can be long enough for `_kron_mul`."""
+    """Up to six pairs (a, b) whose products all have one Legendre degree,
+    at most 20, so that both factors can have many entries."""
     total = draw(st.integers(0, 20))
     splits = draw(st.lists(st.integers(0, total), max_size=6))
     return [(draw(graded_polys(d)), draw(graded_polys(total - d))) for d in splits]

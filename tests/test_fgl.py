@@ -70,6 +70,25 @@ class TestConstruction:
         assert not _associativity_holds(law)
         assert not _log_additivity_holds(law, f.log)
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 6, 7, 8])
+    def test_construction_checks_reject_a_mis_graded_law(self, t):
+        # alpha at total degree t != 1 mod 4 has the wrong Legendre degree
+        # for a law coefficient.  Below t = 4 the checks' first sums mix
+        # degrees and raise; above, a composite differs at a lower degree
+        # before any sum mixes, and the check returns False.
+        f = fgl_phiL(9)
+        law = f.law + BiTruncSeries({(t - 1, 1): ALPHA, (1, t - 1): ALPHA}, 9)
+        checks = (
+            lambda: _associativity_holds(law),
+            lambda: _log_additivity_holds(law, f.log),
+        )
+        for check in checks:
+            if t < 4:
+                with pytest.raises(InputError):
+                    check()
+            else:
+                assert not check()
+
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [1, 5, 9, 13])
     def test_cyclic_associativity_matches_two_sided(self, build, n):
