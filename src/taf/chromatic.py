@@ -104,6 +104,13 @@ class LandweberVerdicts:
     v2_nonzero_mod_p_v1: bool
     height2_cozero_check: bool
 
+    def passes(self) -> bool:
+        return (
+            self.v1_nonzero_mod_p
+            and self.v2_nonzero_mod_p_v1
+            and self.height2_cozero_check
+        )
+
 
 @dataclass
 class VGenReport:
@@ -239,8 +246,9 @@ def landweber_check(p: int) -> VGenReport:
     v1 = reduce_mod_p(report.v[0], p)
     v2 = reduce_mod_p(report.v[1], p)
 
+    r = reduce_mod_v1(v2, v1)
     a = not v1.is_zero()
-    b = not reduce_mod_v1(v2, v1).is_zero()
+    b = not r.is_zero()
 
     g = dehom_gcd(v1, v2)
     deg_g = len(g) - 1
@@ -256,7 +264,6 @@ def landweber_check(p: int) -> VGenReport:
         v2_nonzero_mod_p_v1=b,
         height2_cozero_check=c,
     )
-    r = reduce_mod_v1(v2, v1)
     report.details.append(f"v_2 mod ({p}, v_1) = {r}")
     report.details.append(f"gcd(v_1(x,1), v_2(x,1)) over F_{p}: {g}")
     return report

@@ -1,6 +1,11 @@
 """Command-line front end: every computation and verification, with
 configurable orders, primes, and text/JSON output.
 
+Each subcommand is one row of `_COMMANDS`: its handler, its help and its
+arguments besides `--format`.  A handler takes the parsed arguments and
+returns `(ok, text_lines, json_payload)`; `main` alone writes the lines or
+the payload, and maps `ok` to the exit code.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
 series order N is 13 (override with -N); the default q-expansion order K is
 50.  `selftest` runs the gating criteria of `taf.criteria`.
@@ -36,60 +41,37 @@ from .qexp import (
 _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
 
 
-def _emit(args, text_lines, payload) -> None:
-    if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _get_form(name: str, K: int):
-    f = forms(K)
-    return {
-        "alpha": f.alpha,
-        "beta": f.beta,
-        "delta-prime": f.delta_prime,
-        "eps-prime": f.eps_prime,
-        "delta-g": f.delta_g,
-    }[name]
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the exit status)
+# Subcommand handlers: each returns (ok, text lines, JSON payload)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_legendre(args) -> int:
+def _cmd_legendre(args):
     p = legendre(args.k)
-    _emit(args, [f"P_{args.k} = {p}"], {"k": args.k, "poly": p.to_json_dict()})
-    return 0
+    return True, [f"P_{args.k} = {p}"], {"k": args.k, "poly": p.to_json_dict()}
 
 
-def _cmd_ulog(args) -> int:
+def _cmd_ulog(args):
     s = log_phi(args.order)
-    _emit(args, [f"log_phi = {s}"], {"order": s.order, "coeffs": s.to_json_list()})
-    return 0
+    return True, [f"log_phi = {s}"], {"order": s.order, "coeffs": s.to_json_list()}
 
 
-def _cmd_llog(args) -> int:
+def _cmd_llog(args):
     s = log_phiL(args.order)
-    _emit(args, [f"log_phiL = {s}"], {"order": s.order, "coeffs": s.to_json_list()})
-    return 0
+    return True, [f"log_phiL = {s}"], {"order": s.order, "coeffs": s.to_json_list()}
 
 
-def _cmd_fgl(args) -> int:
+def _cmd_fgl(args):
     f = fgl_phi(args.order)
-    _emit(
-        args,
-        [f"F_phi(x, y) = {f.law}"],
-        {"order": f.order, "law": f.law.to_json_list()},
-    )
-    return 0
+    payload = {"order": f.order, "law": f.law.to_json_list()}
+    return True, [f"F_phi(x, y) = {f.law}"], payload
 
 
-def _cmd_euler(args) -> int:
+def _cmd_euler(args):
     law = euler_law(args.order)
     disc = beta_zero_law(args.order) - law
     match = not disc.terms
@@ -98,52 +80,42 @@ def _cmd_euler(args) -> int:
         lines.append("beta=0 law matches the closed form exactly")
     else:
         lines.append(f"DISCREPANCY: {disc}")
-    _emit(
-        args,
-        lines,
-        {
-            "order": law.order,
-            "law": law.to_json_list(),
-            "matches_beta_zero_law": match,
-            "discrepancy": disc.to_json_list(),
-        },
-    )
-    return 0 if match else 1
+    payload = {
+        "order": law.order,
+        "law": law.to_json_list(),
+        "matches_beta_zero_law": match,
+        "discrepancy": disc.to_json_list(),
+    }
+    return match, lines, payload
 
 
-def _cmd_iso_check(args) -> int:
+def _cmd_iso_check(args):
     ok = iso_check(args.order)
-    _emit(
-        args,
-        [f"isomorphism through order {args.order}: {'PASS' if ok else 'FAIL'}"],
-        {"order": args.order, "pass": ok},
-    )
-    return 0 if ok else 1
+    lines = [f"isomorphism through order {args.order}: {_verdict(ok)}"]
+    return ok, lines, {"order": args.order, "pass": ok}
 
 
-def _cmd_vgens(args) -> int:
+def _cmd_vgens(args):
     report = key_lemma_check(args.prime, args.n)
     lines = [f"prime {report.prime}"]
     for n, (v, ok) in enumerate(zip(report.v, report.integrality), start=1):
         lines.append(f"v_{n} = {v}")
         lines.append(f"  {args.prime}-integral: {ok}")
-    _emit(args, lines, report.to_json_dict())
-    return 0 if report.all_integral() else 1
+    return report.all_integral(), lines, report.to_json_dict()
 
 
-def _cmd_cor1(args) -> int:
+def _cmd_cor1(args):
     ok = cor1_check()
     lines = [
         "v_2 = 4*b^3 (mod (5, v_1))",
         "(a^2 - b)^3 = 4*b^3 (mod (5, v_1))",
         "v_2 = Delta_G^3 (mod (5, v_1))",
-        f"all three reductions agree: {'PASS' if ok else 'FAIL'}",
+        f"all three reductions agree: {_verdict(ok)}",
     ]
-    _emit(args, lines, {"pass": ok})
-    return 0 if ok else 1
+    return ok, lines, {"pass": ok}
 
 
-def _cmd_cor2(args) -> int:
+def _cmd_cor2(args):
     r = cor2_check(args.prime)
     lines = [
         f"prime {r.prime}",
@@ -152,41 +124,35 @@ def _cmd_cor2(args) -> int:
         f"alpha | v_1: {r.alpha_divides_v1}",
         f"p*v_2 congruence mod (alpha): {r.congruence_mod_alpha}",
         f"v_2 nonzero mod (p, v_1): {r.v2_mod_p_v1_nonzero}",
-        f"overall: {'PASS' if r.passes() else 'FAIL'}",
+        f"overall: {_verdict(r.passes())}",
     ]
-    _emit(
-        args,
-        lines,
-        {
-            "prime": r.prime,
-            "binomial": str(r.binomial),
-            "valuation": r.valuation,
-            "alpha_divides_v1": r.alpha_divides_v1,
-            "congruence_mod_alpha": r.congruence_mod_alpha,
-            "v2_mod_p_v1_nonzero": r.v2_mod_p_v1_nonzero,
-            "pass": r.passes(),
-        },
-    )
-    return 0 if r.passes() else 1
+    payload = {
+        "prime": r.prime,
+        "binomial": str(r.binomial),
+        "valuation": r.valuation,
+        "alpha_divides_v1": r.alpha_divides_v1,
+        "congruence_mod_alpha": r.congruence_mod_alpha,
+        "v2_mod_p_v1_nonzero": r.v2_mod_p_v1_nonzero,
+        "pass": r.passes(),
+    }
+    return r.passes(), lines, payload
 
 
-def _cmd_landweber(args) -> int:
+def _cmd_landweber(args):
     report = landweber_check(args.prime)
     lw = report.landweber
-    ok = lw.v1_nonzero_mod_p and lw.v2_nonzero_mod_p_v1 and lw.height2_cozero_check
     lines = [
         f"prime {report.prime}",
         f"(a) v_1 != 0 mod p: {lw.v1_nonzero_mod_p}",
         f"(b) v_2 != 0 mod (p, v_1): {lw.v2_nonzero_mod_p_v1}",
         f"(c) height-2 cozero locus check: {lw.height2_cozero_check}",
         *report.details,
-        f"overall: {'PASS' if ok else 'FAIL'}",
+        f"overall: {_verdict(lw.passes())}",
     ]
-    _emit(args, lines, report.to_json_dict() | {"pass": ok})
-    return 0 if ok else 1
+    return lw.passes(), lines, report.to_json_dict() | {"pass": lw.passes()}
 
 
-def _cmd_qexpand(args) -> int:
+def _cmd_qexpand(args):
     K = args.qorder
     f = forms(K)
     ok = anchor_check(K) and integrality_and_identity(K)
@@ -196,74 +162,49 @@ def _cmd_qexpand(args) -> int:
         f"alpha  = {f.alpha}",
         f"beta   = {f.beta}",
         f"Delta  = {f.delta_g}",
-        f"anchors + integrality + identity: {'PASS' if ok else 'FAIL'}",
+        f"anchors + integrality + identity: {_verdict(ok)}",
     ]
-    _emit(
-        args,
-        lines,
-        {
-            "qorder": K,
-            "delta_prime": f.delta_prime.to_json_list(),
-            "eps_prime": f.eps_prime.to_json_list(),
-            "alpha": f.alpha.to_json_list(),
-            "beta": f.beta.to_json_list(),
-            "delta_g": f.delta_g.to_json_list(),
-            "pass": ok,
-        },
-    )
-    return 0 if ok else 1
+    coeffs = {name: form.to_json_list() for name, form in vars(f).items()}
+    return ok, lines, {"qorder": K, **coeffs, "pass": ok}
 
 
-def _cmd_eval_tau(args) -> int:
-    tau = complex(args.re, args.im)
-    result = eval_form(_get_form(args.form, args.qorder), tau)
+def _cmd_eval_tau(args):
+    form = getattr(forms(args.qorder), args.form.replace("-", "_"))
+    result = eval_form(form, complex(args.re, args.im))
     v = result.value
     lines = [
         f"{args.form}({args.re} + {args.im}i) = {v.real:.12g} + {v.imag:.12g}i",
         f"truncation bound: {result.trunc_bound:.3e}",
     ]
-    _emit(
-        args,
-        lines,
-        {"re": v.real, "im": v.imag, "trunc_bound": result.trunc_bound},
-    )
-    return 0
+    return True, lines, {"re": v.real, "im": v.imag, "trunc_bound": result.trunc_bound}
 
 
-def _cmd_jg(args) -> int:
-    tau = complex(args.re, args.im)
-    j = j_invariant(tau, K=args.qorder)
+def _cmd_jg(args):
+    j = j_invariant(complex(args.re, args.im), K=args.qorder)
     if j is None:
-        _emit(args, ["pole (alpha vanishes here)"], {"pole": True})
-        return 0
+        return True, ["pole (alpha vanishes here)"], {"pole": True}
     lines = [f"j({args.re} + {args.im}i) = {j.real:.12g} + {j.imag:.12g}i"]
-    _emit(args, lines, {"pole": False, "re": j.real, "im": j.imag})
-    return 0
+    return True, lines, {"pole": False, "re": j.real, "im": j.imag}
 
 
-def _cmd_transform_check(args) -> int:
-    tau = complex(args.re, args.im)
-    r = transform_check(tau, K=args.qorder)
+def _cmd_transform_check(args):
+    r = transform_check(complex(args.re, args.im), K=args.qorder)
     ok = r.residual_c4 < args.tolerance and r.residual_s < args.tolerance
     lines = [
         f"order-4 residual: {r.residual_c4:.3e}",
         f"inversion residual: {r.residual_s:.3e}",
-        f"both < {args.tolerance:g}: {'PASS' if ok else 'FAIL'}",
+        f"both < {args.tolerance:g}: {_verdict(ok)}",
     ]
-    _emit(
-        args,
-        lines,
-        {
-            "residual_c4": r.residual_c4,
-            "residual_s": r.residual_s,
-            "tolerance": args.tolerance,
-            "pass": ok,
-        },
-    )
-    return 0 if ok else 1
+    payload = {
+        "residual_c4": r.residual_c4,
+        "residual_s": r.residual_s,
+        "tolerance": args.tolerance,
+        "pass": ok,
+    }
+    return ok, lines, payload
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     tau = complex(args.re, args.im)
     result = reduce_to_fundamental_domain(tau)
     ok = result.certificate_ok(tau)
@@ -272,38 +213,27 @@ def _cmd_reduce(args) -> int:
         f"reduced point: {re:.12g} + {im:.12g}i",
         f"word: {' '.join(result.word) or '(identity)'}",
         f"certificate (exact group membership, point mapping, domain): "
-        f"{'PASS' if ok else 'FAIL'}",
+        f"{_verdict(ok)}",
     ]
-    _emit(
-        args,
-        lines,
-        {
-            "tau_reduced": {"re": re, "im": im},
-            "word": " ".join(result.word),
-            "matrix": result.matrix.to_json(),
-            "certificate": ok,
-        },
-    )
-    return 0 if ok else 1
+    payload = {
+        "tau_reduced": {"re": re, "im": im},
+        "word": " ".join(result.word),
+        "matrix": result.matrix.to_json(),
+        "certificate": ok,
+    }
+    return ok, lines, payload
 
 
-def _cmd_verify_embeddings(args) -> int:
+def _cmd_verify_embeddings(args):
     results = embedding_suite()
     ok = all(results.values())
-    lines = [f"{name}: {'PASS' if v else 'FAIL'}" for name, v in results.items()]
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
-    _emit(args, lines, results | {"pass": ok})
-    return 0 if ok else 1
+    lines = [f"{name}: {_verdict(v)}" for name, v in results.items()]
+    lines.append(f"overall: {_verdict(ok)}")
+    return ok, lines, results | {"pass": ok}
 
 
-# ---------------------------------------------------------------------------
-# Selftest
-# ---------------------------------------------------------------------------
-
-
-def _cmd_selftest(args) -> int:
-    entries = []
-    all_ok = True
+def _cmd_selftest(args):
+    entries, lines = [], []
     for criterion in CRITERIA:
         if not criterion.gating:
             continue
@@ -312,30 +242,78 @@ def _cmd_selftest(args) -> int:
             ok, detail = criterion.check(args.order, args.qorder)
         except Exception as exc:  # a crash is a failure with the traceback head
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - t0
-        all_ok &= ok
         entries.append(
             {
                 "name": criterion.name,
                 "status": "pass" if ok else "fail",
                 "detail": detail,
-                "elapsed_s": elapsed,
+                "elapsed_s": time.perf_counter() - t0,
                 "ceiling_s": criterion.ceiling_s,
             }
         )
-        if args.format == "text":
-            print(f"[{'PASS' if ok else 'FAIL'}] {criterion.name}: {detail}")
-    if args.format == "json":
-        json.dump(entries, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(f"overall: {'PASS' if all_ok else 'FAIL'}")
-    return 0 if all_ok else 1
+        lines.append(f"[{_verdict(ok)}] {criterion.name}: {detail}")
+    all_ok = all(e["status"] == "pass" for e in entries)
+    lines.append(f"overall: {_verdict(all_ok)}")
+    return all_ok, lines, entries
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FORMAT = _arg(
+    "--format", choices=("text", "json"), default="text", help="output format"
+)
+_ORDER = _arg("-N", "--order", type=int, default=13, help="series truncation order")
+_QORDER = _arg(
+    "-K", "--qorder", type=int, default=50, help="q-expansion truncation order"
+)
+_PRIME = _arg("-p", "--prime", type=int, required=True, help="prime")
+_POINT = (_arg("re", type=float), _arg("im", type=float))
+
+# name -> (handler, help, arguments besides --format).  Handlers look library
+# functions up in this module's globals when they run, so a wrapper later bound
+# to those names (a per-layer tracer) sees every call.
+_COMMANDS = {
+    "legendre": (_cmd_legendre, "print P_k", [_arg("k", type=int)]),
+    "ulog": (_cmd_ulog, "the curve logarithm", [_ORDER]),
+    "llog": (_cmd_llog, "the Legendre-genus logarithm", [_ORDER]),
+    "fgl": (_cmd_fgl, "the curve formal group law", [_ORDER]),
+    "euler": (_cmd_euler, "Euler's law vs the beta = 0 law", [_ORDER]),
+    "iso-check": (_cmd_iso_check, "law isomorphism check", [_ORDER]),
+    "vgens": (
+        _cmd_vgens,
+        "Hazewinkel generator images",
+        [_PRIME, _arg("-n", type=int, default=2, help="compute v_1..v_n")],
+    ),
+    "cor1": (_cmd_cor1, "the three mod-(5, v_1) congruences", []),
+    "cor2": (_cmd_cor2, "the p = 5 (mod 8) congruence", [_PRIME]),
+    "landweber": (_cmd_landweber, "the regularity ladder", [_PRIME]),
+    "qexpand": (_cmd_qexpand, "generator q-expansions", [_QORDER]),
+    "eval-tau": (
+        _cmd_eval_tau,
+        "evaluate a form numerically",
+        [_QORDER, _arg("form", choices=_FORM_NAMES), *_POINT],
+    ),
+    "jg": (_cmd_jg, "the j-invariant beta/(4*alpha^2)", [_QORDER, *_POINT]),
+    "transform-check": (
+        _cmd_transform_check,
+        "numeric automorphy residuals of alpha",
+        [
+            *_POINT,
+            _arg("-K", "--qorder", type=int, default=60),
+            _arg("--tolerance", type=float, default=1e-6),
+        ],
+    ),
+    "reduce": (_cmd_reduce, "fundamental-domain reduction", _POINT),
+    "verify-embeddings": (_cmd_verify_embeddings, "the exact embedding suite", []),
+    "selftest": (_cmd_selftest, "full invariant suite", [_ORDER, _QORDER]),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,103 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"taf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    order = argparse.ArgumentParser(add_help=False)
-    order.add_argument(
-        "-N", "--order", type=int, default=13, help="series truncation order"
-    )
-    qorder = argparse.ArgumentParser(add_help=False)
-    qorder.add_argument(
-        "-K", "--qorder", type=int, default=50, help="q-expansion truncation order"
-    )
-    prime = argparse.ArgumentParser(add_help=False)
-    prime.add_argument("-p", "--prime", type=int, required=True, help="prime")
-
-    p = sub.add_parser("legendre", parents=[common], help="print P_k")
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_legendre)
-
-    sub.add_parser(
-        "ulog", parents=[common, order], help="the curve logarithm"
-    ).set_defaults(handler=_cmd_ulog)
-    sub.add_parser(
-        "llog", parents=[common, order], help="the Legendre-genus logarithm"
-    ).set_defaults(handler=_cmd_llog)
-    sub.add_parser(
-        "fgl", parents=[common, order], help="the curve formal group law"
-    ).set_defaults(handler=_cmd_fgl)
-    sub.add_parser(
-        "euler", parents=[common, order], help="Euler's law vs the beta = 0 law"
-    ).set_defaults(handler=_cmd_euler)
-    sub.add_parser(
-        "iso-check", parents=[common, order], help="law isomorphism check"
-    ).set_defaults(handler=_cmd_iso_check)
-
-    p = sub.add_parser(
-        "vgens", parents=[common, prime], help="Hazewinkel generator images"
-    )
-    p.add_argument("-n", type=int, default=2, help="compute v_1..v_n")
-    p.set_defaults(handler=_cmd_vgens)
-
-    sub.add_parser(
-        "cor1", parents=[common], help="the three mod-(5, v_1) congruences"
-    ).set_defaults(handler=_cmd_cor1)
-    sub.add_parser(
-        "cor2", parents=[common, prime], help="the p = 5 (mod 8) congruence"
-    ).set_defaults(handler=_cmd_cor2)
-    sub.add_parser(
-        "landweber", parents=[common, prime], help="the regularity ladder"
-    ).set_defaults(handler=_cmd_landweber)
-
-    sub.add_parser(
-        "qexpand", parents=[common, qorder], help="generator q-expansions"
-    ).set_defaults(handler=_cmd_qexpand)
-
-    p = sub.add_parser(
-        "eval-tau", parents=[common, qorder], help="evaluate a form numerically"
-    )
-    p.add_argument("form", choices=_FORM_NAMES)
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
-    p.set_defaults(handler=_cmd_eval_tau)
-
-    p = sub.add_parser(
-        "jg", parents=[common, qorder], help="the j-invariant beta/(4*alpha^2)"
-    )
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
-    p.set_defaults(handler=_cmd_jg)
-
-    p = sub.add_parser(
-        "transform-check",
-        parents=[common],
-        help="numeric automorphy residuals of alpha",
-    )
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
-    p.add_argument("-K", "--qorder", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_transform_check)
-
-    p = sub.add_parser(
-        "reduce", parents=[common], help="fundamental-domain reduction"
-    )
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
-    p.set_defaults(handler=_cmd_reduce)
-
-    sub.add_parser(
-        "verify-embeddings", parents=[common], help="the exact embedding suite"
-    ).set_defaults(handler=_cmd_verify_embeddings)
-
-    sub.add_parser(
-        "selftest", parents=[common, order, qorder], help="full invariant suite"
-    ).set_defaults(handler=_cmd_selftest)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in (_FORMAT, *arguments):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -465,9 +351,15 @@ def main(argv: list[str] | None = None) -> int:
     # options takes milliseconds, a large share of a short command.
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        ok, text_lines, payload = args.handler(args)
+        if args.format == "json":
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        else:
+            for line in text_lines:
+                print(line)
         sys.stdout.flush()
-        return code
+        return 0 if ok else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

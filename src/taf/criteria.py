@@ -86,13 +86,7 @@ def _integrality(N, K):
 
 
 def _corollary_1(N, K):
-    lw = landweber_check(5).landweber
-    ok = (
-        cor1_check()
-        and lw.v1_nonzero_mod_p
-        and lw.v2_nonzero_mod_p_v1
-        and lw.height2_cozero_check
-    )
+    ok = cor1_check() and landweber_check(5).landweber.passes()
     return ok, "mod-(5, v_1) congruences and the regularity ladder"
 
 
@@ -166,7 +160,7 @@ def _reduction(N, K):
 def _experimental_p17(N, K):
     lw = landweber_check(17).landweber
     outcome = (lw.v1_nonzero_mod_p, lw.v2_nonzero_mod_p_v1, lw.height2_cozero_check)
-    return all(outcome), f"landweber p=17 (non-gating): (a,b,c) = {outcome}"
+    return lw.passes(), f"landweber p=17 (non-gating): (a,b,c) = {outcome}"
 
 
 CRITERIA = (

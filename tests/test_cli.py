@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import taf
+import taf.cli as cli
 from taf.cli import main
-from taf.criteria import CRITERIA
+from taf.criteria import CRITERIA, Criterion
 
 
 def run(capsys, *argv):
@@ -234,10 +236,18 @@ class TestExitCodes:
         assert main(["vgens", "-p", "7"]) == 2
 
     @pytest.mark.parametrize(
-        "argv", [["vgens", "-p", "5", "-n", "12"], ["legendre", "100000000"]]
+        "argv",
+        [
+            ["vgens", "-p", "5", "-n", "12"],
+            ["legendre", "100000000"],
+            ["landweber", "-p", "2305843009213693951"],
+            ["landweber", "-p", "1000000000000000009"],
+        ],
     )
     def test_costly_legendre_index_refused_up_front(self, capsys, argv):
-        # v_12 at p = 5 needs P_((5^12 - 1)/4), about P_(6.1e7).
+        # v_12 at p = 5 needs P_((5^12 - 1)/4), about P_(6.1e7).  Large primes
+        # are refused once primality is known: 2^61 - 1 is 3 (mod 4), and
+        # 10^18 + 9 needs P_((p - 1)/4).
         t0 = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - t0 < 1
@@ -248,3 +258,139 @@ class TestExitCodes:
     )
     def test_reduce_non_finite_maps_to_2(self, capsys, re, im):
         assert main(["reduce", re, im]) == 2
+
+
+def _faked(transform):
+    """A stand-in that calls the real function and transforms its result."""
+    return lambda real: lambda *args, **kwargs: transform(real(*args, **kwargs))
+
+
+def _crash(N, K):
+    raise RuntimeError("boom")
+
+
+_BROKEN_CRITERIA = (
+    Criterion("forced", lambda N, K: (False, "forced failure"), 1),
+    Criterion("crash", _crash, 1),
+)
+
+# argv, the name in taf.cli to replace, its stand-in built from the real
+# value, the start of the text line that reports the failure, and the JSON
+# verdict.
+FAILURES = [
+    pytest.param(
+        ["euler", "-N", "5"],
+        "beta_zero_law",
+        _faked(lambda law: law.scale(2)),
+        "DISCREPANCY: ",
+        lambda d: d["matches_beta_zero_law"] is False,
+        id="euler",
+    ),
+    pytest.param(
+        ["iso-check", "-N", "5"],
+        "iso_check",
+        lambda real: lambda order: False,
+        "isomorphism through order 5: FAIL",
+        lambda d: d["pass"] is False,
+        id="iso-check",
+    ),
+    pytest.param(
+        ["vgens", "-p", "5"],
+        "key_lemma_check",
+        _faked(lambda r: replace(r, integrality=[True, False])),
+        "  5-integral: False",
+        lambda d: d["integrality"] == [True, False],
+        id="vgens",
+    ),
+    pytest.param(
+        ["cor1"],
+        "cor1_check",
+        lambda real: lambda: False,
+        "all three reductions agree: FAIL",
+        lambda d: d["pass"] is False,
+        id="cor1",
+    ),
+    pytest.param(
+        ["cor2", "-p", "13"],
+        "cor2_check",
+        _faked(lambda r: replace(r, valuation=2)),
+        "overall: FAIL",
+        lambda d: d["pass"] is False and d["valuation"] == 2,
+        id="cor2",
+    ),
+    pytest.param(
+        ["landweber", "-p", "5"],
+        "landweber_check",
+        _faked(
+            lambda r: replace(
+                r, landweber=replace(r.landweber, v2_nonzero_mod_p_v1=False)
+            )
+        ),
+        "overall: FAIL",
+        lambda d: d["pass"] is False,
+        id="landweber",
+    ),
+    pytest.param(
+        ["qexpand", "-K", "10"],
+        "anchor_check",
+        lambda real: lambda K: False,
+        "anchors + integrality + identity: FAIL",
+        lambda d: d["pass"] is False,
+        id="qexpand",
+    ),
+    pytest.param(
+        ["reduce", "7.3", "0.2"],
+        "reduce_to_fundamental_domain",
+        # The reduction of another point carries no certificate for this one.
+        lambda real: lambda tau: real(tau + 0.5),
+        "certificate (exact group membership, point mapping, domain): FAIL",
+        lambda d: d["certificate"] is False,
+        id="reduce",
+    ),
+    pytest.param(
+        ["verify-embeddings"],
+        "embedding_suite",
+        _faked(lambda results: results | {"eq2": False}),
+        "eq2: FAIL",
+        lambda d: d["pass"] is False,
+        id="verify-embeddings",
+    ),
+    pytest.param(
+        ["selftest"],
+        "CRITERIA",
+        lambda real: _BROKEN_CRITERIA,
+        "[FAIL] crash: RuntimeError: boom",
+        lambda d: [e["status"] for e in d] == ["fail", "fail"],
+        id="selftest",
+    ),
+]
+
+
+class TestFailurePaths:
+    # A failed check exits 1 and says so in both formats.
+    @pytest.mark.parametrize("argv,name,stand_in,line,verdict", FAILURES)
+    def test_failed_check(
+        self, capsys, monkeypatch, argv, name, stand_in, line, verdict
+    ):
+        monkeypatch.setattr(cli, name, stand_in(getattr(cli, name)))
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert any(text.startswith(line) for text in out.splitlines())
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert verdict(json.loads(out))
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_every_subcommand_has_a_handler_and_help(capsys):
+    for name, parser in _subcommands().items():
+        assert callable(parser.get_default("handler")), name
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0, name
+        assert capsys.readouterr().out.startswith(f"usage: taf {name} ")

@@ -1,7 +1,7 @@
 """Ring and field axioms of the exact coefficient layer."""
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from taf.exact import (
     is_prime,
     reduce_mod_p,
     reduce_mod_v1,
+    require_prime,
     _dot,
     _kron_mul,
     _poly_mod,
@@ -362,6 +363,31 @@ class TestPrimality:
     def test_small_values(self):
         primes = [n for n in range(60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    def test_agrees_with_trial_division(self):
+        def by_trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert all(is_prime(n) == by_trial_division(n) for n in range(10**5))
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # a Carmichael number
+            3825123056546413051,  # a strong pseudoprime to the bases 2..23
+            318665857834031151167461,  # ... and to every base 2..37
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_prime(self):
+        assert is_prime(2**61 - 1)
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2**127 - 1])
+    def test_refused_beyond_exact_range(self, n):
+        with pytest.raises(InputError):
+            require_prime(n)
 
 
 class TestModLayer:
