@@ -13,13 +13,15 @@ lists.  Zero has the empty list and no degree: degree queries on it raise.
 Non-homogeneous input raises `InputError`, from the constructor and from a
 sum or `_dot` that mixes degrees.  `ModPoly` is the same list mod p.
 
-The private kernels are `_dot`, `_power` and `_kron_mul`.  `_kron_mul`
-multiplies dense integer lists by Kronecker substitution (one big-int
-multiply).  `_dot` sums the convolutions of a list of pairs over one common
-denominator by a plain loop; the series layer makes one `_dot` per output
-coefficient.  `GradedPoly.__pow__`,
-`ModPoly.__mul__`, the q-expansions and the dense F_p lists run on
-`_kron_mul`, and `_power` is square-and-multiply for any product type.
+The private kernels are `_dot`, `_miller_power`, `_power` and `_kron_mul`.
+`_kron_mul` multiplies dense integer lists by Kronecker substitution (one
+big-int multiply).  `_dot` sums the convolutions of a list of pairs over one
+common denominator by a plain loop; the series layer makes one `_dot` per
+output coefficient.  `GradedPoly.__pow__` runs on `_miller_power`, J.C.P.
+Miller's power recurrence, whose exact integer divisions keep a high power
+of a short list (v_1^p) free of long-by-long products.  `ModPoly.__mul__`,
+the q-expansions and the dense F_p lists run on `_kron_mul`, and `_power` is
+square-and-multiply for any product type.
 Division by v_1 in alpha and the height-two gcd work on the beta = 1 lists
 over F_p (`_poly_mod`).
 """
@@ -334,9 +336,9 @@ class GradedPoly(_Homogeneous):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Square-and-multiply on the integer list: self^n = vec^n / den^n."""
-        vec = _power([1], self.vec, n, _full_mul)
-        return _graded((self.deg or 0) * n, self.den**n, vec)
+        """self^n = vec^n / den^n, with vec^n by J.C.P. Miller's recurrence
+        (`_miller_power`): no squaring of a long list."""
+        return _graded((self.deg or 0) * n, self.den**n, _miller_power(self.vec, n))
 
     def scale(self, c: Scalar) -> "GradedPoly":
         f = Fraction(c)
@@ -399,6 +401,44 @@ def _power(one, base, n: int, mul):
         if n:
             base = mul(base, base)
     return result
+
+
+def _miller_power(f: list[int], n: int) -> list[int]:
+    """f^n for a dense integer list f (low degree first), (len(f) - 1) * n + 1
+    entries as n products would give, by J.C.P. Miller's power recurrence
+    (Knuth, TAOCP vol. 2, section 4.7).
+
+    With the s zeros below f's lowest nonzero entry dropped, f_0 != 0, and
+    g = f^n satisfies f * g' = n * f' * g, so
+
+        k * f_0 * g_k = sum_{i >= 1} ((n + 1) * i - k) * f_i * g_(k-i),
+
+    a division that is exact over Z; the result is x^(s*n) * g.  Each g_k
+    costs one product f_i * g_(k-i) per nonzero f_i, so a short f to a high
+    power never multiplies two long entries of g.  A long f to a small power
+    pays len(f) products per entry where a Kronecker square pays one
+    multiply: P_702^2 takes about ten times as long as `_power` takes.
+    Over F_p the division fails once p | k, so `ModPoly` keeps `_power`."""
+    if n < 0:
+        raise InputError("negative power")
+    if not n:
+        return [1]
+    support = [i for i, c in enumerate(f) if c]
+    if not support:
+        return [0] * ((len(f) - 1) * n + 1)
+    s = support[0]
+    f0 = f[s]
+    steps = [(i - s, f[i]) for i in support[1:]]
+    top = (support[-1] - s) * n
+    g = [f0**n] + [0] * top
+    for k in range(1, top + 1):
+        acc = 0
+        for i, c in steps:
+            if i > k:
+                break
+            acc += ((n + 1) * i - k) * c * g[k - i]
+        g[k] = acc // (k * f0)
+    return [0] * (s * n) + g + [0] * ((len(f) - 1 - support[-1]) * n)
 
 
 def _dot(pairs) -> GradedPoly:

@@ -8,6 +8,7 @@ import pytest
 
 from taf.chromatic import (
     UnsupportedPrimeError,
+    _hazewinkel_pass,
     binomial_valuation,
     cor1_check,
     cor2_check,
@@ -17,7 +18,15 @@ from taf.chromatic import (
     landweber_check,
     _divides_power_of,
 )
-from taf.exact import ALPHA, _poly_mod, is_p_integral
+from taf.exact import (
+    ALPHA,
+    GradedPoly,
+    _full_mul,
+    _graded,
+    _poly_mod,
+    _power,
+    is_p_integral,
+)
 from taf.legendre import legendre
 
 
@@ -52,6 +61,27 @@ class TestGenerators:
         p = 5
         assert not is_p_integral(ell(1, p).scale(Fraction(1, p)), p)
         assert is_p_integral(hazewinkel_v(2, p), p)
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize(
+        "p, n", [(p, 2) for p in (5, 13, 17, 29, 37, 41, 53)] + [(5, 3), (13, 3)]
+    )
+    def test_generators_match_square_and_multiply(self, p, n, monkeypatch):
+        # v_1..v_n at the ladder primes, against the same recursion with
+        # `GradedPoly.__pow__` replaced by the square-and-multiply power it
+        # ran before J.C.P. Miller's recurrence.
+        fast = _hazewinkel_pass(n, p)[0]
+        calls = []
+
+        def square_and_multiply(g, e):
+            calls.append(e)
+            vec = _power([1], g.vec, e, _full_mul)
+            return _graded((g.deg or 0) * e, g.den**e, vec)
+
+        monkeypatch.setattr(GradedPoly, "__pow__", square_and_multiply)
+        assert _hazewinkel_pass(n, p)[0] == fast
+        assert calls
 
 
 class TestIntegrality:

@@ -26,8 +26,11 @@ from taf.exact import (
     reduce_mod_v1,
     require_prime,
     _dot,
+    _full_mul,
     _kron_mul,
+    _miller_power,
     _poly_mod,
+    _power,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -357,6 +360,53 @@ class TestKronMul:
         assert _kron_mul([-6], [7], 1) == [-42]
         assert _kron_mul([-6], [7], 3) == [-42, 0, 0]
         assert _kron_mul([1, 1], [1, -1], 2) == [1, 0]
+
+
+def square_and_multiply_power(f: list[int], n: int) -> list[int]:
+    """The power `GradedPoly.__pow__` ran before J.C.P. Miller's recurrence,
+    kept as the reference: square-and-multiply on `_kron_mul`."""
+    return _power([1], f, n, _full_mul)
+
+
+@st.composite
+def power_bases(draw):
+    """An integer list: up to two leading and two trailing zeros around a
+    body of one to four entries, each zero or a `kron_coeffs` value."""
+    body = draw(st.lists(st.one_of(st.just(0), kron_coeffs), min_size=1, max_size=4))
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return [0] * lead + body + [0] * trail
+
+
+class TestMillerPower:
+    # The reference, not the recurrence, takes up to seconds on the largest
+    # cases (200-bit entries to the 100th power), hence no deadline.
+    @given(power_bases(), st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_square_and_multiply(self, f, n):
+        assert _miller_power(f, n) == square_and_multiply_power(f, n)
+
+    @given(
+        st.integers(0, 4),
+        kron_coeffs.filter(bool),
+        st.integers(0, 4),
+        st.integers(0, 100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_single_nonzero_entry(self, lead, c, trail, n):
+        f = [0] * lead + [c] + [0] * trail
+        assert _miller_power(f, n) == square_and_multiply_power(f, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("f", [[], [0], [0, 0, 0], [2, 0, -3], [0, -1, 0, 1, 0]])
+    def test_small_cases(self, f, n):
+        assert _miller_power(f, n) == square_and_multiply_power(f, n)
+
+    def test_zero_and_negative_powers(self):
+        # GradedPoly's negative powers: TestGradedPoly.test_negative_power_rejected.
+        assert ZERO**0 == ONE
+        assert ZERO**5 == ZERO
+        with pytest.raises(InputError):
+            _miller_power([1, 2], -3)
 
 
 class TestPrimality:
