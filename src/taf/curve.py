@@ -84,7 +84,7 @@ def log_phi(N: int) -> TruncSeries:
     through order N; odd-4 with linear coefficient 1."""
     if N < 1:
         raise InputError("order must be >= 1")
-    if N < 2:
+    if N < 3:  # log_phi = x + O(x^5), and the chart solve needs order >= 2
         return TruncSeries.identity(N)
     u = solve_u_of_v(N - 1)
     integrand = series_div(TruncSeries.one(N - 1), _quintic_derivative(u))
@@ -96,16 +96,9 @@ def v_of_t(N: int) -> TruncSeries:
     coefficient denominators are powers of 2."""
     if N < 1:
         raise InputError("order must be >= 1")
-    base = TruncSeries(
-        {
-            0: ONE,
-            4: ALPHA.scale(-2),
-            8: BETA,
-        }.get(k, ZERO)
-        for k in range(N)
-    )
-    root = sqrt_unit(TruncSeries(base.coeffs, N - 1))
-    return TruncSeries([ZERO] + root.coeffs, N)
+    base = {(0,): ONE, (4,): ALPHA.scale(-2), (8,): BETA}
+    root = sqrt_unit(TruncSeries.from_terms(base, N - 1))
+    return TruncSeries.from_terms({(k + 1,): c for (k,), c in root.terms.items()}, N)
 
 
 def t_of_v(N: int) -> TruncSeries:

@@ -36,6 +36,7 @@ from .series import (
     bi_from_univariate,
     revert,
     sqrt_unit,
+    _is_normalized,
     _substitute,
 )
 from .curve import log_phi, t_of_v
@@ -89,7 +90,7 @@ def _log_additivity_holds(law: BiTruncSeries, log: TruncSeries) -> bool:
 def build_fgl(log: TruncSeries) -> FormalGroupLaw:
     """F(x, y) = exp(log(x) + log(y)) through total order N, with the FGL
     axioms verified at construction."""
-    if not log.coeffs[0].is_zero() or log.coeffs[1] != ONE:
+    if not _is_normalized(log):
         raise InputError("logarithm must be normalized: x + higher-order terms")
     n = log.order
     exp = revert(log)

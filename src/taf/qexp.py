@@ -225,10 +225,16 @@ class EvalResult:
     trunc_bound: float
 
 
-def eval_form(form: QExpansion, tau: complex) -> EvalResult:
-    """Horner evaluation at s = e^(pi*i*tau) with a geometric tail estimate."""
+def _require_upper_half_plane(tau: complex) -> None:
+    if not cmath.isfinite(tau):
+        raise InputError("tau must be finite")
     if tau.imag <= 0:
         raise InputError("tau must lie in the upper half-plane")
+
+
+def eval_form(form: QExpansion, tau: complex) -> EvalResult:
+    """Horner evaluation at s = e^(pi*i*tau) with a geometric tail estimate."""
+    _require_upper_half_plane(tau)
     s = cmath.exp(1j * cmath.pi * tau)
     r = abs(s)
     if r >= 1:
@@ -250,6 +256,7 @@ def transform_check(tau: complex, K: int = 60) -> TransformResiduals:
     """Numeric weight-4 automorphy residuals of alpha under the two maps
     tau -> (1+tau)/(1-tau) (automorphy factor -(1-tau)^4/4) and
     tau -> -1/tau (factor tau^4)."""
+    _require_upper_half_plane(tau)
     a = forms(K).alpha
     t_c4 = (1 + tau) / (1 - tau)
     t_s = -1 / tau

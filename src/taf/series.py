@@ -1,16 +1,15 @@
 """Truncated formal power series over the graded ring Q[alpha, beta].
 
-A `TruncSeries` stores coefficients c_0..c_N (inclusive order N); everything
-beyond x^N is O(x^{N+1}).  Truncation orders are explicit: combining two
-series of different orders is an error, never an implicit min.
+Every series is one sparse map {exponent tuple: GradedPoly} truncated at
+total degree N (inclusive), with no stored zeros; everything beyond is
+O(deg N+1).  A `TruncSeries` uses 1-tuples (c_0..c_N in x), a
+`BiTruncSeries` 2-tuples (the formal group laws), and the associativity
+check of `fgl` works on plain 3-tuple maps.  Truncation orders are explicit:
+combining two series of different orders is an error, never an implicit min.
 
-A `BiTruncSeries` is its two-variable sibling truncated at total degree N,
-used for formal group laws.
-
-Every product of coefficients is one `exact._dot` per output coefficient.
-`_truncated_product` and `_substitute` work on sparse {exponent tuple:
-GradedPoly} maps in any number of variables: two for `BiTruncSeries`, three
-for the associativity check of `fgl`.
+Every product of coefficients is one `exact._dot` per output coefficient,
+through `_truncated_product` and `_substitute`, which take maps of any arity.
+`compose` and `bi_compose_outer` share one sparse Horner, `_compose_outer`.
 
 Reversion and square roots use Newton iteration (the working order doubles
 each step), which keeps high-order exact-rational runs fast.
@@ -20,85 +19,136 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .exact import GradedPoly, InputError, ONE, ZERO, _dot
 
 Coeff = Union[GradedPoly, int, Fraction]
+Terms = Mapping[tuple[int, ...], GradedPoly]
 
 
-def _co(c: Coeff) -> GradedPoly:
-    return GradedPoly.coerce(c)
+class _Series:
+    """The terms {exponent tuple: GradedPoly} of total degree at most `order`;
+    the ring operations shared by `TruncSeries` and `BiTruncSeries`."""
 
+    __slots__ = ("terms", "order")
 
-class TruncSeries:
-    """c_0 + c_1 x + .. + c_N x^N + O(x^{N+1}) with GradedPoly coefficients."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
-        cs = [_co(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
+    def __init__(self, terms: Mapping[tuple[int, ...], Coeff] | None = None, order=0):
         if order < 0:
             raise InputError("truncation order must be >= 0")
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", cs)
+        clean: dict[tuple[int, ...], GradedPoly] = {}
+        for k, c in (terms or {}).items():
+            if min(k) < 0:
+                raise InputError(f"negative exponent {k}")
+            g = GradedPoly.coerce(c)
+            if sum(k) <= order and not g.is_zero():
+                clean[k] = g
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def from_terms(cls, terms: Mapping[tuple[int, ...], Coeff], order: int):
+        """The series with the given term map, dropping zeros and terms of
+        total degree above `order`."""
+        out = object.__new__(cls)
+        _Series.__init__(out, terms, order)
+        return out
+
+    @classmethod
+    def zero(cls, order: int):
+        return cls.from_terms({}, order)
+
     def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors -------------------------------------------------------
+    def _check(self, other: "_Series") -> None:
+        if self.order != other.order:
+            raise InputError(f"mixed truncation orders {self.order} and {other.order}")
 
-    @staticmethod
-    def zero(order: int) -> "TruncSeries":
-        return TruncSeries([], order)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return self.from_terms(out, self.order)
+
+    def __neg__(self):
+        return self.from_terms({k: -c for k, c in self.terms.items()}, self.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self.from_terms(
+            _truncated_product(self.terms, other.terms, self.order), self.order
+        )
+
+    def scale(self, c: Coeff):
+        g = GradedPoly.coerce(c)
+        return self.from_terms({k: g * v for k, v in self.terms.items()}, self.order)
+
+    def map_coeffs(self, fn: Callable[[GradedPoly], GradedPoly]):
+        return self.from_terms({k: fn(c) for k, c in self.terms.items()}, self.order)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.order == other.order and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.order, frozenset(self.terms.items())))
+
+
+class TruncSeries(_Series):
+    """c_0 + c_1 x + .. + c_N x^N + O(x^{N+1}) with GradedPoly coefficients."""
+
+    __slots__ = ()
+    arity = 1
+    # Bound here, not inherited: perfbench's tracer wraps each class's own methods.
+    __add__, __sub__, __neg__ = _Series.__add__, _Series.__sub__, _Series.__neg__
+    __mul__, scale = _Series.__mul__, _Series.scale
+
+    def __init__(self, coeffs: Iterable[Coeff], order: int | None = None):
+        cs = list(coeffs)
+        if order is None:
+            order = len(cs) - 1
+        super().__init__({(k,): c for k, c in enumerate(cs)}, order)
 
     @staticmethod
     def one(order: int) -> "TruncSeries":
-        return TruncSeries([ONE], order)
+        return TruncSeries.monomial(ONE, 0, order)
 
     @staticmethod
     def identity(order: int) -> "TruncSeries":
         """The series x."""
-        return TruncSeries([ZERO, ONE], order)
+        return TruncSeries.monomial(ONE, 1, order)
 
     @staticmethod
     def monomial(coeff: Coeff, k: int, order: int) -> "TruncSeries":
-        cs = [ZERO] * (order + 1)
-        if k <= order:
-            cs[k] = _co(coeff)
-        return TruncSeries(cs, order)
+        return TruncSeries.from_terms({(k,): coeff}, order)
 
-    # -- basics -------------------------------------------------------------
+    @property
+    def coeffs(self) -> list[GradedPoly]:
+        """The dense list c_0..c_N, built on each access."""
+        return [self.terms.get((k,), ZERO) for k in range(self.order + 1)]
 
     def __getitem__(self, k: int) -> GradedPoly:
         if 0 <= k <= self.order:
-            return self.coeffs[k]
+            return self.terms.get((k,), ZERO)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.order != other.order:
-            raise InputError(
-                f"mixed truncation orders {self.order} and {other.order}"
-            )
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def is_odd4(self) -> bool:
         """True iff c_k = 0 unless k = 1 (mod 4)."""
-        return all(
-            c.is_zero() for k, c in enumerate(self.coeffs) if k % 4 != 1
-        )
+        return all(k % 4 == 1 for (k,) in self.terms)
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise InputError("cannot truncate upward")
-        return TruncSeries(self.coeffs[: order + 1], order)
+        return TruncSeries.from_terms(self.terms, order)
 
     def extend_zero(self, order: int) -> "TruncSeries":
         """Reinterpret with a higher order, padding with zero coefficients.
@@ -108,59 +158,18 @@ class TruncSeries:
         """
         if order < self.order:
             raise InputError("use truncate to lower the order")
-        return TruncSeries(self.coeffs, order)
-
-    # -- ring ops -----------------------------------------------------------
-
-    def __add__(self, other: "TruncSeries"):
-        self._check(other)
-        return TruncSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other: "TruncSeries"):
-        return self + (-other)
-
-    def __mul__(self, other: "TruncSeries"):
-        self._check(other)
-        a = [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        b, n = other.coeffs, self.order
-        return TruncSeries(
-            [_dot([(c, b[k - i]) for i, c in a if i <= k]) for k in range(n + 1)], n
-        )
-
-    def scale(self, c: Coeff) -> "TruncSeries":
-        g = _co(c)
-        return TruncSeries([g * a for a in self.coeffs], self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
-
-    # -- calculus -----------------------------------------------------------
+        return TruncSeries.from_terms(self.terms, order)
 
     def differentiate(self) -> "TruncSeries":
-        """Term-wise d/dx; output order N-1."""
-        if self.order == 0:
-            return TruncSeries.zero(0)
-        return TruncSeries(
-            [self.coeffs[k].scale(k) for k in range(1, self.order + 1)],
-            self.order - 1,
+        """Term-wise d/dx; output order N-1 (0 for N = 0)."""
+        return TruncSeries.from_terms(
+            {(k - 1,): c.scale(k) for (k,), c in self.terms.items() if k},
+            max(self.order - 1, 0),
         )
 
     def __str__(self):
-        parts = [
-            f"({c})*x^{k}" if k else f"({c})"
-            for k, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        ]
+        terms = sorted(self.terms.items())
+        parts = [f"({c})*x^{k}" if k else f"({c})" for (k,), c in terms]
         return (" + ".join(parts) or "0") + f" + O(x^{self.order + 1})"
 
     def __repr__(self):
@@ -172,41 +181,39 @@ class TruncSeries:
 
 def integrate(f: TruncSeries) -> TruncSeries:
     """Term-wise integral with zero constant; output order N+1."""
-    out = [ZERO]
-    for k, c in enumerate(f.coeffs):
-        out.append(c.scale(Fraction(1, k + 1)))
-    return TruncSeries(out, f.order + 1)
+    return TruncSeries.from_terms(
+        {(k + 1,): c.scale(Fraction(1, k + 1)) for (k,), c in f.terms.items()},
+        f.order + 1,
+    )
+
+
+def _is_normalized(f: TruncSeries) -> bool:
+    """f = x + O(x^2): order at least 1, no constant term, linear term 1."""
+    return f.order >= 1 and f.truncate(1) == TruncSeries.identity(1)
 
 
 def compose(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """f(g(x)) through order N; g must have zero constant term."""
-    f._check(g)
-    if not g.coeffs[0].is_zero():
-        raise InputError("inner series must have zero constant term")
-    n = f.order
-    # Horner from the top coefficient down.
-    result = TruncSeries.zero(n)
-    for c in reversed(f.coeffs):
-        result = result * g + TruncSeries.monomial(c, 0, n)
-    return result
+    return TruncSeries.from_terms(_compose_outer(f, g), f.order)
 
 
 def series_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Exact quotient f/g through order N; g needs a nonzero rational constant."""
     f._check(g)
-    g0 = g.coeffs[0]
+    g0 = g[0]
     if g0.is_zero():
         raise InputError("division by a series with zero constant term")
     c0 = g0.coefficient(0, 0)
     if g0 != GradedPoly.const(c0):
         raise InputError("constant term of the divisor must be a scalar")
     inv0 = Fraction(1, 1) / c0
-    n = f.order
+    fc = f.coeffs
+    tail = sorted((j, c) for (j,), c in g.terms.items() if j)
     out: list[GradedPoly] = []
-    for k in range(n + 1):
-        acc = _dot([(out[i], g.coeffs[k - i]) for i in range(k)])
-        out.append((f.coeffs[k] - acc).scale(inv0))
-    return TruncSeries(out, n)
+    for k in range(f.order + 1):
+        acc = _dot([(out[k - j], c) for j, c in tail if j <= k])
+        out.append((fc[k] - acc).scale(inv0))
+    return TruncSeries(out, f.order)
 
 
 def sqrt_unit(f: TruncSeries) -> TruncSeries:
@@ -214,7 +221,7 @@ def sqrt_unit(f: TruncSeries) -> TruncSeries:
 
     Newton iteration g <- (g + f/g)/2, doubling the correct order each step.
     """
-    if f.coeffs[0] != ONE:
+    if f[0] != ONE:
         raise InputError("sqrt_unit needs constant term 1")
     n = f.order
     g = TruncSeries.one(0)
@@ -232,7 +239,7 @@ def revert(f: TruncSeries) -> TruncSeries:
 
     Newton iteration g <- g - (f(g) - x)/f'(g), order doubling per step.
     """
-    if not f.coeffs[0].is_zero() or f.coeffs[1] != ONE:
+    if not _is_normalized(f):
         raise InputError("revert needs f = x + higher-order terms")
     n = f.order
     fp = f.differentiate()
@@ -252,10 +259,8 @@ def revert(f: TruncSeries) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# Sparse series in any number of variables
+# Sparse kernels on term maps of any arity
 # ---------------------------------------------------------------------------
-
-Terms = Mapping[tuple[int, ...], GradedPoly]
 
 
 def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], GradedPoly]:
@@ -268,6 +273,43 @@ def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], Grad
             if db <= room:
                 groups.setdefault(tuple(map(operator.add, ka, kb)), []).append((ca, cb))
     return {k: c for k, pairs in groups.items() if not (c := _dot(pairs)).is_zero()}
+
+
+def _compose_outer(f: TruncSeries, g: _Series) -> dict[tuple[int, ...], GradedPoly]:
+    """The terms of f(g) for univariate f and g of any arity with no constant
+    term, through their common order.
+
+    Horner over the support k_0 < .. < k_m of f only: r <- c_{k_m}, then
+    r <- r*g^(k_{i+1} - k_i) + c_{k_i} down to i = 0, and last r*g^(k_0).
+    The powers of g are built on demand by squaring.  An f with only
+    x^{4k+1} terms (the logarithms and their inverses) costs g^2, g^4, one
+    step per term and one final product, instead of one product per
+    coefficient.
+    """
+    f._check(g)
+    origin = (0,) * g.arity
+    if origin in g.terms:
+        raise InputError("inner series must have zero constant term")
+    n = g.order
+    powers = {1: g.terms}
+
+    def power(e: int) -> Terms:
+        if e not in powers:
+            half = power(e // 2)
+            sq = _truncated_product(half, half, n)
+            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
+        return powers[e]
+
+    support = sorted(k for (k,) in f.terms)
+    if not support:
+        return {}
+    result = {origin: f.terms[(support[-1],)]}
+    for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
+        result = _truncated_product(result, power(hi - lo), n)
+        result[origin] = f.terms[(lo,)]
+    if support[0]:
+        result = _truncated_product(result, power(support[0]), n)
+    return result
 
 
 def _substitute(
@@ -305,33 +347,14 @@ def _substitute(
 # ---------------------------------------------------------------------------
 
 
-class BiTruncSeries:
+class BiTruncSeries(_Series):
     """Bivariate series truncated at total degree N; sparse (a, b) -> GradedPoly."""
 
-    __slots__ = ("terms", "order")
-
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, int], Coeff] | None = None,
-        order: int = 0,
-    ):
-        clean: dict[tuple[int, int], GradedPoly] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a < 0 or b < 0:
-                    raise InputError(f"negative bidegree ({a}, {b})")
-                g = _co(c)
-                if a + b <= order and not g.is_zero():
-                    clean[(a, b)] = g
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiTruncSeries is immutable")
-
-    @staticmethod
-    def zero(order: int) -> "BiTruncSeries":
-        return BiTruncSeries({}, order)
+    __slots__ = ()
+    arity = 2
+    # Bound here, not inherited: perfbench's tracer wraps each class's own methods.
+    __add__, __sub__, __neg__ = _Series.__add__, _Series.__sub__, _Series.__neg__
+    __mul__, scale = _Series.__mul__, _Series.scale
 
     @staticmethod
     def variable(slot: int, order: int) -> "BiTruncSeries":
@@ -342,74 +365,19 @@ class BiTruncSeries:
     def coefficient(self, a: int, b: int) -> GradedPoly:
         return self.terms.get((a, b), ZERO)
 
-    def _check(self, other: "BiTruncSeries") -> None:
-        if self.order != other.order:
-            raise InputError(
-                f"mixed truncation orders {self.order} and {other.order}"
-            )
-
-    def __add__(self, other: "BiTruncSeries"):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiTruncSeries(out, self.order)
-
-    def __neg__(self):
-        return BiTruncSeries({k: -c for k, c in self.terms.items()}, self.order)
-
-    def __sub__(self, other: "BiTruncSeries"):
-        return self + (-other)
-
-    def __mul__(self, other: "BiTruncSeries"):
-        self._check(other)
-        return BiTruncSeries(
-            _truncated_product(self.terms, other.terms, self.order), self.order
-        )
-
-    def scale(self, c: Coeff) -> "BiTruncSeries":
-        g = _co(c)
-        return BiTruncSeries({k: g * v for k, v in self.terms.items()}, self.order)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiTruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
     def swap(self) -> "BiTruncSeries":
-        return BiTruncSeries(
-            {(b, a): c for (a, b), c in self.terms.items()}, self.order
-        )
+        terms = {(b, a): c for (a, b), c in self.terms.items()}
+        return BiTruncSeries(terms, self.order)
 
     def set_x(self) -> TruncSeries:
         """Restrict to x = 0: the univariate series in y."""
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for (a, b), c in self.terms.items():
-            if a == 0:
-                out[b] = c
-        return TruncSeries(out, n)
+        terms = {(b,): c for (a, b), c in self.terms.items() if a == 0}
+        return TruncSeries.from_terms(terms, self.order)
 
     def set_y(self) -> TruncSeries:
         """Restrict to y = 0: the univariate series in x."""
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for (a, b), c in self.terms.items():
-            if b == 0:
-                out[a] = c
-        return TruncSeries(out, n)
-
-    def map_coeffs(
-        self, fn: Callable[[GradedPoly], GradedPoly]
-    ) -> "BiTruncSeries":
-        return BiTruncSeries({k: fn(c) for k, c in self.terms.items()}, self.order)
+        terms = {(a,): c for (a, b), c in self.terms.items() if b == 0}
+        return TruncSeries.from_terms(terms, self.order)
 
     def __str__(self):
         parts = [
@@ -427,49 +395,14 @@ class BiTruncSeries:
 
 def bi_from_univariate(f: TruncSeries, slot: int, order: int) -> BiTruncSeries:
     """Lift a univariate series into slot 0 (x) or 1 (y) of a bivariate one."""
-    terms = {}
-    for k, c in enumerate(f.coeffs):
-        if k > order:
-            break
-        key = (k, 0) if slot == 0 else (0, k)
-        terms[key] = c
-    return BiTruncSeries(terms, order)
+    return BiTruncSeries(
+        {((k, 0) if slot == 0 else (0, k)): c for (k,), c in f.terms.items()}, order
+    )
 
 
 def bi_compose_outer(f: TruncSeries, g: BiTruncSeries) -> BiTruncSeries:
-    """f(g(x, y)) for univariate f and bivariate g with no constant term.
-
-    Horner over the support k_0 < .. < k_m of f only: r <- c_{k_m}, then
-    r <- r*g^(k_{i+1} - k_i) + c_{k_i} down to i = 0, and last r*g^(k_0).
-    The powers of g are built on demand by squaring.  An f with only
-    x^{4k+1} terms (the logarithms and their inverses) costs g^2, g^4, one
-    step per term and one final product, instead of one product per
-    coefficient.
-    """
-    if not g.coefficient(0, 0).is_zero():
-        raise InputError("inner series must have zero constant term")
-    n = g.order
-    if f.order != n:
-        raise InputError(f"mixed truncation orders {f.order} and {n}")
-    powers = {1: g.terms}
-
-    def power(e: int) -> dict[tuple[int, ...], GradedPoly]:
-        if e not in powers:
-            half = power(e // 2)
-            sq = _truncated_product(half, half, n)
-            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
-        return powers[e]
-
-    support = [k for k, c in enumerate(f.coeffs) if not c.is_zero()]
-    if not support:
-        return BiTruncSeries.zero(n)
-    result = {(0, 0): f.coeffs[support[-1]]}
-    for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
-        result = _truncated_product(result, power(hi - lo), n)
-        result[(0, 0)] = f.coeffs[lo]
-    if support[0]:
-        result = _truncated_product(result, power(support[0]), n)
-    return BiTruncSeries(result, n)
+    """f(g(x, y)) for univariate f and bivariate g with no constant term."""
+    return BiTruncSeries(_compose_outer(f, g), g.order)
 
 
 def bi_compose_slots(
@@ -479,7 +412,7 @@ def bi_compose_slots(
     n = f.order
     if gx.order != n or gy.order != n:
         raise InputError("mixed truncation orders in slot substitution")
-    if not gx.coeffs[0].is_zero() or not gy.coeffs[0].is_zero():
+    if (0,) in gx.terms or (0,) in gy.terms:
         raise InputError("slot series must have zero constant terms")
     x, y = bi_from_univariate(gx, 0, n), bi_from_univariate(gy, 1, n)
     return BiTruncSeries(_substitute(f.terms, x.terms, y.terms, n), n)

@@ -40,6 +40,18 @@ class TestDispatch:
         assert code == 0
         assert "(1)*x^1" in out
 
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("ulog", "log_phi = (1)*x^1 + O(x^3)"),
+            ("fgl", "F_phi(x, y) = (1)*x^1*y^0 + (1)*x^0*y^1 + O(deg 3)"),
+            ("iso-check", "isomorphism through order 2: PASS"),
+        ],
+        ids=["ulog", "fgl", "iso-check"],
+    )
+    def test_order_2(self, capsys, command, line):
+        assert run(capsys, command, "-N", "2") == (0, line + "\n")
+
     def test_vgens_json(self, capsys):
         code, out = run(capsys, "vgens", "-p", "5", "-n", "2", "--format", "json")
         assert code == 0
@@ -254,10 +266,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "re,im", [("inf", "1"), ("nan", "1"), ("0", "inf"), ("1", "nan")]
+        "argv",
+        [
+            *(
+                pytest.param(["reduce", re, im], id=f"{re}-{im}")
+                for re, im in [("inf", "1"), ("nan", "1"), ("0", "inf"), ("1", "nan")]
+            ),
+            *(
+                pytest.param(argv, id="-".join(argv))
+                for argv in [
+                    ["eval-tau", "alpha", "nan", "1"],
+                    ["eval-tau", "alpha", "inf", "1"],
+                    ["eval-tau", "alpha", "0", "inf"],
+                    ["jg", "nan", "1"],
+                    ["jg", "0", "inf"],
+                    ["transform-check", "inf", "1"],
+                    ["transform-check", "0", "nan"],
+                ]
+            ),
+        ],
     )
-    def test_reduce_non_finite_maps_to_2(self, capsys, re, im):
-        assert main(["reduce", re, im]) == 2
+    def test_reduce_non_finite_maps_to_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: tau must be finite\n"
+
+    @pytest.mark.parametrize("re,im", [("1", "0"), ("0", "0"), ("2", "-1")])
+    def test_transform_check_off_the_half_plane_maps_to_2(self, capsys, re, im):
+        assert main(["transform-check", re, im]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tau must lie in the upper half-plane\n"
 
 
 def _faked(transform):

@@ -48,6 +48,12 @@ class TestLogarithms:
     def test_odd4(self):
         assert log_phi(13).is_odd4()
 
+    def test_low_orders_are_truncations(self):
+        # log_phi = x + O(x^5): orders 1 and 2 need no chart solve.
+        full = log_phi(9)
+        for N in range(1, 9):
+            assert log_phi(N) == full.truncate(N)
+
     def test_consistency_with_legendre_log(self):
         assert log_phi_consistency(13)
 

@@ -52,6 +52,8 @@ class TestConstruction:
     def test_rejects_unnormalized_log(self):
         with pytest.raises(InputError):
             build_fgl(TruncSeries([1, 1], 1))
+        with pytest.raises(InputError):
+            build_fgl(TruncSeries([0], 0))
 
     def test_axioms_enforced_at_construction(self):
         # Construction itself runs unit, commutativity, and associativity;
