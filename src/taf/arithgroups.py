@@ -494,12 +494,12 @@ def random_halfplane_point(rng) -> GR:
     )
 
 
-def embedding_suite(n_random: int = 10, seed: int = 0) -> dict[str, bool]:
-    """Every exact identity of the embedding layer at once; random exact
-    sample points are drawn from a seeded generator."""
+def embedding_suite() -> dict[str, bool]:
+    """Every exact identity of the embedding layer at once, with ten random
+    exact sample points drawn from a generator seeded with 0."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     results = {
         "generator_correspondence": generator_correspondence_check(),
         "iota_images": iota_image_check(),
@@ -508,7 +508,7 @@ def embedding_suite(n_random: int = 10, seed: int = 0) -> dict[str, bool]:
         and is_symplectic(T_MATRIX),
     }
     ok_eq2 = ok_rho = ok_j = ok_cayley = ok_equiv = True
-    for _ in range(n_random):
+    for _ in range(10):
         gamma = random_group_element(rng)
         g = cayley_inverse(gamma)
         ok_eq2 &= eq2_check(g)

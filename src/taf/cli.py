@@ -24,7 +24,7 @@ import time
 from . import __version__
 from .arithgroups import embedding_suite, reduce_to_fundamental_domain
 from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
-from .criteria import CRITERIA
+from .criteria import CRITERIA, MIN_ORDER, MIN_QORDER
 from .curve import log_phi
 from .exact import InputError
 from .fgl import beta_zero_law, euler_law, fgl_phi, iso_check
@@ -208,7 +208,10 @@ def _cmd_reduce(args):
     tau = complex(args.re, args.im)
     result = reduce_to_fundamental_domain(tau)
     ok = result.certificate_ok(tau)
-    re, im = float(result.tau_reduced.re), float(result.tau_reduced.im)
+    try:
+        re, im = float(result.tau_reduced.re), float(result.tau_reduced.im)
+    except OverflowError:
+        raise InputError("the reduced point does not fit a float") from None
     lines = [
         f"reduced point: {re:.12g} + {im:.12g}i",
         f"word: {' '.join(result.word) or '(identity)'}",
@@ -233,6 +236,8 @@ def _cmd_verify_embeddings(args):
 
 
 def _cmd_selftest(args):
+    if args.order < MIN_ORDER or args.qorder < MIN_QORDER:
+        raise InputError(f"selftest needs N >= {MIN_ORDER} and K >= {MIN_QORDER}")
     entries, lines = [], []
     for criterion in CRITERIA:
         if not criterion.gating:
@@ -350,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     # keeps no state between calls, and a build of every subcommand and its
     # options takes milliseconds, a large share of a short command.
     args = _build_parser().parse_args(argv)
+    # Exact output may pass CPython's 4,300-digit limit on int-to-str; the
+    # limit (3.10.7 and later) is lifted here, not on importing the library.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         ok, text_lines, payload = args.handler(args)
         if args.format == "json":

@@ -37,6 +37,11 @@ from .qexp import (
 )
 
 
+# The smallest orders every gating criterion can check; selftest refuses less.
+MIN_ORDER = 10  # chart-solve reads u[10] of solve_u_of_v(N)
+MIN_QORDER = 2  # qexp-anchors builds forms(K), which needs K >= 2
+
+
 @dataclass(frozen=True)
 class Criterion:
     name: str

@@ -2,15 +2,15 @@
 
 The affine chart at infinity is v^2 = u(1 - 2*alpha*u^2 + beta*u^4) via
 x = 1/u, y = v/u^3; the origin of that chart is the branch point at
-infinity.  Near it the curve is a graph u = u(v), the distinguished
-differential du/2v expands as dv/(1 - 6*alpha*u^2 + 5*beta*u^4), and
-integrating gives the curve logarithm.  A second local parameter t with
-u = t^2, v = t*sqrt(1 - 2*alpha*t^4 + beta*t^8) produces the Legendre form
-of the same logarithm (see `legendre.log_phiL`).
+infinity.  Near it the curve is a graph u = u(v), the reversion of the
+quintic at v^2, and the curve logarithm, the integral of the distinguished
+differential du/2v, is read off u(v) coefficient by coefficient.  A second
+local parameter t with u = t^2, v = t*sqrt(1 - 2*alpha*t^4 + beta*t^8)
+produces the Legendre form of the same logarithm (see `legendre.log_phiL`).
 
-The curve-automorphism identities and the quintic derivative identity are
-checked exactly in the in-house ring: the equation is a map from exponent
-pairs (x, y) to coefficients in Q[alpha, beta].
+The curve-automorphism identities are checked exactly in the in-house ring:
+the equation is a map from exponent pairs (x, y) to coefficients in
+Q[alpha, beta].
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import prod
 
 from .exact import ALPHA, BETA, GaussianRational, I, InputError, ONE, ZERO
-from .series import TruncSeries, compose, integrate, revert, series_div, sqrt_unit
+from .series import TruncSeries, compose, revert, sqrt_unit
 
 # Smoothness of the quintic model requires beta*(alpha^2 - beta) != 0.
 
@@ -47,48 +47,32 @@ def _quintic_value(u: TruncSeries) -> TruncSeries:
     return u + u3.scale(ALPHA.scale(-2)) + u5.scale(BETA)
 
 
-def _quintic_derivative(u: TruncSeries) -> TruncSeries:
-    """1 - 6*alpha*u^2 + 5*beta*u^4 evaluated on a series."""
-    n = u.order
-    u2 = u * u
-    u4 = u2 * u2
-    return TruncSeries.one(n) + u2.scale(ALPHA.scale(-6)) + u4.scale(BETA.scale(5))
-
-
-def quintic_derivative_precheck() -> bool:
-    """1 - 6*alpha*u^2 + 5*beta*u^4 = d/du [u - 2*alpha*u^3 + beta*u^5]."""
-    u = TruncSeries.identity(6)
-    return _quintic_value(u).differentiate() == _quintic_derivative(u).truncate(5)
-
-
 def solve_u_of_v(N: int) -> TruncSeries:
     """The unique series u(v) with u - 2*alpha*u^3 + beta*u^5 = v^2 through
     order N; only exponents = 2 (mod 4) occur.
 
-    Newton iteration on the quintic, seeded at u = v^2.
+    u(v) = w^-1(v^2) for the quintic w(u): the reversion of w through order
+    N // 2, with every exponent doubled.
     """
     if N < 2:
         raise InputError("order must be >= 2")
-    v_squared = TruncSeries.monomial(ONE, 2, N)
-    u = v_squared
-    while True:
-        residual = _quintic_value(u) - v_squared
-        if residual.is_zero():
-            break
-        u = u - series_div(residual, _quintic_derivative(u))
-    return u
+    r = revert(_quintic_value(TruncSeries.identity(N // 2)))
+    return TruncSeries.from_terms({(2 * k,): c for (k,), c in r.terms.items()}, N)
 
 
 def log_phi(N: int) -> TruncSeries:
-    """The curve logarithm: integral of dv/(1 - 6*alpha*u(v)^2 + 5*beta*u(v)^4)
-    through order N; odd-4 with linear coefficient 1."""
+    """The curve logarithm, the integral of du/2v, through order N; odd-4
+    with linear coefficient 1.
+
+    Differentiating w(u(v)) = v^2 gives du/2v = u'(v)/(2v) dv, so it is read
+    off u = solve_u_of_v(N + 1): the coefficient of v^(m-1) is
+    m/(2(m-1)) * u_m.
+    """
     if N < 1:
         raise InputError("order must be >= 1")
-    if N < 3:  # log_phi = x + O(x^5), and the chart solve needs order >= 2
-        return TruncSeries.identity(N)
-    u = solve_u_of_v(N - 1)
-    integrand = series_div(TruncSeries.one(N - 1), _quintic_derivative(u))
-    return integrate(integrand)
+    u = solve_u_of_v(N + 1)
+    terms = {(m - 1,): c.scale(Fraction(m, 2 * (m - 1))) for (m,), c in u.terms.items()}
+    return TruncSeries.from_terms(terms, N)
 
 
 def v_of_t(N: int) -> TruncSeries:
@@ -204,10 +188,5 @@ def inversion_check() -> bool:
 
 
 def automorphism_checks() -> bool:
-    """All curve-automorphism identities and the quintic derivative identity."""
-    return (
-        order4_check()
-        and order4_square_is_involution()
-        and inversion_check()
-        and quintic_derivative_precheck()
-    )
+    """All curve-automorphism identities."""
+    return order4_check() and order4_square_is_involution() and inversion_check()

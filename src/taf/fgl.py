@@ -153,15 +153,13 @@ def beta_zero_law(N: int) -> BiTruncSeries:
     return fgl_phiL(N).law.map_coeffs(GradedPoly.set_beta_zero)
 
 
-def iso_check(N: int, reparametrize: bool = True) -> bool:
-    """t(F_phi(x, y)) = F_phiL(t(x), t(y)) through order N with t = t(v);
-    with `reparametrize` False the identity substitution is used instead
-    (a negative control: the laws differ at order 5 when alpha != 0)."""
+def iso_check(N: int) -> bool:
+    """t(F_phi(x, y)) = F_phiL(t(x), t(y)) through order N with t = t(v)."""
     if N < 1:
         raise InputError("order must be >= 1")
     f_phi = fgl_phi(N).law
     f_phiL = fgl_phiL(N).law
-    t = t_of_v(N) if reparametrize else TruncSeries.identity(N)
+    t = t_of_v(N)
     lhs = bi_compose_outer(t, f_phi)
     rhs = bi_compose_slots(f_phiL, t, t)
     return lhs == rhs

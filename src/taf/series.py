@@ -11,8 +11,8 @@ Every product of coefficients is one `exact._dot` per output coefficient,
 through `_truncated_product` and `_substitute`, which take maps of any arity.
 `compose` and `bi_compose_outer` share one sparse Horner, `_compose_outer`.
 
-Reversion and square roots use Newton iteration (the working order doubles
-each step), which keeps high-order exact-rational runs fast.
+Reversion is the one Newton iteration (the working order doubles each
+step); square roots run on J.C.P. Miller's power recurrence in one pass.
 """
 
 from __future__ import annotations
@@ -217,21 +217,17 @@ def series_div(f: TruncSeries, g: TruncSeries) -> TruncSeries:
 
 
 def sqrt_unit(f: TruncSeries) -> TruncSeries:
-    """The square root with constant term 1 of a series with f(0) = 1.
-
-    Newton iteration g <- (g + f/g)/2, doubling the correct order each step.
-    """
+    """The square root g with g_0 = 1 of a series f with f_0 = 1, by J.C.P.
+    Miller's power recurrence (Knuth, TAOCP vol. 2, section 4.7), as in
+    `exact._miller_power`: k*g_k = sum_{i >= 1} (3i/2 - k)*f_i*g_(k-i)."""
     if f[0] != ONE:
         raise InputError("sqrt_unit needs constant term 1")
-    n = f.order
-    g = TruncSeries.one(0)
-    k = 0
-    while k < n:
-        k = min(2 * k + 1, n)
-        fk = f.truncate(k)
-        gk = g.extend_zero(k)
-        g = (gk + series_div(fk, gk)).scale(Fraction(1, 2))
-    return g
+    tail = sorted((i, c) for (i,), c in f.terms.items() if i)
+    g = [ONE]
+    for k in range(1, f.order + 1):
+        acc = _dot([(c.scale(3 * i - 2 * k), g[k - i]) for i, c in tail if i <= k])
+        g.append(acc.scale(Fraction(1, 2 * k)))
+    return TruncSeries(g, f.order)
 
 
 def revert(f: TruncSeries) -> TruncSeries:

@@ -7,7 +7,8 @@ non-gating one only records its outcome in a `[DATA]` line.
 
 import time
 
-from taf.criteria import CRITERIA
+from taf.criteria import CRITERIA, MIN_ORDER, MIN_QORDER
+from taf.exact import InputError
 
 N, K = 13, 50
 
@@ -54,3 +55,26 @@ def _acceptance_test(number, criterion):
 assert len(_TEST_NAMES) == len(CRITERIA)
 for _number, (_name, _criterion) in enumerate(zip(_TEST_NAMES, CRITERIA), start=1):
     globals()[f"test_{_number:02d}_{_name}"] = _acceptance_test(_number, _criterion)
+
+
+def _gating_failures(N, K):
+    """Names of the gating criteria that fail or raise at (N, K)."""
+    failures = []
+    for criterion in CRITERIA:
+        if criterion.gating:
+            try:
+                ok, _ = criterion.check(N, K)
+            except (IndexError, InputError):
+                ok = False
+            if not ok:
+                failures.append(criterion.name)
+    return failures
+
+
+def test_minimum_orders_are_what_the_criteria_need():
+    # `taf selftest` refuses N < MIN_ORDER and K < MIN_QORDER: every gating
+    # criterion holds at exactly those orders, and the criterion named beside
+    # each constant fails one below it.
+    assert _gating_failures(MIN_ORDER, MIN_QORDER) == []
+    assert "chart-solve" in _gating_failures(MIN_ORDER - 1, MIN_QORDER)
+    assert "qexp-anchors" in _gating_failures(MIN_ORDER, MIN_QORDER - 1)

@@ -14,6 +14,7 @@ import taf
 import taf.cli as cli
 from taf.cli import main
 from taf.criteria import CRITERIA, Criterion
+from taf.exact import ALPHA
 
 
 def run(capsys, *argv):
@@ -295,6 +296,46 @@ class TestExitCodes:
         assert main(["transform-check", re, im]) == 2
         err = capsys.readouterr().err
         assert err == "error: tau must lie in the upper half-plane\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # The reduced point's imaginary part is far beyond the largest float.
+            pytest.param(
+                ["reduce", "0.5", "5e-324"],
+                "the reduced point does not fit a float",
+                id="reduce-overflow",
+            ),
+            *(
+                pytest.param(
+                    ["selftest", *argv],
+                    "selftest needs N >= 10 and K >= 2",
+                    id="selftest" + "".join(argv),
+                )
+                for argv in [["-N", "9"], ["-N", "1"], ["-N", "0"], ["-K", "1"]]
+            ),
+        ],
+    )
+    def test_refused_input_maps_to_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_past_the_int_digit_limit(capsys, monkeypatch, fmt):
+    # CPython 3.10.7 and later refuse str() of an int above 4,300 digits
+    # unless the limit is lifted; P_k passes it for k above about 6,300.
+    monkeypatch.setattr(cli, "legendre", lambda k: ALPHA.scale(10**5000))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)  # the default, whatever ran before
+    try:
+        code, out = run(capsys, "legendre", "1", "--format", fmt)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert "1" + "0" * 5000 in out
 
 
 def _faked(transform):

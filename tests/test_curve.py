@@ -6,6 +6,7 @@ import pytest
 
 from taf.curve import (
     NormalForm,
+    _quintic_value,
     automorphism_checks,
     curve_normal_form,
     log_phi,
@@ -19,7 +20,36 @@ from taf.curve import (
     v_of_t,
 )
 from taf.exact import ALPHA, BETA, I, InputError, ONE
-from taf.series import TruncSeries, compose
+from taf.series import TruncSeries, compose, integrate, series_div
+
+
+def quintic_derivative(u):
+    """1 - 6*alpha*u^2 + 5*beta*u^4 evaluated on a series."""
+    u2 = u * u
+    return (
+        TruncSeries.one(u.order)
+        + u2.scale(ALPHA.scale(-6))
+        + (u2 * u2).scale(BETA.scale(5))
+    )
+
+
+def newton_u_of_v(N):
+    """The Newton iteration on the quintic, seeded at u = v^2, that
+    `solve_u_of_v` ran before it became a reversion; kept as the reference."""
+    v_squared = TruncSeries.monomial(ONE, 2, N)
+    u = v_squared
+    while not (residual := _quintic_value(u) - v_squared).is_zero():
+        u = u - series_div(residual, quintic_derivative(u))
+    return u
+
+
+def integrated_log_phi(N):
+    """The curve logarithm as `log_phi` computed it before it was read off
+    u(v): the integral of 1/(1 - 6*alpha*u^2 + 5*beta*u^4); the reference."""
+    if N < 3:  # log_phi = x + O(x^5)
+        return TruncSeries.identity(N)
+    u = newton_u_of_v(N - 1)
+    return integrate(series_div(TruncSeries.one(N - 1), quintic_derivative(u)))
 
 
 class TestChartSolve:
@@ -38,6 +68,12 @@ class TestChartSolve:
     def test_defining_equation(self):
         assert solve_residual_check(17)
 
+    def test_matches_newton_on_the_quintic(self):
+        for N in range(2, 42):
+            assert solve_u_of_v(N) == newton_u_of_v(N), N
+        with pytest.raises(InputError):
+            solve_u_of_v(1)
+
 
 class TestLogarithms:
     def test_leading_terms(self):
@@ -53,6 +89,10 @@ class TestLogarithms:
         full = log_phi(9)
         for N in range(1, 9):
             assert log_phi(N) == full.truncate(N)
+
+    def test_matches_the_integral_of_the_differential(self):
+        for N in range(1, 42):
+            assert log_phi(N) == integrated_log_phi(N), N
 
     def test_consistency_with_legendre_log(self):
         assert log_phi_consistency(13)

@@ -15,7 +15,13 @@ from taf.fgl import (
     fgl_phiL,
     iso_check,
 )
-from taf.series import BiTruncSeries, TruncSeries, _substitute
+from taf.series import (
+    BiTruncSeries,
+    TruncSeries,
+    _substitute,
+    bi_compose_outer,
+    bi_compose_slots,
+)
 
 
 def two_sided_associativity(law):
@@ -172,4 +178,6 @@ class TestIsomorphism:
 
     def test_identity_substitution_fails(self):
         # Negative control: without t(v) the two laws differ at order 5.
-        assert not iso_check(13, reparametrize=False)
+        x = TruncSeries.identity(13)
+        lhs = bi_compose_outer(x, fgl_phi(13).law)
+        assert lhs != bi_compose_slots(fgl_phiL(13).law, x, x)

@@ -34,6 +34,19 @@ def trunc_series(draw, order=6, normalized=False):
     return TruncSeries(cs, order)
 
 
+def newton_sqrt_unit(f):
+    """The Newton iteration g <- (g + f/g)/2 that `sqrt_unit` ran before
+    Miller's recurrence, doubling the correct order each step; kept as the
+    reference."""
+    g = TruncSeries.one(0)
+    k = 0
+    while k < f.order:
+        k = min(2 * k + 1, f.order)
+        gk = g.extend_zero(k)
+        g = (gk + series_div(f.truncate(k), gk)).scale(Fraction(1, 2))
+    return g
+
+
 class TestTruncSeries:
     @given(trunc_series(), trunc_series(), trunc_series())
     @settings(max_examples=40)
@@ -108,6 +121,26 @@ class TestComposeRevert:
         g = TruncSeries([ONE] + f.coeffs[1:], f.order)
         r = sqrt_unit(g)
         assert r * r == g
+
+    @given(trunc_series())
+    @settings(max_examples=30, deadline=None)
+    def test_sqrt_matches_newton(self, f):
+        g = TruncSeries([ONE] + f.coeffs[1:], f.order)
+        assert sqrt_unit(g) == newton_sqrt_unit(g)
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            {0: ONE, 4: ALPHA.scale(-2), 8: BETA},  # curve.v_of_t
+            {0: ONE, 4: ALPHA.scale(-2)},  # fgl.euler_law
+            {0: ONE, 1: ALPHA.scale(-2), 2: BETA},  # legendre.generating_check
+        ],
+        ids=["v_of_t", "euler_law", "generating_check"],
+    )
+    def test_sqrt_of_program_inputs_matches_newton(self, base):
+        for n in (0, 1, 4, 8, 13, 29, 40):
+            f = TruncSeries.from_terms({(k,): c for k, c in base.items()}, n)
+            assert sqrt_unit(f) == newton_sqrt_unit(f), n
 
     def test_sqrt_known_expansion(self):
         # sqrt(1 + x) = 1 + x/2 - x^2/8 + x^3/16 - ...
