@@ -250,7 +250,7 @@ def landweber_check(p: int) -> VGenReport:
     a = not v1.is_zero()
     b = not r.is_zero()
 
-    g = dehom_gcd(v1, v2)
+    g = dehom_gcd(v1, r)  # gcd(v_1, v_2) = gcd(v_1, v_2 mod v_1)
     deg_g = len(g) - 1
     if deg_g == 0:
         cozero = True  # coprime after dehomogenizing: no common line with beta != 0

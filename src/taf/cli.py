@@ -2,9 +2,12 @@
 configurable orders, primes, and text/JSON output.
 
 Each subcommand is one row of `_COMMANDS`: its handler, its help and its
-arguments besides `--format`.  A handler takes the parsed arguments and
-returns `(ok, text_lines, json_payload)`; `main` alone writes the lines or
-the payload, and maps `ok` to the exit code.
+arguments besides `--format`.  A handler takes the parsed arguments, runs the
+computation, and returns `(ok, lines, payload)`: the verdict, and two
+zero-argument callables that build the text lines and the JSON payload.
+`main` alone calls the one `--format` asks for, writes its output, and maps
+`ok` to the exit code, so neither rendering of a long result is built for
+nothing.  A refusal is raised by the handler, before it returns.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
 series order N is 13 (override with -N); the default q-expansion order K is
@@ -46,62 +49,88 @@ def _verdict(ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (ok, text lines, JSON payload)
+# Subcommand handlers: each returns (ok, text lines, JSON payload), the last
+# two as zero-argument callables
 # ---------------------------------------------------------------------------
 
 
 def _cmd_legendre(args):
     p = legendre(args.k)
-    return True, [f"P_{args.k} = {p}"], {"k": args.k, "poly": p.to_json_dict()}
+    return (
+        True,
+        lambda: [f"P_{args.k} = {p}"],
+        lambda: {"k": args.k, "poly": p.to_json_dict()},
+    )
 
 
 def _cmd_ulog(args):
     s = log_phi(args.order)
-    return True, [f"log_phi = {s}"], {"order": s.order, "coeffs": s.to_json_list()}
+    return (
+        True,
+        lambda: [f"log_phi = {s}"],
+        lambda: {"order": s.order, "coeffs": s.to_json_list()},
+    )
 
 
 def _cmd_llog(args):
     s = log_phiL(args.order)
-    return True, [f"log_phiL = {s}"], {"order": s.order, "coeffs": s.to_json_list()}
+    return (
+        True,
+        lambda: [f"log_phiL = {s}"],
+        lambda: {"order": s.order, "coeffs": s.to_json_list()},
+    )
 
 
 def _cmd_fgl(args):
     f = fgl_phi(args.order)
-    payload = {"order": f.order, "law": f.law.to_json_list()}
-    return True, [f"F_phi(x, y) = {f.law}"], payload
+    return (
+        True,
+        lambda: [f"F_phi(x, y) = {f.law}"],
+        lambda: {"order": f.order, "law": f.law.to_json_list()},
+    )
 
 
 def _cmd_euler(args):
     law = euler_law(args.order)
     disc = beta_zero_law(args.order) - law
     match = not disc.terms
-    lines = [f"F_E(x, y) = {law}"]
-    if match:
-        lines.append("beta=0 law matches the closed form exactly")
-    else:
-        lines.append(f"DISCREPANCY: {disc}")
-    payload = {
-        "order": law.order,
-        "law": law.to_json_list(),
-        "matches_beta_zero_law": match,
-        "discrepancy": disc.to_json_list(),
-    }
+
+    def lines():
+        if match:
+            return [f"F_E(x, y) = {law}", "beta=0 law matches the closed form exactly"]
+        return [f"F_E(x, y) = {law}", f"DISCREPANCY: {disc}"]
+
+    def payload():
+        return {
+            "order": law.order,
+            "law": law.to_json_list(),
+            "matches_beta_zero_law": match,
+            "discrepancy": disc.to_json_list(),
+        }
+
     return match, lines, payload
 
 
 def _cmd_iso_check(args):
     ok = iso_check(args.order)
-    lines = [f"isomorphism through order {args.order}: {_verdict(ok)}"]
-    return ok, lines, {"order": args.order, "pass": ok}
+    return (
+        ok,
+        lambda: [f"isomorphism through order {args.order}: {_verdict(ok)}"],
+        lambda: {"order": args.order, "pass": ok},
+    )
 
 
 def _cmd_vgens(args):
     report = key_lemma_check(args.prime, args.n)
-    lines = [f"prime {report.prime}"]
-    for n, (v, ok) in enumerate(zip(report.v, report.integrality), start=1):
-        lines.append(f"v_{n} = {v}")
-        lines.append(f"  {args.prime}-integral: {ok}")
-    return report.all_integral(), lines, report.to_json_dict()
+
+    def lines():
+        out = [f"prime {report.prime}"]
+        for n, (v, ok) in enumerate(zip(report.v, report.integrality), start=1):
+            out.append(f"v_{n} = {v}")
+            out.append(f"  {args.prime}-integral: {ok}")
+        return out
+
+    return report.all_integral(), lines, report.to_json_dict
 
 
 def _cmd_cor1(args):
@@ -112,7 +141,7 @@ def _cmd_cor1(args):
         "v_2 = Delta_G^3 (mod (5, v_1))",
         f"all three reductions agree: {_verdict(ok)}",
     ]
-    return ok, lines, {"pass": ok}
+    return ok, lambda: lines, lambda: {"pass": ok}
 
 
 def _cmd_cor2(args):
@@ -126,46 +155,56 @@ def _cmd_cor2(args):
         f"v_2 nonzero mod (p, v_1): {r.v2_mod_p_v1_nonzero}",
         f"overall: {_verdict(r.passes())}",
     ]
-    payload = {
-        "prime": r.prime,
-        "binomial": str(r.binomial),
-        "valuation": r.valuation,
-        "alpha_divides_v1": r.alpha_divides_v1,
-        "congruence_mod_alpha": r.congruence_mod_alpha,
-        "v2_mod_p_v1_nonzero": r.v2_mod_p_v1_nonzero,
-        "pass": r.passes(),
-    }
-    return r.passes(), lines, payload
+
+    def payload():
+        return {
+            "prime": r.prime,
+            "binomial": str(r.binomial),
+            "valuation": r.valuation,
+            "alpha_divides_v1": r.alpha_divides_v1,
+            "congruence_mod_alpha": r.congruence_mod_alpha,
+            "v2_mod_p_v1_nonzero": r.v2_mod_p_v1_nonzero,
+            "pass": r.passes(),
+        }
+
+    return r.passes(), lambda: lines, payload
 
 
 def _cmd_landweber(args):
     report = landweber_check(args.prime)
     lw = report.landweber
+    ok = lw.passes()
     lines = [
         f"prime {report.prime}",
         f"(a) v_1 != 0 mod p: {lw.v1_nonzero_mod_p}",
         f"(b) v_2 != 0 mod (p, v_1): {lw.v2_nonzero_mod_p_v1}",
         f"(c) height-2 cozero locus check: {lw.height2_cozero_check}",
         *report.details,
-        f"overall: {_verdict(lw.passes())}",
+        f"overall: {_verdict(ok)}",
     ]
-    return lw.passes(), lines, report.to_json_dict() | {"pass": lw.passes()}
+    return ok, lambda: lines, lambda: report.to_json_dict() | {"pass": ok}
 
 
 def _cmd_qexpand(args):
     K = args.qorder
     f = forms(K)
     ok = anchor_check(K) and integrality_and_identity(K)
-    lines = [
-        f"delta' = {f.delta_prime}",
-        f"eps'   = {f.eps_prime}",
-        f"alpha  = {f.alpha}",
-        f"beta   = {f.beta}",
-        f"Delta  = {f.delta_g}",
-        f"anchors + integrality + identity: {_verdict(ok)}",
-    ]
-    coeffs = {name: form.to_json_list() for name, form in vars(f).items()}
-    return ok, lines, {"qorder": K, **coeffs, "pass": ok}
+
+    def lines():
+        return [
+            f"delta' = {f.delta_prime}",
+            f"eps'   = {f.eps_prime}",
+            f"alpha  = {f.alpha}",
+            f"beta   = {f.beta}",
+            f"Delta  = {f.delta_g}",
+            f"anchors + integrality + identity: {_verdict(ok)}",
+        ]
+
+    def payload():
+        coeffs = {name: form.to_json_list() for name, form in vars(f).items()}
+        return {"qorder": K, **coeffs, "pass": ok}
+
+    return ok, lines, payload
 
 
 def _cmd_eval_tau(args):
@@ -176,15 +215,16 @@ def _cmd_eval_tau(args):
         f"{args.form}({args.re} + {args.im}i) = {v.real:.12g} + {v.imag:.12g}i",
         f"truncation bound: {result.trunc_bound:.3e}",
     ]
-    return True, lines, {"re": v.real, "im": v.imag, "trunc_bound": result.trunc_bound}
+    payload = {"re": v.real, "im": v.imag, "trunc_bound": result.trunc_bound}
+    return True, lambda: lines, lambda: payload
 
 
 def _cmd_jg(args):
     j = j_invariant(complex(args.re, args.im), K=args.qorder)
     if j is None:
-        return True, ["pole (alpha vanishes here)"], {"pole": True}
+        return True, lambda: ["pole (alpha vanishes here)"], lambda: {"pole": True}
     lines = [f"j({args.re} + {args.im}i) = {j.real:.12g} + {j.imag:.12g}i"]
-    return True, lines, {"pole": False, "re": j.real, "im": j.imag}
+    return True, lambda: lines, lambda: {"pole": False, "re": j.real, "im": j.imag}
 
 
 def _cmd_transform_check(args):
@@ -201,7 +241,7 @@ def _cmd_transform_check(args):
         "tolerance": args.tolerance,
         "pass": ok,
     }
-    return ok, lines, payload
+    return ok, lambda: lines, lambda: payload
 
 
 def _cmd_reduce(args):
@@ -224,7 +264,7 @@ def _cmd_reduce(args):
         "matrix": result.matrix.to_json(),
         "certificate": ok,
     }
-    return ok, lines, payload
+    return ok, lambda: lines, lambda: payload
 
 
 def _cmd_verify_embeddings(args):
@@ -232,7 +272,7 @@ def _cmd_verify_embeddings(args):
     ok = all(results.values())
     lines = [f"{name}: {_verdict(v)}" for name, v in results.items()]
     lines.append(f"overall: {_verdict(ok)}")
-    return ok, lines, results | {"pass": ok}
+    return ok, lambda: lines, lambda: results | {"pass": ok}
 
 
 def _cmd_selftest(args):
@@ -259,7 +299,7 @@ def _cmd_selftest(args):
         lines.append(f"[{_verdict(ok)}] {criterion.name}: {detail}")
     all_ok = all(e["status"] == "pass" for e in entries)
     lines.append(f"overall: {_verdict(all_ok)}")
-    return all_ok, lines, entries
+    return all_ok, lambda: lines, lambda: entries
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +321,11 @@ _QORDER = _arg(
 _PRIME = _arg("-p", "--prime", type=int, required=True, help="prime")
 _POINT = (_arg("re", type=float), _arg("im", type=float))
 
-# name -> (handler, help, arguments besides --format).  Handlers look library
-# functions up in this module's globals when they run, so a wrapper later bound
-# to those names (a per-layer tracer) sees every call.
+# name -> (handler, help, arguments besides --format).  A handler returns
+# (ok, lines, payload), the last two zero-argument callables of which main
+# calls only the one for --format.  Handlers look library functions up in
+# this module's globals when they run, so a wrapper later bound to those
+# names (a per-layer tracer) sees every call.
 _COMMANDS = {
     "legendre": (_cmd_legendre, "print P_k", [_arg("k", type=int)]),
     "ulog": (_cmd_ulog, "the curve logarithm", [_ORDER]),
@@ -360,12 +402,12 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        ok, text_lines, payload = args.handler(args)
+        ok, lines, payload = args.handler(args)
         if args.format == "json":
-            json.dump(payload, sys.stdout, indent=2)
+            json.dump(payload(), sys.stdout, indent=2)
             sys.stdout.write("\n")
         else:
-            for line in text_lines:
+            for line in lines():
                 print(line)
         sys.stdout.flush()
         return 0 if ok else 1

@@ -212,7 +212,7 @@ class _Homogeneous:
     """What GradedPoly and ModPoly share: a homogeneous polynomial of
     Legendre degree `deg` whose integer list vec holds the coefficient of
     alpha^(deg-2j) beta^j at j (over `den` in GradedPoly); zero has deg None
-    and vec []."""
+    and vec [].  `__str__` renders the (i, j, num, den) rows of `_rows`."""
 
     __slots__ = ()
 
@@ -237,13 +237,14 @@ class _Homogeneous:
 
     def __str__(self):
         parts = []
-        for (i, j), c in self.terms.items():
+        for i, j, num, den in self._rows():
             powers = (("a", i), ("b", j))
             m = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+            c = str(num) if den == "1" else f"{num}/{den}"
             if not m:
-                parts.append(str(c))
-            elif c in (1, -1):
-                parts.append(m if c == 1 else f"-{m}")
+                parts.append(c)
+            elif c in ("1", "-1"):
+                parts.append(m if c == "1" else f"-{m}")
             else:
                 parts.append(f"{c}*{m}")
         return " + ".join(parts).replace("+ -", "- ") or "0"
@@ -375,18 +376,37 @@ class GradedPoly(_Homogeneous):
     def __repr__(self):
         return f"GradedPoly({self.terms!r})"
 
+    def _rows(self) -> list[tuple[int, int, int, str]]:
+        """(i, j, num, den) for each nonzero term, j ascending: the
+        coefficient of alpha^i beta^j is num/den in lowest terms, with den a
+        decimal string and no `Fraction` built.
+
+        With den = 2^e * m and m odd, gcd(c, den) is gcd(c, m) shifted left
+        by min(tz(c), e), tz(c) the trailing zeros of c.  m is 1 for P_k and
+        v_n and p^n for ell_n, so no gcd of two long integers runs; den's
+        string is made once per distinct gcd."""
+        den, d = self.den, self.deg
+        e = (den & -den).bit_length() - 1
+        m = den >> e
+        dens: dict[tuple[int, int], str] = {}
+        rows = []
+        for j, c in enumerate(self.vec):
+            if c:
+                t = min((c & -c).bit_length() - 1, e)
+                h = gcd(c, m)
+                s = dens.get((t, h))
+                if s is None:
+                    s = dens[t, h] = str((den >> t) // h)
+                rows.append((d - 2 * j, j, (c >> t) // h, s))
+        return rows
+
     def to_json_dict(self) -> dict:
         return {
             "terms": [
-                {"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
-                for (i, j), c in sorted(self.terms.items())
+                {"i": i, "j": j, "num": str(num), "den": den}
+                for i, j, num, den in reversed(self._rows())
             ]
         }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "GradedPoly":
-        rows = ((t["i"], t["j"], int(t["num"]), int(t["den"])) for t in d["terms"])
-        return GradedPoly({(i, j): Fraction(num, den) for i, j, num, den in rows})
 
 
 def _power(one, base, n: int, mul):
@@ -551,6 +571,9 @@ class ModPoly(_Homogeneous):
     def terms(self) -> dict[tuple[int, int], int]:
         d = self.deg
         return {(d - 2 * j, j): c for j, c in enumerate(self.vec) if c}
+
+    def _rows(self) -> list[tuple[int, int, int, str]]:
+        return [(i, j, c, "1") for (i, j), c in self.terms.items()]
 
     def _check(self, other: "ModPoly") -> None:
         if self.p != other.p:

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and JSON output contracts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import taf
 import taf.cli as cli
 from taf.cli import main
 from taf.criteria import CRITERIA, Criterion
-from taf.exact import ALPHA
+from taf.exact import ALPHA, GradedPoly
 
 
 def run(capsys, *argv):
@@ -317,8 +318,10 @@ class TestExitCodes:
         ],
     )
     def test_refused_input_maps_to_2(self, capsys, argv, message):
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # Refused before any output is built, whichever format is asked for.
+        for fmt in ("text", "json"):
+            assert main([*argv, "--format", fmt]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -336,6 +339,82 @@ def test_output_past_the_int_digit_limit(capsys, monkeypatch, fmt):
             sys.set_int_max_str_digits(limit)
     assert code == 0
     assert "1" + "0" * 5000 in out
+
+
+# sha256 of stdout in text and in JSON.  A change to a renderer must leave
+# these bytes as they are.  (selftest is left out: its JSON has elapsed_s.)
+PINNED_OUTPUT = {
+    "legendre 50": (
+        "25f7b47274a2e5d57855a002c85fc3986af8e1e7a8c65a2437e5902856e08249",
+        "161c3135ed09af483cf6c6920e72af357f35a828729400240d64010f5b74493d",
+    ),
+    "landweber -p 13": (
+        "8d8e6f98db61831b6abda9c9b0f4ac293a001839efac491ffd6eba3169c07516",
+        "de79ae748fbb1512299437510e09650ba2bc1e1c70ba621a60558aa6df5bf2a0",
+    ),
+    "vgens -p 5 -n 3": (
+        "b211040217d63aa95ab6fcbeee2c0016cf5cbb324cfec6319f5b90b8506cc62c",
+        "00a9c406cb7251eb883df6fe1a0bf88987f65b6103b6be127d90c07c84bffc5c",
+    ),
+    "cor2 -p 13": (
+        "9aa42751dcfae69ae3ea8535652e9693b0d5ea55680217e3e2166bffc0e03659",
+        "86d74b0188b4e1602b9553056fa80f33a0e3e31f61605cf38ee5bd64558131b9",
+    ),
+    "fgl -N 13": (
+        "2220cc11ed7c6f781190d536cb275cc5c7de48ffef40de8354c638a48ede8d6d",
+        "7a2974fc77e5b6b85d7997b47669c878bc115b5975f17845e2b528fd80be10ee",
+    ),
+    "euler -N 13": (
+        "bdb79f98c2373cdc9847cceb1ed31628f728d5abe5c6170bf30ee57a5469c593",
+        "c5c76e8a45f3375d915a3726a557668abb479f61bc9252f4114d1b89aef4adf5",
+    ),
+    "qexpand -K 20": (
+        "b8a1ba45533346c64c7323c80ac3dcf9a896e52f57c4e1fa9442359d4a097d59",
+        "6175e7bcdb34b5336cf733ed3fc496e62647d7677f59320c1b2555371c74b847",
+    ),
+    "reduce 7.3 0.2": (
+        "e4f2120f27e6466a50fb214bab9d7a83f1bd242cac855d1094d9774d64077634",
+        "d0fff7ee48230068598c381853f8099d97b3e41c4fff08e8ef3a0c55017c231e",
+    ),
+    "verify-embeddings": (
+        "98265c4cd41a912840215dc9bd22b76d4ee35af2f599b406e33d5a646a2f6c9c",
+        "2cb1734336e2fb41805c0ed15f6265652ea3a2f3a1c709b81d850b050d15a42b",
+    ),
+}
+
+
+def _digest(out: str) -> str:
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", PINNED_OUTPUT)
+def test_output_bytes_pinned(capsys, command):
+    for fmt, digest in zip(("text", "json"), PINNED_OUTPUT[command]):
+        code, out = run(capsys, *command.split(), "--format", fmt)
+        assert (code, _digest(out)) == (0, digest), fmt
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendered for the other format")
+
+
+@pytest.mark.parametrize(
+    "command,fmt,renderer",
+    [
+        ("landweber -p 5", "text", "to_json_dict"),
+        ("legendre 50", "text", "to_json_dict"),
+        ("legendre 50", "json", "__str__"),
+        ("vgens -p 5 -n 3", "json", "__str__"),
+    ],
+)
+def test_each_format_builds_only_its_own_output(
+    capsys, monkeypatch, command, fmt, renderer
+):
+    argv = [*command.split(), "--format", fmt]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(GradedPoly, renderer, _refuse)
+    assert run(capsys, *argv) == expected
 
 
 def _faked(transform):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taf.chromatic import hazewinkel_v
+from taf.chromatic import ell, hazewinkel_v
 from taf.exact import (
     ALPHA,
     BETA,
@@ -32,6 +32,7 @@ from taf.exact import (
     _poly_mod,
     _power,
 )
+from taf.legendre import legendre
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -88,6 +89,59 @@ def stepwise_reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
         factor = ModPoly(p, {k: c * lead_inv for k, c in top.items()})
         rem = rem - factor * v1
     return rem
+
+
+def from_json_dict(d: dict) -> GradedPoly:
+    """The GradedPoly a `to_json_dict` payload describes."""
+    rows = ((t["i"], t["j"], int(t["num"]), int(t["den"])) for t in d["terms"])
+    return GradedPoly({(i, j): Fraction(num, den) for i, j, num, den in rows})
+
+
+def fraction_json_dict(g: GradedPoly) -> dict:
+    """The payload `to_json_dict` built from `Fraction` terms before
+    `_rows`, kept as the reference."""
+    return {
+        "terms": [
+            {"i": i, "j": j, "num": str(c.numerator), "den": str(c.denominator)}
+            for (i, j), c in sorted(g.terms.items())
+        ]
+    }
+
+
+def fraction_str(g: GradedPoly) -> str:
+    """The `str` rendered from `Fraction` terms before `_rows`, kept as the
+    reference."""
+    parts = []
+    for (i, j), c in g.terms.items():
+        powers = (("a", i), ("b", j))
+        m = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+        if not m:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(m if c == 1 else f"-{m}")
+        else:
+            parts.append(f"{c}*{m}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+@st.composite
+def two_adic_polys(draw):
+    """A GradedPoly over den = 2^e * m with e up to 2,400 bits (v_2 at p = 97
+    has a 2,349-bit den) and m in {1, 29, 29^3}.  Entries have either sign
+    and up to 4 factors of 29 and e + 8 of 2, so some have more of either
+    than den and some share only part of den."""
+    e = draw(st.integers(0, 2400))
+    m = draw(st.sampled_from([1, 29, 29**3]))
+    d = draw(st.integers(0, 12))
+    entry = st.builds(
+        lambda sign, u, a, k: (sign * u * 29**a) << k,
+        st.sampled_from([1, -1]),
+        st.integers(0, 2**70),
+        st.integers(0, 4),
+        st.integers(0, e + 8),
+    )
+    vec = draw(st.lists(entry, min_size=d // 2 + 1, max_size=d // 2 + 1))
+    return GradedPoly({(d - 2 * j, j): Fraction(c, m << e) for j, c in enumerate(vec)})
 
 
 @st.composite
@@ -301,7 +355,42 @@ class TestGradedPoly:
     @given(graded_polys())
     @settings(max_examples=40)
     def test_json_roundtrip(self, a):
-        assert GradedPoly.from_json_dict(a.to_json_dict()) == a
+        assert from_json_dict(a.to_json_dict()) == a
+
+    @given(two_adic_polys())
+    @settings(max_examples=150)
+    def test_rendering_matches_fractions(self, g):
+        assert g.to_json_dict() == fraction_json_dict(g)
+        assert str(g) == fraction_str(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: ZERO, id="zero"),
+            pytest.param(lambda: -ONE, id="minus-one"),
+            pytest.param(lambda: DELTA_G, id="delta-g"),
+            # den 2^5 * 29^3; the entries' gcds with den are 2^5 (of 2^9),
+            # 29^2, 2 * 29^3 and 1.
+            pytest.param(
+                lambda: GradedPoly(
+                    {
+                        (6, 0): Fraction(2**9, 2**5 * 29**3),
+                        (4, 1): Fraction(-3 * 29**2, 2**5 * 29**3),
+                        (2, 2): Fraction(2 * 29**3, 2**5 * 29**3),
+                        (0, 3): Fraction(7, 2**5 * 29**3),
+                    }
+                ),
+                id="den-2^5-29^3",
+            ),
+            pytest.param(lambda: legendre(50), id="P_50"),
+            pytest.param(lambda: ell(2, 29), id="ell_2-29"),
+            pytest.param(lambda: hazewinkel_v(2, 97), id="v_2-97"),
+        ],
+    )
+    def test_program_values_render_as_fractions(self, make):
+        g = make()
+        assert g.to_json_dict() == fraction_json_dict(g)
+        assert str(g) == fraction_str(g)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InputError):
