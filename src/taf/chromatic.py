@@ -22,6 +22,7 @@ from math import comb
 from .exact import (
     ALPHA,
     BETA,
+    DELTA_G,
     GradedPoly,
     InputError,
     ModPoly,
@@ -168,8 +169,7 @@ def cor1_check() -> bool:
     expected = ModPoly(p, {(0, 3): 4})  # -beta^3 = 4*beta^3 over F_5
     r_v2 = reduce_mod_v1(v2, v1)
     r_sq = reduce_mod_v1(reduce_mod_p((ALPHA * ALPHA - BETA) ** 3, p), v1)
-    cusp_cubed = (ALPHA * ALPHA - BETA).scale(Fraction(1, 256)) ** 3
-    r_cusp = reduce_mod_v1(reduce_mod_p(cusp_cubed, p), v1)
+    r_cusp = reduce_mod_v1(reduce_mod_p(DELTA_G**3, p), v1)
     return r_v2 == expected and r_sq == expected and r_cusp == expected
 
 

@@ -23,7 +23,13 @@ from .chromatic import (
     key_lemma_check,
     landweber_check,
 )
-from .curve import log_phi, log_phi_consistency, solve_u_of_v
+from .curve import (
+    inversion_check,
+    log_phi,
+    log_phi_consistency,
+    order4_check,
+    solve_u_of_v,
+)
 from .exact import ALPHA, BETA, GradedPoly, ONE
 from .fgl import beta_zero_law, euler_law, fgl_phi, fgl_phiL
 from .legendre import generating_check, legendre
@@ -168,6 +174,11 @@ def _experimental_p17(N, K):
     return lw.passes(), f"landweber p=17 (non-gating): (a,b,c) = {outcome}"
 
 
+def _curve_automorphisms(N, K):
+    ok = order4_check() and inversion_check()
+    return ok, "order-4 map (x, y) -> (-x, i*y) and inversion modulo g^4 = beta"
+
+
 CRITERIA = (
     Criterion("chart-solve", _chart_solve, 1),
     Criterion("logarithm", _logarithm, 5),
@@ -186,4 +197,5 @@ CRITERIA = (
     Criterion("reduction", _reduction, 5),
     # p = 17 is the one p = 1 (mod 8) case; Corollary 2 does not cover it.
     Criterion("experimental-p17", _experimental_p17, 600, gating=False),
+    Criterion("curve-automorphisms", _curve_automorphisms, 1, gating=False),
 )

@@ -8,31 +8,18 @@ differential du/2v, is read off u(v) coefficient by coefficient.  A second
 local parameter t with u = t^2, v = t*sqrt(1 - 2*alpha*t^4 + beta*t^8)
 produces the Legendre form of the same logarithm (see `legendre.log_phiL`).
 
-The curve-automorphism identities are checked exactly in the in-house ring:
-the equation is a map from exponent pairs (x, y) to coefficients in
-Q[alpha, beta].
+The automorphisms (the order-4 map behind the Z[i]-action, and the inversion)
+are checked exactly on the equation as a map {(x, y) exponents: coefficient in
+Q[alpha, beta]}; they run as the non-gating criterion `curve-automorphisms`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .exact import ALPHA, BETA, GaussianRational, I, InputError, ONE, ZERO
 from .series import TruncSeries, compose, revert, sqrt_unit
-
-# Smoothness of the quintic model requires beta*(alpha^2 - beta) != 0.
-
-
-def smoothness_violation(a0: Fraction, b0: Fraction) -> str | None:
-    """Name of the vanishing smoothness factor, or None if smooth."""
-    if b0 == 0:
-        return "beta"
-    if a0 * a0 - b0 == 0:
-        return "alpha^2 - beta"
-    return None
-
 
 # ---------------------------------------------------------------------------
 # Chart solve and logarithms
@@ -90,61 +77,12 @@ def t_of_v(N: int) -> TruncSeries:
     return revert(v_of_t(N))
 
 
-def on_curve_check(N: int) -> bool:
-    """The parametrization (u, v) = (t^2, v(t)) satisfies the chart equation
-    v^2 = u(1 - 2*alpha*u^2 + beta*u^4) exactly through order 2N."""
-    order = 2 * N
-    v = v_of_t(order)
-    u = TruncSeries.monomial(ONE, 2, order)
-    lhs = v * v
-    rhs = _quintic_value(u)
-    return (lhs - rhs).truncate(order).is_zero()
-
-
-def solve_residual_check(N: int) -> bool:
-    """Defining property of u(v): substituting back into the chart equation
-    vanishes identically through order N."""
-    u = solve_u_of_v(N)
-    v_squared = TruncSeries.monomial(ONE, 2, N)
-    return (_quintic_value(u) - v_squared).is_zero()
-
-
 def log_phi_consistency(N: int) -> bool:
     """log_phi = log_phiL o t(v) exactly through order N (the isomorphism of
     the two parametrizations)."""
     from .legendre import log_phiL
 
     return log_phi(N) == compose(log_phiL(N), t_of_v(N))
-
-
-# ---------------------------------------------------------------------------
-# Normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """Rescaled model of a smooth member of the family."""
-
-    kind: str  # "bolza" or "generic"
-    j: Fraction | None
-    equation: str
-
-
-def curve_normal_form(a0: Fraction | int, b0: Fraction | int) -> NormalForm:
-    """Normal form of the member at rational (alpha, beta) = (a0, b0):
-    the Bolza curve Y^2 = X^5 + X at a0 = 0, otherwise
-    Y^2 = X^5 + X^3 + j*X with j = b0/(4*a0^2), j not in {0, 1/4}."""
-    a0, b0 = Fraction(a0), Fraction(b0)
-    bad = smoothness_violation(a0, b0)
-    if bad is not None:
-        raise InputError(f"singular member: {bad} = 0")
-    if a0 == 0:
-        return NormalForm("bolza", None, "Y^2 = X^5 + X")
-    j = b0 / (4 * a0 * a0)
-    # Smoothness rules out the degenerate j values.
-    assert j != 0 and j != Fraction(1, 4)
-    return NormalForm("generic", j, f"Y^2 = X^5 + X^3 + ({j})*X")
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +101,6 @@ def order4_check(unit=I) -> bool:
     return all(prod([unit] * b, start=(-1) ** a) == -1 for a, b in _EQUATION)
 
 
-def order4_square_is_involution() -> bool:
-    """Applying the order-4 map twice gives the hyperelliptic involution:
-    the coordinate multipliers (-1, i) square to (1, -1)."""
-    mx, my = GaussianRational(-1), I
-    return mx * mx == 1 and my * my == -1
-
-
 def inversion_check() -> bool:
     """(x, y) -> (g^2/x, -g^3*y/x^3) preserves the equation modulo g^4 = beta.
 
@@ -185,8 +116,3 @@ def inversion_check() -> bool:
         image[key] = image.get(key, ZERO) + (c * BETA ** (g_exp // 4)).scale((-1) ** b)
     image = {k: c for k, c in image.items() if not c.is_zero()}
     return image == {k: c * BETA for k, c in _EQUATION.items()}
-
-
-def automorphism_checks() -> bool:
-    """All curve-automorphism identities."""
-    return order4_check() and order4_square_is_involution() and inversion_check()

@@ -228,9 +228,6 @@ class _Homogeneous:
             raise InputError("degree of the zero polynomial is undefined")
         return self.deg
 
-    def alpha_degree(self) -> int:
-        return self.legendre_degree() - 2 * next(j for j, c in enumerate(self.vec) if c)
-
     def _same_degree(self, other: "_Homogeneous") -> None:
         if self.deg != other.deg:
             raise InputError(f"mixed Legendre degrees {self.deg} and {other.deg}")
@@ -300,9 +297,6 @@ class GradedPoly(_Homogeneous):
         d, den = self.deg, self.den
         return {(d - 2 * j, j): Fraction(c, den) for j, c in enumerate(self.vec) if c}
 
-    def weight(self) -> int:
-        return 4 * self.legendre_degree()
-
     def coefficient(self, i: int, j: int) -> Fraction:
         if i < 0 or j < 0 or i + 2 * j != self.deg:
             return Fraction(0)
@@ -366,10 +360,6 @@ class GradedPoly(_Homogeneous):
         if not self.vec or self.deg % 2:
             return ZERO
         return _graded(self.deg, self.den, [0] * (len(self.vec) - 1) + self.vec[-1:])
-
-    def evaluate(self, a: Scalar, b: Scalar) -> Fraction:
-        a, b = Fraction(a), Fraction(b)
-        return sum((c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0))
 
     # -- rendering and serialization ----------------------------------------
 

@@ -202,7 +202,12 @@ def anchor_check(K: int) -> bool:
 
 def integrality_and_identity(K: int) -> bool:
     """alpha, Delta, 8*delta', eps' integer-coefficient through s^K and the
-    exact relation alpha^2 - beta - 2^8*Delta = 0."""
+    exact relation alpha^2 - beta - 2^8*Delta = 0.
+
+    Only the integrality half tests the theta constants.  `forms` defines
+    alpha = 2^6*delta'^2 - 2^7*eps', beta = 2^12*delta'^4 and
+    Delta = 2^6*eps'^2 - 2^6*eps'*delta'^2, so the relation holds for any
+    delta' and eps' in any ring: it checks the q-series product kernel."""
     f = forms(K)
     integral = (
         f.alpha.has_integer_coeffs()

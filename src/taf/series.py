@@ -54,10 +54,6 @@ class _Series:
         _Series.__init__(out, terms, order)
         return out
 
-    @classmethod
-    def zero(cls, order: int):
-        return cls.from_terms({}, order)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -140,10 +136,6 @@ class TruncSeries(_Series):
         if 0 <= k <= self.order:
             return self.terms.get((k,), ZERO)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-
-    def is_odd4(self) -> bool:
-        """True iff c_k = 0 unless k = 1 (mod 4)."""
-        return all(k % 4 == 1 for (k,) in self.terms)
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:

@@ -31,6 +31,7 @@ _TEST_NAMES = (
     "embedding_suite",
     "fundamental_domain_reduction",
     "experimental_p17_nongating",
+    "curve_automorphisms_nongating",
 )
 
 

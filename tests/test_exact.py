@@ -77,14 +77,24 @@ def schoolbook_mul(a: list, b: list, n: int) -> list:
     return out
 
 
+def alpha_degree(g) -> int:
+    """The highest power of alpha in a nonzero GradedPoly or ModPoly."""
+    return g.legendre_degree() - 2 * next(j for j, c in enumerate(g.vec) if c)
+
+
+def evaluate(g: GradedPoly, a: Fraction, b: Fraction) -> Fraction:
+    """g at alpha = a, beta = b."""
+    return sum((c * a**i * b**j for (i, j), c in g.terms.items()), Fraction(0))
+
+
 def stepwise_reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
     """The division loop `reduce_mod_v1` replaced, kept as the reference:
     one ModPoly multiply and subtraction per leading alpha-row of a."""
-    p, d = v1.p, v1.alpha_degree()
+    p, d = v1.p, alpha_degree(v1)
     lead_inv = pow(v1.terms[(d, 0)], -1, p)
     rem = a
-    while not rem.is_zero() and rem.alpha_degree() >= d:
-        e = rem.alpha_degree()
+    while not rem.is_zero() and alpha_degree(rem) >= d:
+        e = alpha_degree(rem)
         top = {(i - d, j): c for (i, j), c in rem.terms.items() if i == e}
         factor = ModPoly(p, {k: c * lead_inv for k, c in top.items()})
         rem = rem - factor * v1
@@ -309,8 +319,8 @@ class TestGradedPoly:
     @settings(max_examples=40)
     def test_evaluate_is_ring_map(self, ab, e, x, y):
         a, b = ab
-        assert (a * e).evaluate(x, y) == a.evaluate(x, y) * e.evaluate(x, y)
-        assert (a + b).evaluate(x, y) == a.evaluate(x, y) + b.evaluate(x, y)
+        assert evaluate(a * e, x, y) == evaluate(a, x, y) * evaluate(e, x, y)
+        assert evaluate(a + b, x, y) == evaluate(a, x, y) + evaluate(b, x, y)
 
     def test_zero_degree_raises(self):
         with pytest.raises(InputError):
@@ -319,7 +329,6 @@ class TestGradedPoly:
     def test_grading(self):
         assert ALPHA.legendre_degree() == 1
         assert BETA.legendre_degree() == 2
-        assert (ALPHA * BETA).weight() == 12
         assert (ALPHA**2 + BETA).legendre_degree() == 2
         with pytest.raises(InputError):
             ALPHA + BETA
@@ -563,7 +572,7 @@ class TestModLayer:
             return
         r = reduce_mod_v1(a, v1)
         assert r == stepwise_reduce_mod_v1(a, v1)
-        assert r.is_zero() or r.alpha_degree() < v1.deg
+        assert r.is_zero() or alpha_degree(r) < v1.deg
 
     @pytest.mark.parametrize("p", [5, 13, 29, 53])
     def test_reduce_mod_v1_on_hazewinkel_generators(self, p):

@@ -124,6 +124,25 @@ class TestForms:
     def test_integrality_and_identity(self):
         assert integrality_and_identity(50)
 
+    def test_wrong_theta_constant_fails_the_gate(self, monkeypatch):
+        # Negative control: with theta2^4 halved both checks fail, although
+        # alpha^2 - beta - 2^8*Delta still vanishes, as it does for any
+        # delta' and eps'.  Other tests share the cached forms: clear it around.
+        real = theta_fourth_powers
+        monkeypatch.setattr(
+            qexp,
+            "theta_fourth_powers",
+            lambda K: (real(K)[0].scale(Fraction(1, 2)), real(K)[1]),
+        )
+        forms.cache_clear()
+        try:
+            f = forms(30)
+            assert (f.alpha * f.alpha - f.beta - f.delta_g.scale(256)).is_zero()
+            assert not anchor_check(30)
+            assert not integrality_and_identity(30)
+        finally:
+            forms.cache_clear()
+
     def test_beta_is_fourth_power(self):
         f = forms(30)
         d8 = f.delta_prime.scale(8)
