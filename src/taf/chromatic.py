@@ -31,7 +31,7 @@ from .exact import (
     reduce_mod_p,
     reduce_mod_v1,
     require_prime,
-    _full_mul,
+    _kron_mul,
     _poly_mod,
     _power,
 )
@@ -232,7 +232,7 @@ def _divides_power_of(g: list[int], base: list[int], power: int, p: int) -> bool
     """Does the monic univariate g divide base^power over F_p?"""
     # base^power mod g via square-and-multiply on dense lists.
     def mul(a, b):
-        return _poly_mod(_full_mul(a, b), g, p)
+        return _poly_mod(_kron_mul(a, b, len(a) + len(b) - 1), g, p)
 
     return not _power(_poly_mod([1], g, p), _poly_mod(base, g, p), power, mul)
 

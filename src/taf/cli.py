@@ -9,9 +9,9 @@ zero-argument callables that build the text lines and the JSON payload.
 `ok` to the exit code, so neither rendering of a long result is built for
 nothing.  A refusal is raised by the handler, before it returns.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The default
-series order N is 13 (override with -N); the default q-expansion order K is
-50.  `selftest` runs the gating criteria of `taf.criteria`.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  The orders
+default to N = 13 (-N, at most `series.MAX_ORDER`) and K = 50 (-K).
+`selftest` runs the gating criteria of `taf.criteria`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .qexp import (
     j_invariant,
     transform_check,
 )
+from .series import MAX_ORDER
 
 _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
 
@@ -402,6 +403,8 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
+        if (n := getattr(args, "order", 0)) > MAX_ORDER:
+            raise InputError(f"series order {n} is above the limit {MAX_ORDER}")
         ok, lines, payload = args.handler(args)
         if args.format == "json":
             json.dump(payload(), sys.stdout, indent=2)

@@ -14,13 +14,14 @@ Non-homogeneous input raises `InputError`, from the constructor and from a
 sum or `_dot` that mixes degrees.  `ModPoly` is the same list mod p.
 
 The private kernels are `_dot`, `_miller_power`, `_power` and `_kron_mul`.
-`_kron_mul` multiplies dense integer lists by Kronecker substitution (one
-big-int multiply).  `_dot` sums the convolutions of a list of pairs over one
-common denominator by a plain loop; the series layer makes one `_dot` per
-output coefficient.  `GradedPoly.__pow__` runs on `_miller_power`, J.C.P.
-Miller's power recurrence, whose exact integer divisions keep a high power
-of a short list (v_1^p) free of long-by-long products.  `ModPoly.__mul__`,
-the q-expansions and the dense F_p lists run on `_kron_mul`, and `_power` is
+`_kron_mul` multiplies dense integer lists by Kronecker substitution, one
+big-int multiply of lists packed by `_pack`; `series._sum_of_products` packs
+whole series terms with the same codec.  `_dot` sums the convolutions of a
+list of pairs over one common denominator by a plain loop.
+`GradedPoly.__pow__` runs on `_miller_power`, J.C.P. Miller's power
+recurrence, whose exact integer divisions keep a high power of a short list
+(v_1^p) free of long-by-long products.  `ModPoly.__mul__`, the q-expansions
+and the dense F_p lists run on `_kron_mul`, and `_power` is
 square-and-multiply for any product type.
 Division by v_1 in alpha and the height-two gcd work on the beta = 1 lists
 over F_p (`_poly_mod`).
@@ -453,12 +454,9 @@ def _miller_power(f: list[int], n: int) -> list[int]:
 
 def _dot(pairs) -> GradedPoly:
     """Sum of a * b over GradedPoly pairs (a, b): the convolutions of their
-    integer lists, each lifted to one common denominator and summed.
-
-    Each pair is convolved by a plain loop: the lists met here are short
-    or lopsided (a law coefficient by a law coefficient, ell_i by a power
-    of v_1), where a loop over the nonzero entries costs less than packing
-    both into `_kron_mul`."""
+    integer lists, each lifted to one common denominator and summed, by a
+    plain loop over the nonzero entries.  It serves short or lopsided pairs
+    (ell_i by a power of v_1), where packing costs more than it saves."""
     products = [
         (a.deg + b.deg, a.den * b.den, a.vec, b.vec)
         for a, b in pairs
@@ -481,46 +479,50 @@ def _dot(pairs) -> GradedPoly:
     return _graded(deg, den, acc)
 
 
-def _full_mul(a: list[int], b: list[int]) -> list[int]:
-    """The whole product of two dense integer polynomials."""
-    return _kron_mul(a, b, len(a) + len(b) - 1)
-
-
 def _kron_mul(a: list[int], b: list[int], n: int) -> list[int]:
     """First n coefficients of the product of two dense integer polynomials
-    (coefficient lists, low degree first), by Kronecker substitution.
-
-    Each factor becomes one int whose base-2^B digits are its coefficients,
-    one big-int multiply forms the product, and the product's digits are
-    read back.  B is a multiple of 8 with every product coefficient inside
-    [-2^(B-1), 2^(B-1)).  Digits are signed: adding 2^(B-1) to each makes
-    them non-negative, so packing and unpacking are one `int.to_bytes` /
-    `int.from_bytes` pass each, linear in the length (a shift per digit
-    would be quadratic)."""
+    (coefficient lists, low degree first): one multiply of the lists packed
+    into w-byte digits that hold every product coefficient."""
     n = max(n, 0)
     a, b = a[:n], b[:n]
     bound = a and b and max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * n
-    w = bound.bit_length() // 8 + 1  # bytes per digit, so B - 1 >= bits(bound)
+    w = bound.bit_length() // 8 + 1  # bytes per digit, so 8w - 1 >= bits(bound)
+    return _unpack(_pack(a, w) * _pack(b, w), n, w)
+
+
+def _biases(m: int, w: int) -> int:
+    """The int whose m base-2^(8w) digits are each 2^(8w-1)."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * m, "little")
+
+
+def _pack(v: list[int], w: int) -> int:
+    """sum_i v[i] * 2^(8wi) for v[i] in [-2^(8w-1), 2^(8w-1)): by shifts for a
+    short list, else (a shift per entry being quadratic) by one
+    `int.from_bytes` of the entries plus 2^(8w-1)."""
+    if len(v) <= 16:
+        x = 0
+        for c in reversed(v):
+            x = (x << 8 * w) + c
+        return x
     bias = 1 << (8 * w - 1)
-    bias_digit = bias.to_bytes(w, "little")
+    raw = b"".join([(c + bias).to_bytes(w, "little") for c in v])
+    return int.from_bytes(raw, "little") - _biases(len(v), w)
 
-    def biases(k: int) -> int:
-        return int.from_bytes(bias_digit * k, "little")
 
-    def pack(v: list[int]) -> int:
-        digits = b"".join((c + bias).to_bytes(w, "little") for c in v)
-        return int.from_bytes(digits, "little") - biases(len(v))
-
-    m = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + biases(m)
-    raw = product.to_bytes(m * w, "little")
-    out = [
-        int.from_bytes(raw[i : i + w], "little") - bias
-        for i in range(0, min(n, m) * w, w)
-    ]
-    return out + [0] * (n - len(out))
+def _unpack(x: int, m: int, w: int) -> list[int]:
+    """The m lowest entries of x as `_pack` writes them, if every digit of x
+    lies in [-2^(8w-1), 2^(8w-1)): by shifts, or by one `int.to_bytes`."""
+    bias = 1 << (8 * w - 1)
+    if m <= 16:
+        out = []
+        for _ in range(m):
+            out.append(((x + bias) & (2 * bias - 1)) - bias)
+            x = (x - out[-1]) >> 8 * w
+        return out
+    raw = ((x + _biases(m, w)) & ((1 << 8 * w * m) - 1)).to_bytes(m * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - bias for i in range(0, m * w, w)]
 
 
 ZERO = GradedPoly()

@@ -7,8 +7,10 @@ O(deg N+1).  A `TruncSeries` uses 1-tuples (c_0..c_N in x), a
 check of `fgl` works on plain 3-tuple maps.  Truncation orders are explicit:
 combining two series of different orders is an error, never an implicit min.
 
-Every product of coefficients is one `exact._dot` per output coefficient,
-through `_truncated_product` and `_substitute`, which take maps of any arity.
+Every product of two maps of any arity, and every substitution into a law
+(`_substitute`), is one `_sum_of_products`: Kronecker substitution on whole
+terms, one big-int multiply-add per pair of terms.  Division and square
+roots make one `exact._dot` per output coefficient.
 `compose` and `bi_compose_outer` share one sparse Horner, `_compose_outer`.
 
 Reversion is the one Newton iteration (the working order doubles each
@@ -19,12 +21,15 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Union
 
-from .exact import GradedPoly, InputError, ONE, ZERO, _dot
+from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unpack
 
 Coeff = Union[GradedPoly, int, Fraction]
 Terms = Mapping[tuple[int, ...], GradedPoly]
+
+MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 20 s, 2 cores
 
 
 class _Series:
@@ -253,14 +258,62 @@ def revert(f: TruncSeries) -> TruncSeries:
 
 def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], GradedPoly]:
     """a * b with every term of total degree above n dropped; no stored zeros."""
-    b_items = [(kb, sum(kb), cb) for kb, cb in b.items()]
-    groups: dict[tuple[int, ...], list] = {}
-    for ka, ca in a.items():
-        room = n - sum(ka)
-        for kb, db, cb in b_items:
-            if db <= room:
-                groups.setdefault(tuple(map(operator.add, ka, kb)), []).append((ca, cb))
-    return {k: c for k, pairs in groups.items() if not (c := _dot(pairs)).is_zero()}
+    return _sum_of_products([(a, b)], n)
+
+
+def _sum_of_products(pairs, n: int) -> dict[tuple[int, ...], GradedPoly]:
+    """The sum of a * b over the pairs (a, b) of term maps of one arity,
+    through total degree n; no stored zeros.
+
+    Each map is lifted once to the lcm of its denominators.  A term's key
+    and Legendre degree become one int of base-(n + 1) digits, which kept
+    keys add without carry, and its list one int of w-byte digits
+    (`exact._pack`): a pair of terms is one big-int multiply-add.  Each
+    digit is bounded by the sum over the pairs of max|a| * max|b| * lift *
+    list length * min(#a, #b), and w holds that.  A key reached at two
+    Legendre degrees raises `InputError`.
+    """
+    arity = len(next((k for pair in pairs for m in pair for k in m), ()))
+    base = n + 1
+    weights, pad = [base**i for i in range(arity)], base**arity
+    lifted = {}
+    for m in {id(m): m for pair in pairs for m in pair}.values():
+        items = sorted((t, k, c) for k, c in m.items() if c.vec and (t := sum(k)) <= n)
+        den = lcm(*[c.den for _, _, c in items])
+        terms, top, size = [], 0, 0
+        for t, k, c in items:
+            v = c.vec if c.den == den else [x * (den // c.den) for x in c.vec]
+            top, size = max(top, max(v), -min(v)), max(size, len(v))
+            terms.append((t, sum(map(operator.mul, k, weights)) + c.deg * pad, v))
+        lifted[id(m)] = den, terms, top, size
+    prepared = [(lifted[id(a)], lifted[id(b)]) for a, b in pairs]
+    den = lcm(*(a[0] * b[0] for a, b in prepared))
+    bound = sum(
+        ta * tb * den // (da * db) * min(sa, sb) * min(len(a), len(b))
+        for (da, a, ta, sa), (db, b, tb, sb) in prepared
+    )
+    w = bound.bit_length() // 8 + 1  # bytes per digit, so 8w - 1 >= bits(bound)
+    for _, terms, _, _ in lifted.values():
+        terms[:] = [(t, code, _pack(v, w)) for t, code, v in terms]
+    acc: dict[int, int] = {}
+    for (den_a, a, _, _), (den_b, b, _, _) in prepared:
+        lift = den // (den_a * den_b)
+        for t, code, x in a:
+            room, x = n - t, x * lift
+            for u, code_b, y in b:
+                if u > room:
+                    break
+                k = code + code_b
+                acc[k] = acc.get(k, 0) + x * y
+    out, degs = {}, {}
+    for code, x in acc.items():
+        deg, enc = divmod(code, pad)
+        if degs.setdefault(enc, deg) != deg:
+            raise InputError(f"mixed Legendre degrees {degs[enc]} and {deg}")
+        if x:
+            key = tuple([enc // u % base for u in weights])
+            out[key] = _graded(deg, den, _unpack(x, deg // 2 + 1, w))
+    return out
 
 
 def _compose_outer(f: TruncSeries, g: _Series) -> dict[tuple[int, ...], GradedPoly]:
@@ -303,31 +356,24 @@ def _compose_outer(f: TruncSeries, g: _Series) -> dict[tuple[int, ...], GradedPo
 def _substitute(
     law: Mapping[tuple[int, int], GradedPoly], first: Terms, second: Terms, n: int
 ) -> dict[tuple[int, ...], GradedPoly]:
-    """law(first, second) through total degree n for sparse maps of one arity.
-
-    Summed as first^a * (sum_b law[a, b] * second^b) over the rows a of the
-    law, each row added into the output as soon as it is formed.
-    """
+    """law(first, second) through total degree n for sparse maps of one arity:
+    sum_a first^a * row_a with row_a = sum_b law[a, b] * second^b, each row
+    and the whole sum one `_sum_of_products`."""
+    # The arity comes from the inner series; two zero series count as bivariate.
+    origin = tuple(0 for _ in next(iter(first or second), (0, 0)))
     rows: dict[int, list] = {}
     for (a, b), c in law.items():
-        rows.setdefault(a, []).append((b, c))
-    # The arity comes from the inner series; two zero series count as bivariate.
-    one = {tuple(0 for _ in next(iter(first or second), (0, 0))): ONE}
-    pow1, pow2 = [one], [one]
+        rows.setdefault(a, []).append(({origin: c}, b))
+    pow1, pow2 = [{origin: ONE}], [{origin: ONE}]
     while len(pow1) <= max(rows, default=0):
         pow1.append(_truncated_product(pow1[-1], first, n))
     while len(pow2) <= max((b for _, b in law), default=0):
         pow2.append(_truncated_product(pow2[-1], second, n))
-    out: dict[tuple[int, ...], GradedPoly] = {}
-    for a, row in rows.items():
-        groups: dict[tuple[int, ...], list] = {}
-        for b, c in row:
-            for k, v in pow2[b].items():
-                groups.setdefault(k, []).append((c, v))
-        inner = {k: _dot(pairs) for k, pairs in groups.items()}
-        for k, v in _truncated_product(pow1[a], inner, n).items():
-            out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    sums = [
+        (pow1[a], _sum_of_products([(c, pow2[b]) for c, b in row], n))
+        for a, row in rows.items()
+    ]
+    return _sum_of_products(sums, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import taf.cli as cli
 from taf.cli import main
 from taf.criteria import CRITERIA, Criterion
 from taf.exact import ALPHA, GradedPoly
+from taf.series import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -322,6 +323,22 @@ class TestExitCodes:
         for fmt in ("text", "json"):
             assert main([*argv, "--format", fmt]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command", ["ulog", "llog", "fgl", "euler", "iso-check", "selftest"]
+    )
+    def test_series_order_above_the_cap_is_refused_up_front(self, capsys, command):
+        n = MAX_ORDER + 1
+        t0 = time.perf_counter()
+        assert main([command, "-N", str(n)]) == 2
+        assert time.perf_counter() - t0 < 1
+        message = f"error: series order {n} is above the limit {MAX_ORDER}\n"
+        assert capsys.readouterr() == ("", message)
+
+    def test_series_order_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ORDER", 5)
+        assert main(["fgl", "-N", "5"]) == 0
+        assert main(["fgl", "-N", "6"]) == 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

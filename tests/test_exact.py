@@ -26,7 +26,6 @@ from taf.exact import (
     reduce_mod_v1,
     require_prime,
     _dot,
-    _full_mul,
     _kron_mul,
     _miller_power,
     _poly_mod,
@@ -460,10 +459,15 @@ class TestKronMul:
         assert _kron_mul([1, 1], [1, -1], 2) == [1, 0]
 
 
+def full_mul(a: list[int], b: list[int]) -> list[int]:
+    """The whole product of two dense integer polynomials."""
+    return _kron_mul(a, b, len(a) + len(b) - 1)
+
+
 def square_and_multiply_power(f: list[int], n: int) -> list[int]:
     """The power `GradedPoly.__pow__` ran before J.C.P. Miller's recurrence,
     kept as the reference: square-and-multiply on `_kron_mul`."""
-    return _power([1], f, n, _full_mul)
+    return _power([1], f, n, full_mul)
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """Formal group laws: axioms, Euler's closed form, the isomorphism."""
 
+import operator
+
 import pytest
 
 import taf.fgl as fgl
-from taf.exact import ALPHA, InputError, ONE
+import taf.series as series
+from taf.exact import ALPHA, InputError, ONE, _dot
 from taf.fgl import (
     ConsistencyError,
     _associativity_holds,
@@ -15,13 +18,54 @@ from taf.fgl import (
     fgl_phiL,
     iso_check,
 )
+from taf.curve import t_of_v
 from taf.series import (
     BiTruncSeries,
     TruncSeries,
     _substitute,
     bi_compose_outer,
     bi_compose_slots,
+    bi_from_univariate,
 )
+from test_series import tri_mul
+
+
+def grouped_product(a, b, n):
+    """The truncated product before `_sum_of_products`: the pairs of terms
+    grouped by key, and one `_dot` per key."""
+    groups = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(operator.add, ka, kb))
+            if sum(k) <= n:
+                groups.setdefault(k, []).append((ca, cb))
+    return {k: c for k, pairs in groups.items() if not (c := _dot(pairs)).is_zero()}
+
+
+def rowwise_substitute(law, first, second, n):
+    """The substitution `_substitute` made before its rows became sums of
+    products, kept as a reference that shares no code with the kernel: each
+    row formed by one `_dot` per key and added into the output as soon as it
+    is formed."""
+    rows = {}
+    for (a, b), c in law.items():
+        rows.setdefault(a, []).append((b, c))
+    one = {tuple(0 for _ in next(iter(first or second), (0, 0))): ONE}
+    pow1, pow2 = [one], [one]
+    while len(pow1) <= max(rows, default=0):
+        pow1.append(grouped_product(pow1[-1], first, n))
+    while len(pow2) <= max((b for _, b in law), default=0):
+        pow2.append(grouped_product(pow2[-1], second, n))
+    out = {}
+    for a, row in rows.items():
+        groups = {}
+        for b, c in row:
+            for k, v in pow2[b].items():
+                groups.setdefault(k, []).append((c, v))
+        inner = {k: _dot(pairs) for k, pairs in groups.items()}
+        for k, v in grouped_product(pow1[a], inner, n).items():
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def two_sided_associativity(law):
@@ -29,9 +73,10 @@ def two_sided_associativity(law):
     kept as the reference: both triple composites, compared directly."""
     n = law.order
     x, y, z = ({e: ONE} for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    f_xy = _substitute(law.terms, x, y, n)
-    f_yz = _substitute(law.terms, y, z, n)
-    return _substitute(law.terms, f_xy, z, n) == _substitute(law.terms, x, f_yz, n)
+    f_xy = rowwise_substitute(law.terms, x, y, n)
+    f_yz = rowwise_substitute(law.terms, y, z, n)
+    lhs = rowwise_substitute(law.terms, f_xy, z, n)
+    return lhs == rowwise_substitute(law.terms, x, f_yz, n)
 
 
 def perturbation(d: int, mirror: bool) -> BiTruncSeries:
@@ -124,6 +169,51 @@ class TestConstruction:
 
     def test_consistency_error_is_loud(self):
         assert issubclass(ConsistencyError, RuntimeError)
+
+
+@pytest.fixture
+def fresh_laws():
+    """Empty law caches before and after the test, so that no law built
+    under a patched kernel outlives it."""
+    fgl_phi.cache_clear()
+    fgl_phiL.cache_clear()
+    yield
+    fgl_phi.cache_clear()
+    fgl_phiL.cache_clear()
+
+
+class TestProductKernel:
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_laws_match_the_pairwise_product(self, build, n, fresh_laws, monkeypatch):
+        # The laws built on `_sum_of_products`, against the same construction
+        # with every truncated product on the pairwise reference `tri_mul`.
+        fast = build(n).law
+        build.cache_clear()
+        calls = []
+
+        def reference(a, b, k):
+            calls.append(k)
+            return tri_mul(a, b, k)
+
+        monkeypatch.setattr(series, "_truncated_product", reference)
+        assert build(n).law == fast
+        assert calls
+
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [5, 9, 13])
+    def test_substitutions_match_rowwise(self, build, n):
+        # The substitutions the program makes, against the row-by-row
+        # reference: F(F(x, y), z) of the associativity check, and
+        # F(t(x), t(y)) of the isomorphism check.
+        law = build(n).law.terms
+        f_xy = {(a, b, 0): c for (a, b), c in law.items()}
+        z = {(0, 0, 1): ONE}
+        assert _substitute(law, f_xy, z, n) == rowwise_substitute(law, f_xy, z, n)
+        t = t_of_v(n)
+        tx = bi_from_univariate(t, 0, n).terms
+        ty = bi_from_univariate(t, 1, n).terms
+        assert _substitute(law, tx, ty, n) == rowwise_substitute(law, tx, ty, n)
 
 
 class TestMemoisation:

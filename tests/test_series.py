@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO
+from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
 from taf.series import (
     BiTruncSeries,
     TruncSeries,
@@ -19,6 +19,7 @@ from taf.series import (
     revert,
     series_div,
     sqrt_unit,
+    _sum_of_products,
     _truncated_product,
 )
 from test_exact import pairwise_product
@@ -248,6 +249,122 @@ class TestTruncatedProduct:
         assert _truncated_product(plus, minus, 2) == {one: ONE, xx: -ONE}
         assert _truncated_product(plus, minus, 1) == {one: ONE}
         assert _truncated_product(plus, minus, 2) == tri_mul(plus, minus, 2)
+
+
+def sum_reference(pairs, n):
+    """The sum of `tri_mul` over the pairs, by `GradedPoly` addition."""
+    out = {}
+    for a, b in pairs:
+        for k, c in tri_mul(a, b, n).items():
+            s = out.get(k, ZERO) + c
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+# Entries at and next to powers of two up to 2^200, where a digit one bit or
+# one byte too narrow shows.
+edge_entries = st.builds(
+    lambda k, d, sign: sign * ((1 << k) + d),
+    st.integers(0, 200),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([-1, 1]),
+)
+
+
+@st.composite
+def wide_maps(draw, arity, shift):
+    """A map whose coefficient at k has Legendre degree sum(k) + shift, with
+    edge entries over denominators that differ within the map, and some
+    stored `ZERO`s, which the kernel must skip."""
+    keys = st.tuples(*[st.integers(0, 3)] * arity)
+    out = {}
+    for k in draw(st.lists(keys, max_size=5, unique=True)):
+        d = sum(k) + shift
+        size = d // 2 + 1
+        vec = draw(st.lists(edge_entries | st.just(0), min_size=size, max_size=size))
+        den = draw(st.sampled_from([1, 2, 3, 12, 2**64 + 1]))
+        out[k] = ZERO if draw(st.integers(0, 5)) == 0 else _graded(d, den, vec)
+    return out
+
+
+def constant_map(entries):
+    """{(i,): entries[i]} with the entries as constants."""
+    return {(i,): GradedPoly.const(c) for i, c in enumerate(entries)}
+
+
+class TestSumOfProducts:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, arity, data):
+        # Several pairs, each repeated up to three times, so that many pairs
+        # land on one key; every pair's degrees add to the same total.
+        n = data.draw(st.integers(0, 3 * arity))
+        total = data.draw(st.integers(0, 2))
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            s = data.draw(st.integers(0, total))
+            a = data.draw(wide_maps(arity, s))
+            b = data.draw(wide_maps(arity, total - s))
+            pairs += [(a, b)] * data.draw(st.integers(1, 3))
+        got = _sum_of_products(pairs, n)
+        assert got == sum_reference(pairs, n)
+        assert all(not c.is_zero() and sum(k) <= n for k, c in got.items())
+
+    def test_digits_at_the_bound(self):
+        # Every entry at its largest and every product aligned, so that an
+        # output digit equals the bound the width must hold, from k = 0 to
+        # 200: one pair of terms, many pairs on one key, long lists, many
+        # terms on one key, and pairs over different denominators.
+        for k in range(201):
+            top = 1 << k
+            one = constant_map([1])
+            long = {(0,): _graded(16, 1, [top] * 9)}
+            cases = [
+                [(constant_map([top]), one)],
+                [(constant_map([-top]), one)],
+                [(constant_map([top]), one)] * 3,
+                [(constant_map([top]), one)] * 257,
+                [(long, {(0,): _graded(16, 1, [1] * 9)})],
+                [(constant_map([top] * 5), constant_map([1] * 5))],
+                [
+                    (constant_map([Fraction(top, 3)]), one),
+                    (constant_map([Fraction(top, 5)]), one),
+                ],
+                [(constant_map([Fraction(top, 3), Fraction(top, 5)]), one)],
+            ]
+            for pairs in cases:
+                assert _sum_of_products(pairs, 8) == sum_reference(pairs, 8), k
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_keys_at_total_degree_n(self, arity, n):
+        # x_0^n and x_1 have distinct keys, which a base of n would merge.
+        unit = tuple([0] * arity)
+        top = tuple([n] + [0] * (arity - 1))
+        x1 = tuple([0, 1] + [0] * (arity - 2))
+        pairs = [({unit: ONE}, {top: ONE, x1: ONE.scale(2)})]
+        assert _sum_of_products(pairs, n) == {top: ONE, x1: ONE.scale(2)}
+
+    def test_zero_coefficients_are_skipped(self):
+        assert _sum_of_products([({(0,): ZERO}, {(0,): ONE})], 3) == {}
+        pairs = [({(0,): ZERO, (1,): ONE}, {(0,): ONE, (2,): ZERO})]
+        assert _sum_of_products(pairs, 3) == {(1,): ONE}
+
+    def test_mixed_degrees_raise(self):
+        # Key (1,) is reached at Legendre degrees 0 and 1, within one pair or
+        # across two; it raises as `_dot` does, even where one degree's
+        # products cancel.
+        a, b = {(0,): ONE, (1,): ALPHA}, {(0,): ONE, (1,): ONE}
+        with pytest.raises(InputError):
+            _sum_of_products([(a, b)], 2)
+        x, y = {(1,): ONE}, {(0,): ONE}
+        cancel = [(y, x), (y, {(1,): -ONE}), ({(1,): ALPHA}, y)]
+        with pytest.raises(InputError):
+            _sum_of_products(cancel, 2)
 
 
 def dense_compose(f, g):
