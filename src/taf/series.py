@@ -7,11 +7,13 @@ O(deg N+1).  A `TruncSeries` uses 1-tuples (c_0..c_N in x), a
 check of `fgl` works on plain 3-tuple maps.  Truncation orders are explicit:
 combining two series of different orders is an error, never an implicit min.
 
-Every product of two maps of any arity, and every substitution into a law
-(`_substitute`), is one `_sum_of_products`: Kronecker substitution on whole
-terms, one big-int multiply-add per pair of terms.  Division and square
-roots make one `exact._dot` per output coefficient.
-`compose` and `bi_compose_outer` share one sparse Horner, `_compose_outer`.
+Every product of maps of any arity is one `_product_step` on lifted forms
+(`_lift`: one denominator, integer lists): Kronecker substitution on whole
+terms, one big-int multiply-add per pair of terms.  A chain of products,
+the sparse Horner `_compose_outer` that `compose` and `bi_compose_outer`
+share and the substitution into a law `_substitute`, stays lifted from step
+to step and builds `GradedPoly`s (`_terms`) only where it ends.  Division
+and square roots make one `exact._dot` per output coefficient.
 
 Reversion is the one Newton iteration (the working order doubles each
 step); square roots run on J.C.P. Miller's power recurrence in one pass.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unpack
@@ -29,7 +31,7 @@ from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unp
 Coeff = Union[GradedPoly, int, Fraction]
 Terms = Mapping[tuple[int, ...], GradedPoly]
 
-MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 20 s, 2 cores
+MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 17 s, 2 cores
 
 
 class _Series:
@@ -263,56 +265,94 @@ def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], Grad
 
 def _sum_of_products(pairs, n: int) -> dict[tuple[int, ...], GradedPoly]:
     """The sum of a * b over the pairs (a, b) of term maps of one arity,
-    through total degree n; no stored zeros.
-
-    Each map is lifted once to the lcm of its denominators.  A term's key
-    and Legendre degree become one int of base-(n + 1) digits, which kept
-    keys add without carry, and its list one int of w-byte digits
-    (`exact._pack`): a pair of terms is one big-int multiply-add.  Each
-    digit is bounded by the sum over the pairs of max|a| * max|b| * lift *
-    list length * min(#a, #b), and w holds that.  A key reached at two
-    Legendre degrees raises `InputError`.
-    """
+    through total degree n; no stored zeros: each map lifted once, one
+    `_product_step`, one `_graded` per output term."""
     arity = len(next((k for pair in pairs for m in pair for k in m), ()))
-    base = n + 1
-    weights, pad = [base**i for i in range(arity)], base**arity
-    lifted = {}
-    for m in {id(m): m for pair in pairs for m in pair}.values():
-        items = sorted((t, k, c) for k, c in m.items() if c.vec and (t := sum(k)) <= n)
-        den = lcm(*[c.den for _, _, c in items])
-        terms, top, size = [], 0, 0
-        for t, k, c in items:
-            v = c.vec if c.den == den else [x * (den // c.den) for x in c.vec]
-            top, size = max(top, max(v), -min(v)), max(size, len(v))
-            terms.append((t, sum(map(operator.mul, k, weights)) + c.deg * pad, v))
-        lifted[id(m)] = den, terms, top, size
-    prepared = [(lifted[id(a)], lifted[id(b)]) for a, b in pairs]
-    den = lcm(*(a[0] * b[0] for a, b in prepared))
+    maps = {id(m): m for pair in pairs for m in pair}
+    lifted = {i: _lift(m, n) for i, m in maps.items()}
+    step = _product_step([(lifted[id(a)], lifted[id(b)]) for a, b in pairs], n, arity)
+    return _terms(step, n, arity)
+
+
+def _codec(arity: int, n: int) -> tuple[list[int], int]:
+    """The weights of a key's digits and of its Legendre degree in a term's
+    code, whose lowest base-(n + 1) digit is the total degree."""
+    return [(n + 1) ** i for i in range(1, arity + 1)], (n + 1) ** (arity + 1)
+
+
+def _lift(m: Terms, n: int):
+    """The lifted form of a term map through total degree n: (den, terms, top,
+    size) with den the lcm of the denominators, terms the (total degree,
+    code, integer list) of each nonzero term over den sorted by total degree,
+    and top and size the largest |entry| and the longest list.  The code is
+    the total degree, then the key in base-(n + 1) digits, then the Legendre
+    degree, so that the codes of kept terms add without carry."""
+    weights, pad = _codec(len(next(iter(m), ())), n)
+    items = sorted((t, k, c) for k, c in m.items() if c.vec and (t := sum(k)) <= n)
+    den = lcm(*[c.den for _, _, c in items])
+    terms, top, size = [], 0, 0
+    for t, k, c in items:
+        v = c.vec if c.den == den else [x * (den // c.den) for x in c.vec]
+        top, size = max(top, max(v), -min(v)), max(size, len(v))
+        terms.append((t, t + sum(map(operator.mul, k, weights)) + c.deg * pad, v))
+    return den, terms, top, size
+
+
+def _product_step(pairs, n: int, arity: int):
+    """The lifted form of the sum of a * b over the pairs (a, b) of lifted
+    forms of one arity, through total degree n.
+
+    Each list becomes one int of w-byte digits (`exact._pack`), so a pair
+    of terms is one big-int multiply-add.  Each digit is bounded by the sum
+    over the pairs of top_a * top_b * lift * list length * min(#a, #b), and w
+    holds that.  All-zero lists are dropped, and a key reached at two
+    Legendre degrees raises `InputError`.  One gcd of the denominator with
+    every entry reduces the output, so its denominator stays the lcm of the
+    true ones along a chain of steps.
+    """
+    pad = _codec(arity, n)[1]
+    den = lcm(*(a[0] * b[0] for a, b in pairs))
     bound = sum(
         ta * tb * den // (da * db) * min(sa, sb) * min(len(a), len(b))
-        for (da, a, ta, sa), (db, b, tb, sb) in prepared
+        for (da, a, ta, sa), (db, b, tb, sb) in pairs
     )
     w = bound.bit_length() // 8 + 1  # bytes per digit, so 8w - 1 >= bits(bound)
-    for _, terms, _, _ in lifted.values():
-        terms[:] = [(t, code, _pack(v, w)) for t, code, v in terms]
+    forms = {id(m): m for pair in pairs for m in pair}
+    packed = {i: [(t, c, _pack(v, w)) for t, c, v in m[1]] for i, m in forms.items()}
     acc: dict[int, int] = {}
-    for (den_a, a, _, _), (den_b, b, _, _) in prepared:
-        lift = den // (den_a * den_b)
-        for t, code, x in a:
+    for a, b in pairs:
+        lift, ys = den // (a[0] * b[0]), packed[id(b)]
+        for t, code, x in packed[id(a)]:
             room, x = n - t, x * lift
-            for u, code_b, y in b:
+            for u, code_b, y in ys:
                 if u > room:
                     break
                 k = code + code_b
                 acc[k] = acc.get(k, 0) + x * y
-    out, degs = {}, {}
+    terms, degs, g, top, size = [], {}, den, 0, 0
     for code, x in acc.items():
         deg, enc = divmod(code, pad)
         if degs.setdefault(enc, deg) != deg:
             raise InputError(f"mixed Legendre degrees {degs[enc]} and {deg}")
         if x:
-            key = tuple([enc // u % base for u in weights])
-            out[key] = _graded(deg, den, _unpack(x, deg // 2 + 1, w))
+            v = _unpack(x, deg // 2 + 1, w)
+            g = gcd(g, *v) if g > 1 else 1
+            top, size = max(top, max(v), -min(v)), max(size, len(v))
+            terms.append((enc % (n + 1), code, v))
+    terms.sort()
+    if g > 1:
+        terms = [(t, code, [c // g for c in v]) for t, code, v in terms]
+    return den // g, terms, top // g, size
+
+
+def _terms(lifted, n: int, arity: int) -> dict[tuple[int, ...], GradedPoly]:
+    """The term map of a lifted form: one `_graded` per term."""
+    weights, pad = _codec(arity, n)
+    den, terms, _, _ = lifted
+    out = {}
+    for _, code, v in terms:
+        deg, enc = divmod(code, pad)
+        out[tuple([enc // u % (n + 1) for u in weights])] = _graded(deg, den, v)
     return out
 
 
@@ -325,55 +365,60 @@ def _compose_outer(f: TruncSeries, g: _Series) -> dict[tuple[int, ...], GradedPo
     The powers of g are built on demand by squaring.  An f with only
     x^{4k+1} terms (the logarithms and their inverses) costs g^2, g^4, one
     step per term and one final product, instead of one product per
-    coefficient.
+    coefficient.  g is lifted once and every step stays lifted, c_{k_i}
+    added as one more pair (c_{k_i}, 1); only r is converted back.
     """
     f._check(g)
     origin = (0,) * g.arity
     if origin in g.terms:
         raise InputError("inner series must have zero constant term")
-    n = g.order
-    powers = {1: g.terms}
+    n, arity = g.order, g.arity
+    powers = {1: _lift(g.terms, n)}
 
-    def power(e: int) -> Terms:
+    def power(e: int):
         if e not in powers:
             half = power(e // 2)
-            sq = _truncated_product(half, half, n)
-            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
+            sq = _product_step([(half, half)], n, arity)
+            powers[e] = _product_step([(sq, powers[1])], n, arity) if e % 2 else sq
         return powers[e]
 
     support = sorted(k for (k,) in f.terms)
     if not support:
         return {}
-    result = {origin: f.terms[(support[-1],)]}
-    for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
-        result = _truncated_product(result, power(hi - lo), n)
-        result[origin] = f.terms[(lo,)]
+    const = [_lift({origin: f.terms[(k,)]}, n) for k in support]
+    one, result = _lift({origin: ONE}, n), const[-1]
+    for i in reversed(range(len(support) - 1)):
+        gap = power(support[i + 1] - support[i])
+        result = _product_step([(result, gap), (const[i], one)], n, arity)
     if support[0]:
-        result = _truncated_product(result, power(support[0]), n)
-    return result
+        result = _product_step([(result, power(support[0]))], n, arity)
+    return _terms(result, n, arity)
 
 
 def _substitute(
     law: Mapping[tuple[int, int], GradedPoly], first: Terms, second: Terms, n: int
 ) -> dict[tuple[int, ...], GradedPoly]:
     """law(first, second) through total degree n for sparse maps of one arity:
-    sum_a first^a * row_a with row_a = sum_b law[a, b] * second^b, each row
-    and the whole sum one `_sum_of_products`."""
+    sum_a first^a * row_a with row_a = sum_b law[a, b] * second^b.  first,
+    second and the law's coefficients are lifted once; each power, each row
+    and the whole sum is one `_product_step`."""
     # The arity comes from the inner series; two zero series count as bivariate.
     origin = tuple(0 for _ in next(iter(first or second), (0, 0)))
+    arity = len(origin)
     rows: dict[int, list] = {}
     for (a, b), c in law.items():
-        rows.setdefault(a, []).append(({origin: c}, b))
-    pow1, pow2 = [{origin: ONE}], [{origin: ONE}]
+        rows.setdefault(a, []).append((_lift({origin: c}, n), b))
+    one, x, y = _lift({origin: ONE}, n), _lift(first, n), _lift(second, n)
+    pow1, pow2 = [one], [one]
     while len(pow1) <= max(rows, default=0):
-        pow1.append(_truncated_product(pow1[-1], first, n))
+        pow1.append(_product_step([(pow1[-1], x)], n, arity))
     while len(pow2) <= max((b for _, b in law), default=0):
-        pow2.append(_truncated_product(pow2[-1], second, n))
+        pow2.append(_product_step([(pow2[-1], y)], n, arity))
     sums = [
-        (pow1[a], _sum_of_products([(c, pow2[b]) for c, b in row], n))
+        (pow1[a], _product_step([(c, pow2[b]) for c, b in row], n, arity))
         for a, row in rows.items()
     ]
-    return _sum_of_products(sums, n)
+    return _terms(_product_step(sums, n, arity), n, arity)
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,22 @@ PINNED_OUTPUT = {
         "bdb79f98c2373cdc9847cceb1ed31628f728d5abe5c6170bf30ee57a5469c593",
         "c5c76e8a45f3375d915a3726a557668abb479f61bc9252f4114d1b89aef4adf5",
     ),
+    "ulog -N 21": (
+        "85c71d81945275e4e7b4b8149bd9741689182bc9f66fe21124e727792a7c3474",
+        "3e906e4c0ece3169f43b3b8b7377fb1b7576b7d4d8741807cf671990278bfbdd",
+    ),
+    "llog -N 21": (
+        "42fee80d2f13f5658270013b7fba1a23c932610d093e08597a6aafdc04ed2345",
+        "6c0a4cf34ae5699752b26ce7383b293e70fc5156e14fcbf9e519545624c1738e",
+    ),
+    "fgl -N 21": (
+        "3f15ef028a26f97234857edc0b73e747572993bf9dc0e680a01b944d9ce9597e",
+        "1e948e9d90bb4ce2e9361c4e85db08a56b3504372416f99b3cf22ee188e86651",
+    ),
+    "iso-check -N 21": (
+        "b227064313b2e2a11f501a9495d8f352b716a2f21cc0d0675884f2a73aea94db",
+        "e61f3257d6e5ba5a772343d1e7c2a14a6e9ca6af9ccb30126a9596613aaf5141",
+    ),
     "qexpand -K 20": (
         "b8a1ba45533346c64c7323c80ac3dcf9a896e52f57c4e1fa9442359d4a097d59",
         "6175e7bcdb34b5336cf733ed3fc496e62647d7677f59320c1b2555371c74b847",

@@ -186,17 +186,24 @@ class TestProductKernel:
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [9, 13])
     def test_laws_match_the_pairwise_product(self, build, n, fresh_laws, monkeypatch):
-        # The laws built on `_sum_of_products`, against the same construction
-        # with every truncated product on the pairwise reference `tri_mul`.
+        # The laws built on the packed `_product_step`, against the same
+        # construction with every product step on the pairwise reference
+        # `tri_mul`: each pair converted to term maps, multiplied, and the
+        # sum lifted back.
         fast = build(n).law
         build.cache_clear()
         calls = []
 
-        def reference(a, b, k):
+        def reference(pairs, k, arity):
             calls.append(k)
-            return tri_mul(a, b, k)
+            total = {}
+            for a, b in pairs:
+                a, b = series._terms(a, k, arity), series._terms(b, k, arity)
+                for key, c in tri_mul(a, b, k).items():
+                    total[key] = total[key] + c if key in total else c
+            return series._lift(total, k)
 
-        monkeypatch.setattr(series, "_truncated_product", reference)
+        monkeypatch.setattr(series, "_product_step", reference)
         assert build(n).law == fast
         assert calls
 

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import taf.series as series
 from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
 from taf.series import (
     BiTruncSeries,
@@ -19,7 +21,11 @@ from taf.series import (
     revert,
     series_div,
     sqrt_unit,
+    _compose_outer,
+    _lift,
+    _substitute,
     _sum_of_products,
+    _terms,
     _truncated_product,
 )
 from test_exact import pairwise_product
@@ -468,3 +474,148 @@ class TestSparseHorner:
             bi_compose_outer(TruncSeries.identity(3), BiTruncSeries({(0, 0): ONE}, 3))
         with pytest.raises(InputError):
             bi_compose_outer(TruncSeries.identity(3), BiTruncSeries.variable(0, 4))
+
+
+def productwise_compose_outer(f, g):
+    """The sparse Horner `_compose_outer` ran before its steps stayed lifted,
+    kept as the reference: every product one `_truncated_product` on term
+    maps, and c_{k_i} set at the origin between products."""
+    n, origin = g.order, (0,) * g.arity
+    powers = {1: g.terms}
+
+    def power(e):
+        if e not in powers:
+            sq = _truncated_product(power(e // 2), power(e // 2), n)
+            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
+        return powers[e]
+
+    support = sorted(k for (k,) in f.terms)
+    if not support:
+        return {}
+    result = {origin: f.terms[(support[-1],)]}
+    for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
+        result = _truncated_product(result, power(hi - lo), n)
+        result[origin] = f.terms[(lo,)]
+    if support[0]:
+        result = _truncated_product(result, power(support[0]), n)
+    return result
+
+
+def productwise_substitute(law, first, second, n):
+    """law(first, second) with every power, row product and sum formed on term
+    maps by `_truncated_product` and `GradedPoly` addition."""
+    one = {tuple(0 for _ in next(iter(first or second), (0, 0))): ONE}
+    pow1, pow2 = [one], [one]
+    while len(pow1) <= max((a for a, _ in law), default=0):
+        pow1.append(_truncated_product(pow1[-1], first, n))
+    while len(pow2) <= max((b for _, b in law), default=0):
+        pow2.append(_truncated_product(pow2[-1], second, n))
+    pairs = [
+        ({k: c * v for k, v in pow1[a].items()}, pow2[b]) for (a, b), c in law.items()
+    ]
+    return sum_reference(pairs, n)
+
+
+@st.composite
+def nonzero_maps(draw, arity, n):
+    """A map with no stored zeros, a key at total degree n and keys above it,
+    whose coefficients have edge entries over denominators that differ."""
+    keys = st.tuples(*[st.integers(0, n + 1)] * arity)
+    out = {}
+    for k in [(n,) + (0,) * (arity - 1)] + draw(st.lists(keys, max_size=5)):
+        d = draw(st.integers(0, 4))
+        vec = draw(st.lists(edge_entries, min_size=d // 2 + 1, max_size=d // 2 + 1))
+        vec[0] = vec[0] or 1
+        out[k] = _graded(d, draw(st.sampled_from([1, 2, 3, 12, 2**64 + 1])), vec)
+    return out
+
+
+def assert_canonical(lifted, n, arity):
+    """den is the lcm of the true denominators, top the largest |entry|, size
+    the longest list, and the terms are sorted by total degree with no
+    all-zero list."""
+    den, terms, top, size = lifted
+    true = _terms(lifted, n, arity).values()
+    assert den == lcm(*(c.den for c in true))
+    assert top == max((abs(x) for _, _, v in terms for x in v), default=0)
+    assert size == max((len(v) for _, _, v in terms), default=0)
+    assert [t for t, _, _ in terms] == sorted(t for t, _, _ in terms)
+    assert all(any(v) for _, _, v in terms)
+
+
+class TestLiftedChains:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_terms_of_lift_round_trip(self, arity, data):
+        n = data.draw(st.integers(0, 6))
+        m = data.draw(nonzero_maps(arity, n))
+        lifted = _lift(m, n)
+        assert _terms(lifted, n, arity) == {k: c for k, c in m.items() if sum(k) <= n}
+        assert_canonical(lifted, n, arity)
+
+    @pytest.mark.parametrize("n", [1, 5, 13])
+    @pytest.mark.parametrize("f_kind", ["gaps", "constant", "top", "zero", "dense"])
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_compose_outer_matches_productwise(self, n, f_kind, arity):
+        rng = random.Random(f"{n}-{f_kind}-{arity}-lifted")
+        f = outer_series(f_kind, n, rng)
+        g = inner_series("dense", n, rng, arity)
+        assert _compose_outer(f, g) == productwise_compose_outer(f, g)
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_substitute_matches_productwise(self, n):
+        rng = random.Random(f"{n}-substitute")
+        law = inner_series("dense", n, rng).terms
+        for first, second in [
+            (inner_series("dense", n, rng).terms, inner_series("sparse", n, rng).terms),
+            ({(1, 0, 0): ONE}, {(a, b, 0): c for (a, b), c in law.items()}),
+            ({}, {}),
+        ]:
+            got = _substitute(law, first, second, n)
+            assert got == productwise_substitute(law, first, second, n)
+
+    def test_mixed_degrees_raise_inside_each_chain(self):
+        # A key reached at Legendre degrees 0 and 1 by one product step: the
+        # last Horner product of g + g^2 with g = x + alpha*x^2, the final
+        # sum of x + y at y = alpha*x, and the row y + y^2 at y = g.
+        g = {(1, 0): ONE, (2, 0): ALPHA}
+        x, y = {(1, 0): ONE}, {(1, 0): ALPHA}
+        with pytest.raises(InputError, match="mixed Legendre degrees"):
+            _compose_outer(TruncSeries([0, 1, 1], 2), BiTruncSeries(g, 2))
+        with pytest.raises(InputError, match="mixed Legendre degrees"):
+            _substitute({(1, 0): ONE, (0, 1): ONE}, x, y, 2)
+        with pytest.raises(InputError, match="mixed Legendre degrees"):
+            _substitute({(0, 1): ONE, (0, 2): ONE}, x, g, 2)
+
+    @pytest.mark.parametrize("n", [6, 13])
+    def test_chain_with_content_in_every_step(self, n, monkeypatch):
+        # f = sum x^k / 2^k composed with g = 2x + 2x^2, and the law
+        # sum x^a y^b / 2^(a+b) at (2x, 2y): the entries of each step share a
+        # factor 2 with its denominator, and pairs of one step are over
+        # different denominators.  Every step's output must be canonical.
+        steps = []
+        real = series._product_step
+
+        def checked(pairs, k, a):
+            out = real(pairs, k, a)
+            assert_canonical(out, k, a)
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(series, "_product_step", checked)
+        f = TruncSeries([Fraction(1, 2**k) for k in range(n + 1)], n)
+        g = TruncSeries([0, 2, 2], n)
+        assert _compose_outer(f, g) == productwise_compose_outer(f, g)
+        assert _compose_outer(f, g) == (
+            compose(TruncSeries([1] * (n + 1), n), TruncSeries([0, 1, 1], n)).terms
+        )
+        law = {
+            (a, b): GradedPoly.const(Fraction(1, 2 ** (a + b)))
+            for a in range(n + 1)
+            for b in range(n + 1 - a)
+        }
+        x, y = {(1, 0): GradedPoly.const(2)}, {(0, 1): GradedPoly.const(2)}
+        expected = {k: ONE for k in law}
+        assert _substitute(law, x, y, n) == expected
+        assert steps
