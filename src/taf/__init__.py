@@ -18,6 +18,10 @@ Subpackages:
   embeddings, and fundamental-domain reduction.
 - `criteria`: the acceptance criteria behind `taf selftest` and the
   acceptance tests.
+
+`qexp`, `arithgroups` and `criteria` load on first use: `import taf` does not
+import them, and the names re-exported here from `qexp` and `arithgroups`
+(`forms`, `Mat`, ...) import their module when first read.
 """
 
 __version__ = "0.1.0"
@@ -46,11 +50,24 @@ from .chromatic import (  # noqa: F401
     key_lemma_check,
     landweber_check,
 )
-from .qexp import forms, j_invariant, transform_check  # noqa: F401
-from .arithgroups import (  # noqa: F401
-    Mat,
-    cayley,
-    iota,
-    reduce_to_fundamental_domain,
-    rho,
-)
+
+# name -> the module that defines it, imported when the name is first read
+# (PEP 562).
+_LAZY = {
+    "forms": "qexp",
+    "j_invariant": "qexp",
+    "transform_check": "qexp",
+    "Mat": "arithgroups",
+    "cayley": "arithgroups",
+    "iota": "arithgroups",
+    "reduce_to_fundamental_domain": "arithgroups",
+    "rho": "arithgroups",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -35,9 +35,9 @@ certificate is an exact equality, with no tolerance and no step cap.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
+from typing import NamedTuple
 
 from .exact import GaussianRational, InputError, I
 
@@ -560,8 +560,7 @@ def in_fundamental_domain(tau) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     tau_reduced: GR
     word: tuple[str, ...]
     matrix: Mat  # element of G with matrix . tau = tau_reduced

@@ -15,9 +15,9 @@ normalized x = +-1 after dehomogenizing at beta = 1 (plus the beta = 0 ray).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .exact import (
     ALPHA,
@@ -99,8 +99,7 @@ def binomial_valuation(p: int, n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LandweberVerdicts:
+class LandweberVerdicts(NamedTuple):
     v1_nonzero_mod_p: bool
     v2_nonzero_mod_p_v1: bool
     height2_cozero_check: bool
@@ -113,14 +112,13 @@ class LandweberVerdicts:
         )
 
 
-@dataclass
-class VGenReport:
+class VGenReport(NamedTuple):
     prime: int
     v: list[GradedPoly]
     ell: list[GradedPoly]
     integrality: list[bool]
+    details: list[str]
     landweber: LandweberVerdicts | None = None
-    details: list[str] = field(default_factory=list)
 
     def all_integral(self) -> bool:
         return all(self.integrality)
@@ -173,8 +171,7 @@ def cor1_check() -> bool:
     return r_v2 == expected and r_sq == expected and r_cusp == expected
 
 
-@dataclass
-class Cor2Result:
+class Cor2Result(NamedTuple):
     prime: int
     binomial: int
     valuation: int
@@ -259,11 +256,14 @@ def landweber_check(p: int) -> VGenReport:
     ray = not v1.set_beta_zero().is_zero()
     c = cozero and ray
 
-    report.landweber = LandweberVerdicts(
+    verdicts = LandweberVerdicts(
         v1_nonzero_mod_p=a,
         v2_nonzero_mod_p_v1=b,
         height2_cozero_check=c,
     )
-    report.details.append(f"v_2 mod ({p}, v_1) = {r}")
-    report.details.append(f"gcd(v_1(x,1), v_2(x,1)) over F_{p}: {g}")
-    return report
+    details = [
+        *report.details,
+        f"v_2 mod ({p}, v_1) = {r}",
+        f"gcd(v_1(x,1), v_2(x,1)) over F_{p}: {g}",
+    ]
+    return report._replace(landweber=verdicts, details=details)

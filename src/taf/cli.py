@@ -25,22 +25,15 @@ import sys
 import time
 
 from . import __version__
-from .arithgroups import embedding_suite, reduce_to_fundamental_domain
 from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
-from .criteria import CRITERIA, MIN_ORDER, MIN_QORDER
 from .curve import log_phi
 from .exact import InputError
 from .fgl import beta_zero_law, euler_law, fgl_phi, iso_check
 from .legendre import legendre, log_phiL
-from .qexp import (
-    anchor_check,
-    eval_form,
-    forms,
-    integrality_and_identity,
-    j_invariant,
-    transform_check,
-)
 from .series import MAX_ORDER
+
+# `qexp`, `arithgroups` and `criteria` are imported by the handlers that use
+# them, so a command that needs none of them does not load them.
 
 _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
 
@@ -187,6 +180,8 @@ def _cmd_landweber(args):
 
 
 def _cmd_qexpand(args):
+    from .qexp import anchor_check, forms, integrality_and_identity
+
     K = args.qorder
     f = forms(K)
     ok = anchor_check(K) and integrality_and_identity(K)
@@ -202,13 +197,15 @@ def _cmd_qexpand(args):
         ]
 
     def payload():
-        coeffs = {name: form.to_json_list() for name, form in vars(f).items()}
+        coeffs = {name: form.to_json_list() for name, form in f._asdict().items()}
         return {"qorder": K, **coeffs, "pass": ok}
 
     return ok, lines, payload
 
 
 def _cmd_eval_tau(args):
+    from .qexp import eval_form, forms
+
     form = getattr(forms(args.qorder), args.form.replace("-", "_"))
     result = eval_form(form, complex(args.re, args.im))
     v = result.value
@@ -221,6 +218,8 @@ def _cmd_eval_tau(args):
 
 
 def _cmd_jg(args):
+    from .qexp import j_invariant
+
     j = j_invariant(complex(args.re, args.im), K=args.qorder)
     if j is None:
         return True, lambda: ["pole (alpha vanishes here)"], lambda: {"pole": True}
@@ -229,6 +228,8 @@ def _cmd_jg(args):
 
 
 def _cmd_transform_check(args):
+    from .qexp import transform_check
+
     r = transform_check(complex(args.re, args.im), K=args.qorder)
     ok = r.residual_c4 < args.tolerance and r.residual_s < args.tolerance
     lines = [
@@ -246,6 +247,8 @@ def _cmd_transform_check(args):
 
 
 def _cmd_reduce(args):
+    from .arithgroups import reduce_to_fundamental_domain
+
     tau = complex(args.re, args.im)
     result = reduce_to_fundamental_domain(tau)
     ok = result.certificate_ok(tau)
@@ -269,6 +272,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify_embeddings(args):
+    from .arithgroups import embedding_suite
+
     results = embedding_suite()
     ok = all(results.values())
     lines = [f"{name}: {_verdict(v)}" for name, v in results.items()]
@@ -277,6 +282,8 @@ def _cmd_verify_embeddings(args):
 
 
 def _cmd_selftest(args):
+    from .criteria import CRITERIA, MIN_ORDER, MIN_QORDER
+
     if args.order < MIN_ORDER or args.qorder < MIN_QORDER:
         raise InputError(f"selftest needs N >= {MIN_ORDER} and K >= {MIN_QORDER}")
     entries, lines = [], []
@@ -324,9 +331,10 @@ _POINT = (_arg("re", type=float), _arg("im", type=float))
 
 # name -> (handler, help, arguments besides --format).  A handler returns
 # (ok, lines, payload), the last two zero-argument callables of which main
-# calls only the one for --format.  Handlers look library functions up in
-# this module's globals when they run, so a wrapper later bound to those
-# names (a per-layer tracer) sees every call.
+# calls only the one for --format.  Handlers look library functions up when
+# they run, in this module's globals or, for a module imported inside the
+# handler, in that module, so a wrapper later bound to those names (a
+# per-layer tracer) sees every call.
 _COMMANDS = {
     "legendre": (_cmd_legendre, "print P_k", [_arg("k", type=int)]),
     "ulog": (_cmd_ulog, "the curve logarithm", [_ORDER]),

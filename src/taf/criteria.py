@@ -10,10 +10,9 @@ ceiling.  Tolerances are exact equality unless a check states otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arithgroups import embedding_suite, reduce_to_fundamental_domain
 from .chromatic import (
@@ -48,8 +47,7 @@ MIN_ORDER = 10  # chart-solve reads u[10] of solve_u_of_v(N)
 MIN_QORDER = 2  # qexp-anchors builds forms(K), which needs K >= 2
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     name: str
     check: Callable[[int, int], tuple[bool, str]]
     ceiling_s: float

@@ -23,8 +23,8 @@ reproduce it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO
 from .legendre import log_phiL
@@ -66,8 +66,7 @@ def _associativity_holds(law: BiTruncSeries) -> bool:
     return g == {(k, i, j): c for (i, j, k), c in g.items()}
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(NamedTuple):
     law: BiTruncSeries
     log: TruncSeries
     order: int

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .exact import GradedPoly, InputError, _kron_mul, _power
 from .chromatic import _require_split, hazewinkel_v
@@ -163,8 +163,7 @@ def theta_fourth_powers(K: int) -> tuple[QExpansion, QExpansion]:
     return theta2_4, theta4_4
 
 
-@dataclass(frozen=True)
-class GeneratorForms:
+class GeneratorForms(NamedTuple):
     delta_prime: QExpansion
     eps_prime: QExpansion
     alpha: QExpansion
@@ -224,8 +223,7 @@ def integrality_and_identity(K: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     value: complex
     trunc_bound: float
 
@@ -251,8 +249,7 @@ def eval_form(form: QExpansion, tau: complex) -> EvalResult:
     return EvalResult(value=value, trunc_bound=tail)
 
 
-@dataclass(frozen=True)
-class TransformResiduals:
+class TransformResiduals(NamedTuple):
     residual_c4: float
     residual_s: float
 

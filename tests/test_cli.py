@@ -1,12 +1,12 @@
 """CLI dispatch, exit codes, and JSON output contracts."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -189,6 +189,36 @@ def test_import_loads_only_stdlib_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_out_what_a_command_may_not_use():
+    # dataclasses and inspect cost about 11 ms; qexp, arithgroups and criteria
+    # load in the handlers that use them, and taf re-exports their names.
+    code = (
+        "import sys, taf.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'taf.arithgroups', "
+        "'taf.qexp', 'taf.criteria') if m in sys.modules)); "
+        "import taf; taf.Mat, taf.forms, taf.reduce_to_fundamental_domain; "
+        "from taf import rho; print(sorted(m for m in sys.modules "
+        "if m in ('taf.arithgroups', 'taf.qexp')))"
+    )
+    src = str(Path(taf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['taf.arithgroups', 'taf.qexp']"]
+
+
+def test_lazy_names_are_the_module_names():
+    import taf.arithgroups
+    import taf.qexp
+
+    assert taf.forms is taf.qexp.forms
+    assert taf.Mat is taf.arithgroups.Mat
+    with pytest.raises(AttributeError):
+        taf.no_such_name
 
 
 @pytest.mark.parametrize("k", ["600", "2"])
@@ -487,9 +517,9 @@ _BROKEN_CRITERIA = (
     Criterion("crash", _crash, 1),
 )
 
-# argv, the name in taf.cli to replace, its stand-in built from the real
-# value, the start of the text line that reports the failure, and the JSON
-# verdict.
+# argv, the name to replace (in taf.cli, or "module.name" for a name that a
+# handler imports when it runs), its stand-in built from the real value, the
+# start of the text line that reports the failure, and the JSON verdict.
 FAILURES = [
     pytest.param(
         ["euler", "-N", "5"],
@@ -510,7 +540,7 @@ FAILURES = [
     pytest.param(
         ["vgens", "-p", "5"],
         "key_lemma_check",
-        _faked(lambda r: replace(r, integrality=[True, False])),
+        _faked(lambda r: r._replace(integrality=[True, False])),
         "  5-integral: False",
         lambda d: d["integrality"] == [True, False],
         id="vgens",
@@ -526,7 +556,7 @@ FAILURES = [
     pytest.param(
         ["cor2", "-p", "13"],
         "cor2_check",
-        _faked(lambda r: replace(r, valuation=2)),
+        _faked(lambda r: r._replace(valuation=2)),
         "overall: FAIL",
         lambda d: d["pass"] is False and d["valuation"] == 2,
         id="cor2",
@@ -535,8 +565,8 @@ FAILURES = [
         ["landweber", "-p", "5"],
         "landweber_check",
         _faked(
-            lambda r: replace(
-                r, landweber=replace(r.landweber, v2_nonzero_mod_p_v1=False)
+            lambda r: r._replace(
+                landweber=r.landweber._replace(v2_nonzero_mod_p_v1=False)
             )
         ),
         "overall: FAIL",
@@ -545,7 +575,7 @@ FAILURES = [
     ),
     pytest.param(
         ["qexpand", "-K", "10"],
-        "anchor_check",
+        "qexp.anchor_check",
         lambda real: lambda K: False,
         "anchors + integrality + identity: FAIL",
         lambda d: d["pass"] is False,
@@ -553,7 +583,7 @@ FAILURES = [
     ),
     pytest.param(
         ["reduce", "7.3", "0.2"],
-        "reduce_to_fundamental_domain",
+        "arithgroups.reduce_to_fundamental_domain",
         # The reduction of another point carries no certificate for this one.
         lambda real: lambda tau: real(tau + 0.5),
         "certificate (exact group membership, point mapping, domain): FAIL",
@@ -562,7 +592,7 @@ FAILURES = [
     ),
     pytest.param(
         ["verify-embeddings"],
-        "embedding_suite",
+        "arithgroups.embedding_suite",
         _faked(lambda results: results | {"eq2": False}),
         "eq2: FAIL",
         lambda d: d["pass"] is False,
@@ -570,7 +600,7 @@ FAILURES = [
     ),
     pytest.param(
         ["selftest"],
-        "CRITERIA",
+        "criteria.CRITERIA",
         lambda real: _BROKEN_CRITERIA,
         "[FAIL] crash: RuntimeError: boom",
         lambda d: [e["status"] for e in d] == ["fail", "fail"],
@@ -585,7 +615,9 @@ class TestFailurePaths:
     def test_failed_check(
         self, capsys, monkeypatch, argv, name, stand_in, line, verdict
     ):
-        monkeypatch.setattr(cli, name, stand_in(getattr(cli, name)))
+        module, _, name = name.rpartition(".")
+        target = importlib.import_module(f"taf.{module or 'cli'}")
+        monkeypatch.setattr(target, name, stand_in(getattr(target, name)))
         code, out = run(capsys, *argv)
         assert code == 1
         assert any(text.startswith(line) for text in out.splitlines())
