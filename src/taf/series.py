@@ -3,9 +3,9 @@
 Every series is one sparse map {exponent tuple: GradedPoly} truncated at
 total degree N (inclusive), with no stored zeros; everything beyond is
 O(deg N+1).  A `TruncSeries` uses 1-tuples (c_0..c_N in x), a
-`BiTruncSeries` 2-tuples (the formal group laws), and the associativity
-check of `fgl` works on plain 3-tuple maps.  Truncation orders are explicit:
-combining two series of different orders is an error, never an implicit min.
+`BiTruncSeries` 2-tuples (the formal group laws).  Truncation orders are
+explicit: combining two series of different orders is an error, never an
+implicit min.
 
 Every product of maps of any arity is one `_product_step` on lifted forms
 (`_lift`: one denominator, integer lists): Kronecker substitution on whole

@@ -9,7 +9,6 @@ import taf.series as series
 from taf.exact import ALPHA, InputError, ONE, _dot
 from taf.fgl import (
     ConsistencyError,
-    _associativity_holds,
     _log_additivity_holds,
     beta_zero_law,
     build_fgl,
@@ -68,6 +67,23 @@ def rowwise_substitute(law, first, second, n):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+def _associativity_holds(law):
+    """F(F(x, y), z) = F(x, F(y, z)) through total degree N in three
+    variables: the oracle of the construction, which proves associativity
+    from log additivity instead of checking it.
+
+    With G(x, y, z) = F(F(x, y), z) and F commutative,
+    F(x, F(y, z)) = F(F(y, z), x) = G(y, z, x); so, given commutativity,
+    F is associative iff G equals its cyclic shift, which takes the term
+    c*x^i*y^j*z^k of G to c*x^k*y^i*z^j.  A non-commutative F is refused.
+    """
+    if law != law.swap():
+        return False
+    f_xy = {(a, b, 0): c for (a, b), c in law.terms.items()}
+    g = _substitute(law.terms, f_xy, {(0, 0, 1): ONE}, law.order)
+    return g == {(k, i, j): c for (i, j, k), c in g.items()}
+
+
 def two_sided_associativity(law):
     """The check `_associativity_holds` made before it used commutativity,
     kept as the reference: both triple composites, compared directly."""
@@ -93,6 +109,19 @@ def perturbation(d: int, mirror: bool) -> BiTruncSeries:
     return BiTruncSeries(terms, 9)
 
 
+def perturb_construction(monkeypatch, log, d):
+    """Make the construction's outer compose, exp(L(x) + L(y)), return the
+    law plus `perturbation(d, mirror=True)`; the additivity check's compose,
+    L(F(x, y)), is left alone."""
+    compose = fgl.bi_compose_outer
+
+    def perturbed(f, g):
+        law = compose(f, g)
+        return law if f == log else law + perturbation(d, mirror=True)
+
+    monkeypatch.setattr(fgl, "bi_compose_outer", perturbed)
+
+
 class TestConstruction:
     def test_additive_law(self):
         f = build_fgl(TruncSeries.identity(7))
@@ -107,10 +136,45 @@ class TestConstruction:
             build_fgl(TruncSeries([0], 0))
 
     def test_axioms_enforced_at_construction(self):
-        # Construction itself runs unit, commutativity, and associativity;
-        # these laws exist iff the axioms hold.
+        # Construction itself runs unit, commutativity, and log additivity;
+        # these laws exist iff the checks hold.
         fgl_phi(13)
         fgl_phiL(13)
+
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [13, 21, 29])
+    def test_built_laws_are_associative(self, build, n):
+        # The construction proves associativity from additivity; the
+        # three-variable oracle confirms it.
+        assert _associativity_holds(build(n).law)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_build_refuses_a_perturbed_law(self, d, fresh_laws, monkeypatch):
+        # The construction's own outer compose returns F plus a mirrored
+        # perturbation: commutative, with the unit, but not associative, and
+        # the build must refuse it at the additivity check.
+        good = fgl_phiL(9)
+        fgl_phiL.cache_clear()
+        perturb_construction(monkeypatch, good.log, d)
+        with pytest.raises(ConsistencyError, match="additivity failed: first at"):
+            build_fgl(good.log)
+        with pytest.raises(ConsistencyError, match="additivity"):
+            fgl_phiL(9)
+        assert fgl_phiL.cache_info().currsize == 0
+        law = good.law + perturbation(d, mirror=True)
+        assert law == law.swap() and law.set_y() == good.law.set_y()
+        assert not _associativity_holds(law)
+
+    def test_additivity_failure_names_its_first_discrepancy(self, monkeypatch):
+        # d = 2 adds alpha*x^4*y + alpha*x*y^4; sorted, (1, 4) comes first.
+        good = fgl_phiL(9)
+        perturb_construction(monkeypatch, good.log, 2)
+        with pytest.raises(ConsistencyError) as err:
+            build_fgl(good.log)
+        assert str(err.value) == (
+            "logarithm additivity failed: first at x^1*y^4, L(F) has a,"
+            " L(x) + L(y) has 0"
+        )
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_construction_checks_reject_a_perturbed_law(self, d):
@@ -210,8 +274,8 @@ class TestProductKernel:
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [5, 9, 13])
     def test_substitutions_match_rowwise(self, build, n):
-        # The substitutions the program makes, against the row-by-row
-        # reference: F(F(x, y), z) of the associativity check, and
+        # The substitutions into a law, against the row-by-row reference:
+        # F(F(x, y), z) of the associativity oracle, and
         # F(t(x), t(y)) of the isomorphism check.
         law = build(n).law.terms
         f_xy = {(a, b, 0): c for (a, b), c in law.items()}
@@ -243,9 +307,9 @@ class TestMemoisation:
     def test_failed_construction_is_not_cached(self, monkeypatch):
         fgl_phi.cache_clear()
         fgl_phiL.cache_clear()
-        monkeypatch.setattr(fgl, "_associativity_holds", lambda law: False)
+        monkeypatch.setattr(fgl, "_log_additivity_holds", lambda law, log: False)
         for _ in range(2):
-            with pytest.raises(ConsistencyError, match="associativity"):
+            with pytest.raises(ConsistencyError, match="additivity"):
                 fgl_phi(5)
         monkeypatch.undo()
         assert fgl_phi(5).order == 5
