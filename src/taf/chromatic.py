@@ -194,7 +194,10 @@ def cor2_check(p: int) -> Cor2Result:
 
         p*v_2 = C((p^2-1)/4, (p^2-1)/8) * (-beta/4)^((p^2-1)/8)  (mod (alpha))
 
-    holds exactly over Q; together these force v_2 != 0 mod (p, v_1)."""
+    holds exactly over Q; together these force v_2 != 0 mod (p, v_1).
+
+    alpha | v_1 always holds: v_1 = P_a with a = (p-1)/4 odd, and P_a is odd
+    in alpha, so that field checks `legendre`'s grading, not the paper."""
     _require_split(p)
     if p % 8 != 5:
         raise UnsupportedPrimeError(
@@ -205,7 +208,7 @@ def cor2_check(p: int) -> Cor2Result:
     val = binomial_valuation(p, n, k)
 
     (v1, v2), _ = _hazewinkel_pass(2, p)
-    alpha_divides = all(i >= 1 for i, _ in v1.terms)
+    alpha_divides = v1.alpha_part().is_zero()
 
     lhs = v2.scale(p).alpha_part()
     rhs = GradedPoly({(0, k): Fraction(binom) * Fraction(-1, 4) ** k})

@@ -248,13 +248,16 @@ class _Homogeneous:
         return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
+def _lowest(den: int, vec: list[int]) -> tuple[int, list[int]]:
+    """vec / den in lowest terms, as `GradedPoly` and `QExpansion` keep it."""
+    g = gcd(den, *vec)
+    return (den, vec) if g == 1 else (den // g, [c // g for c in vec])
+
+
 def _graded(deg: int | None, den: int, vec: list[int]) -> "GradedPoly":
     """The GradedPoly (sum_j vec[j] alpha^(deg-2j) beta^j) / den, in lowest
     terms."""
-    g = gcd(den, *vec)
-    if g > 1:
-        den //= g
-        vec = [c // g for c in vec]
+    den, vec = _lowest(den, vec)
     return _make(GradedPoly, deg, vec, den=den)
 
 
@@ -357,7 +360,8 @@ class GradedPoly(_Homogeneous):
         return _graded(self.deg, self.den, self.vec[:1])
 
     def alpha_part(self) -> "GradedPoly":
-        """Terms with no alpha factor dropped; the image mod the ideal (alpha)."""
+        """The term with no alpha factor, beta^(deg/2), alone: the image mod
+        the ideal (alpha), zero when no such term is present."""
         if not self.vec or self.deg % 2:
             return ZERO
         return _graded(self.deg, self.den, [0] * (len(self.vec) - 1) + self.vec[-1:])

@@ -16,10 +16,11 @@ The theta conventions are validated against hard leading-term anchors
 (delta' = -1/8 + O(s), eps' = -s + O(s^2), alpha = 1 + O(s),
 Delta = s + O(s^2)); a convention mismatch fails loudly there.
 
-Every product runs on `exact._kron_mul`, the packed-integer kernel: a
-product scales both factors to integer numerators over one common
-denominator, and `substitute_forms` works on the integer list of a
-homogeneous polynomial until one division at the end.
+A series is kept as `GradedPoly` keeps a polynomial: one denominator and
+an integer list, in lowest terms (see `QExpansion`).  So a product is one
+`exact._kron_mul` of the two lists, the packed-integer kernel, over the
+product of the denominators, and `substitute_forms` works on the integer
+lists of the forms and of the polynomial until one reduction at the end.
 
 Numeric evaluation is double-precision Horner in s with a geometric tail
 bound; used for the zero checks, the automorphy residuals, and j = beta/(4*alpha^2).
@@ -34,98 +35,94 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .exact import GradedPoly, InputError, _kron_mul, _power
+from .exact import GradedPoly, InputError, _kron_mul, _lowest, _power
 from .chromatic import _require_split, hazewinkel_v
 
 
 class QExpansion:
-    """Truncated series in s = q^(1/2) with Fraction coefficients."""
+    """Truncated series in s = q^(1/2) over Q, in `GradedPoly`'s layout.
 
-    __slots__ = ("coeffs", "order")
+    Stored as (order, den, vec): vec[k] / den is the coefficient of s^k,
+    k <= order, in lowest terms (den > 0 and gcd(den, *vec) = 1).  So equal
+    series have equal fields, and den is the lcm of the reduced
+    denominators: integral means den = 1, p-integral that p does not divide
+    den.  The constructor takes int or Fraction coefficients over a positive
+    den, pads or truncates them to order + 1 and lifts them once."""
 
-    def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
+    __slots__ = ("order", "den", "vec")
+
+    def __init__(self, coeffs, order: int, den: int = 1):
         if order < 0:
             raise InputError("truncation order must be >= 0")
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
+        cs = coeffs[: order + 1]
+        lift = lcm(*(c.denominator for c in cs))
+        vec = [c.numerator * (lift // c.denominator) for c in cs]
+        den, vec = _lowest(den * lift, vec + [0] * (order + 1 - len(vec)))
+        for name, value in (("order", order), ("den", den), ("vec", vec)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpansion is immutable")
 
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """The coefficients of s^0..s^order, built on each access."""
+        return [Fraction(c, self.den) for c in self.vec]
+
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k <= self.order:
-            return self.coeffs[k]
+            return Fraction(self.vec[k], self.den)
         raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
 
     def _check(self, other: "QExpansion") -> None:
         if self.order != other.order:
-            raise InputError(
-                f"mixed truncation orders {self.order} and {other.order}"
-            )
+            raise InputError(f"mixed truncation orders {self.order} and {other.order}")
 
     def __add__(self, other: "QExpansion"):
         self._check(other)
-        return QExpansion(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        vec = [fa * x + fb * y for x, y in zip(self.vec, other.vec)]
+        return QExpansion(vec, self.order, den)
 
     def __neg__(self):
-        return QExpansion([-c for c in self.coeffs], self.order)
+        return QExpansion([-c for c in self.vec], self.order, self.den)
 
     def __sub__(self, other: "QExpansion"):
         return self + (-other)
 
-    def _numerators(self) -> tuple[int, list[int]]:
-        """(d, [d*c for c in coeffs]) for the least common denominator d."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
-
     def __mul__(self, other: "QExpansion"):
         self._check(other)
-        da, a = self._numerators()
-        db, b = other._numerators()
-        den = da * db
-        return QExpansion(
-            [Fraction(c, den) for c in _kron_mul(a, b, self.order + 1)],
-            self.order,
-        )
+        vec = _kron_mul(self.vec, other.vec, self.order + 1)
+        return QExpansion(vec, self.order, self.den * other.den)
 
     def __pow__(self, m: int):
         return _power(QExpansion([1], self.order), self, m, operator.mul)
 
     def scale(self, c) -> "QExpansion":
         f = Fraction(c)
-        return QExpansion([f * a for a in self.coeffs], self.order)
+        vec = [f.numerator * x for x in self.vec]
+        return QExpansion(vec, self.order, self.den * f.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order, self.den, self.vec) == (other.order, other.den, other.vec)
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash((self.order, self.den, tuple(self.vec)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.vec)
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def is_p_integral(self, p: int) -> bool:
-        return all(c.denominator % p != 0 for c in self.coeffs)
+        return self.den % p != 0
 
     def __str__(self):
-        parts = [
-            f"{c}*s^{k}" if k else str(c)
-            for k, c in enumerate(self.coeffs)
-            if c != 0
-        ]
+        parts = [f"{c}*s^{k}" if k else str(c) for k, c in enumerate(self.coeffs) if c]
         return (" + ".join(parts) or "0") + f" + O(s^{self.order + 1})"
 
     def to_json_list(self) -> list[dict]:
@@ -151,7 +148,7 @@ def theta_fourth_powers(K: int) -> tuple[QExpansion, QExpansion]:
         tri[n * (n + 1)] += 1
         n += 1
     tri_q = QExpansion(tri, K - 1) ** 4
-    theta2_4 = QExpansion([0] + [16 * c for c in tri_q.coeffs], K)
+    theta2_4 = QExpansion([0] + [16 * c for c in tri_q.vec], K)
 
     sq = [0] * (K + 1)
     sq[0] = 1
@@ -242,10 +239,10 @@ def eval_form(form: QExpansion, tau: complex) -> EvalResult:
     r = abs(s)
     if r >= 1:
         raise InputError("evaluation point has |s| >= 1 (divergent)")
-    value = 0j
-    for c in reversed(form.coeffs):
-        value = value * s + complex(c)
-    tail = abs(complex(form.coeffs[-1])) * r ** form.order / (1 - r)
+    den, value = form.den, 0j
+    for c in reversed(form.vec):
+        value = value * s + c / den
+    tail = abs(form.vec[-1] / den) * r ** form.order / (1 - r)
     return EvalResult(value=value, trunc_bound=tail)
 
 
@@ -308,8 +305,8 @@ def substitute_forms(poly: GradedPoly, K: int) -> QExpansion:
     n = K + 1
     d, vec = poly.deg, poly.vec
     J = d // 2
-    da, a = f.alpha._numerators()
-    db, b = f.beta._numerators()
+    da, a = f.alpha.den, f.alpha.vec
+    db, b = f.beta.den, f.beta.vec
     pow_a = {0: [1] + [0] * K, 1: a}
     if d > 1:
         pow_a[2] = _kron_mul(a, a, n)
@@ -319,7 +316,7 @@ def substitute_forms(poly: GradedPoly, K: int) -> QExpansion:
     for j in range(J - 1, -1, -1):
         lift = vec[j] * da ** (2 * j) * db ** (J - j)
         acc = [x + lift * y for x, y in zip(_kron_mul(acc, b, n), pow_a[d - 2 * j])]
-    return QExpansion([Fraction(c, poly.den * da**d * db**J) for c in acc], K)
+    return QExpansion(acc, K, poly.den * da**d * db**J)
 
 
 def genus_qexp_consistency(p: int, K: int = 40) -> bool:

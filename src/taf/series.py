@@ -31,7 +31,7 @@ from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unp
 Coeff = Union[GradedPoly, int, Fraction]
 Terms = Mapping[tuple[int, ...], GradedPoly]
 
-MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 17 s, 2 cores
+MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 9 s, 2 cores
 
 
 class _Series:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taf.chromatic import UnsupportedPrimeError, hazewinkel_v
 from taf.exact import ZERO, GradedPoly, InputError, _kron_mul
@@ -85,6 +86,126 @@ class TestQExpansion:
         assert not f.has_integer_coeffs()
         assert f.is_p_integral(5)
         assert not f.is_p_integral(2)
+
+
+# Coefficients as callers pass them: ints, and Fractions built from pairs not
+# in lowest terms (Fraction(5, 10) is 1/2).
+rationals = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 60)),
+)
+rational_lists = st.lists(rationals, max_size=8)
+
+
+def fraction_reference(coeffs: list, order: int) -> list[Fraction]:
+    """The coefficients of s^0..s^order as a plain Fraction list."""
+    cs = [Fraction(c) for c in coeffs[: order + 1]]
+    return cs + [Fraction(0)] * (order + 1 - len(cs))
+
+
+def assert_canonical(x: QExpansion) -> None:
+    """den > 0, gcd(den, *vec) = 1, and order + 1 integer entries."""
+    assert x.den > 0 and math.gcd(x.den, *x.vec) == 1
+    assert len(x.vec) == x.order + 1 and all(type(c) is int for c in x.vec)
+
+
+class TestLayout:
+    """(order, den, vec) against a Fraction-list reference for every
+    operation and predicate."""
+
+    @given(rational_lists, rational_lists, st.integers(0, 7), rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_fraction_lists(self, a, b, order, c):
+        x, y = QExpansion(a, order), QExpansion(b, order)
+        ra, rb = fraction_reference(a, order), fraction_reference(b, order)
+        cases = [
+            (x, ra),
+            (x + y, [u + v for u, v in zip(ra, rb)]),
+            (x - y, [u - v for u, v in zip(ra, rb)]),
+            (-x, [-u for u in ra]),
+            (x.scale(c), [c * u for u in ra]),
+            (x * y, schoolbook_mul(ra, rb, order + 1)),
+        ]
+        for got, ref in cases:
+            assert_canonical(got)
+            assert got.coeffs == ref
+            assert [got[k] for k in range(order + 1)] == ref
+            assert all(type(got[k]) is Fraction for k in range(order + 1))
+            assert got.is_zero() == (not any(ref))
+            assert got.has_integer_coeffs() == all(u.denominator == 1 for u in ref)
+            for p in (2, 3, 5, 7):
+                assert got.is_p_integral(p) == all(u.denominator % p for u in ref)
+        assert x * y == schoolbook_qmul(x, y)
+
+    @given(rational_lists, rational_lists, st.integers(0, 7), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_exactly_when_fields_are(self, a, b, order, m):
+        x, y = QExpansion(a, order), QExpansion(b, order)
+        same_fields = (x.den, x.vec) == (y.den, y.vec)
+        assert (x == y) == same_fields == (x.coeffs == y.coeffs)
+        # The same series from an integer list over a denominator that is
+        # not in lowest terms, and from Fractions over a denominator.
+        lifted = QExpansion([m * c for c in x.vec], order, m * x.den)
+        over_m = QExpansion(a, order, m)
+        assert lifted == x and hash(lifted) == hash(x)
+        assert over_m.coeffs == [u / m for u in fraction_reference(a, order)]
+        for z in (lifted, over_m):
+            assert_canonical(z)
+
+    def test_zero_has_denominator_one(self):
+        z = QExpansion([Fraction(0, 7), 0], 3)
+        assert (z.den, z.vec) == (1, [0, 0, 0, 0])
+        assert z.is_zero() and z == QExpansion([], 3)
+
+
+def divisor_sums(K: int, f) -> list[int]:
+    """[sum of f(d) over the divisors d of n, for n = 0..K] by a sieve; the
+    entry at n = 0 is 0."""
+    out = [0] * (K + 1)
+    for d in range(1, K + 1):
+        fd = f(d)
+        for n in range(d, K + 1, d):
+            out[n] += fd
+    return out
+
+
+class TestThetaOracle:
+    """Closed forms of the theta fourth powers and of alpha, sieved over
+    divisors and independent of the products that define them, through
+    K = 1000."""
+
+    K = 1000
+
+    def test_jacobi_theta2_fourth_power(self):
+        # theta2^4 = 16 * sum_{n odd} sigma(n) s^n
+        K = self.K
+        sigma = divisor_sums(K, lambda d: d)
+        expected = [16 * sigma[n] if n % 2 else 0 for n in range(K + 1)]
+        assert theta_fourth_powers(K)[0] == QExpansion(expected, K)
+
+    def test_jacobi_theta4_fourth_power(self):
+        # theta4^4 = 1 + sum (-1)^n r_4(n) s^n, r_4(n) = 8 * sum_{d | n, 4 !| d} d
+        K = self.K
+        r4 = divisor_sums(K, lambda d: 8 * d if d % 4 else 0)
+        expected = [1] + [(-1) ** n * r4[n] for n in range(1, K + 1)]
+        assert theta_fourth_powers(K)[1] == QExpansion(expected, K)
+
+    def test_eisenstein_alpha(self):
+        # alpha = (E4(tau/2) - 14 E4(tau) + 16 E4(2 tau)) / 3, where
+        # E4(tau/2) = 1 + 240 * sum sigma_3(n) s^n, E4(tau) the same in s^2
+        # and E4(2 tau) in s^4.
+        K = self.K
+        sigma3 = divisor_sums(K, lambda d: d**3)
+
+        def e4(step):
+            return [1] + [
+                0 if n % step else 240 * sigma3[n // step] for n in range(1, K + 1)
+            ]
+
+        expected = [
+            Fraction(x - 14 * y + 16 * z, 3) for x, y, z in zip(e4(1), e4(2), e4(4))
+        ]
+        assert forms(K).alpha == QExpansion(expected, K)
 
 
 class TestThetaSeries:
