@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import sys
 import time
+
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
@@ -311,6 +312,86 @@ def _cmd_selftest(args):
 
 
 # ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _scalar_text(o) -> str | None:
+    """The JSON text of a str, int, float, bool or None, as `json` writes
+    it; None for anything else."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, int):  # a bool is an int, and json writes it as a word
+        return "true" if o is True else "false" if o is False else int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        return "-Infinity" if o == -_INF else float.__repr__(o)
+    return "null" if o is None else None
+
+
+def _key_text(key) -> str:
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+        )
+    return text if isinstance(key, str) else _quote(text)
+
+
+# The text of the commonest scalars by exact type, which spares a Python
+# call per value; any other value goes through `_scalar_text`.
+_TEXT_BY_TYPE = {str: _quote, int: int.__repr__}
+
+
+def _append_json(o, nl: str, parts: list[str]) -> None:
+    """Append the JSON text of the dict, list or tuple `o`, whose lines
+    start with `nl` (a newline and the indent), to `parts`.  A container
+    whose values are all scalars, such as a term row, ends as one part, so
+    the list stays short."""
+    if isinstance(o, dict):
+        brackets, values = "{}", o.values()
+        heads = [(_quote(k) if type(k) is str else _key_text(k)) + ": " for k in o]
+    elif isinstance(o, (list, tuple)):
+        brackets, heads, values = "[]", [""] * len(o), o
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not heads:
+        parts.append(brackets)
+        return
+    start, inner, leaf = len(parts), nl + "  ", True
+    sep = brackets[0] + inner
+    for head, value in zip(heads, values):
+        text = _TEXT_BY_TYPE.get(type(value), _scalar_text)(value)
+        if text is None:
+            leaf = False
+            parts.append(sep + head)
+            _append_json(value, inner, parts)
+        else:
+            parts.append(sep + head + text)
+        sep = "," + inner
+    parts.append(nl + brackets[1])
+    if leaf:
+        parts[start:] = ["".join(parts[start:])]
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, joined once from a list
+    of parts.  With `indent` set, `json` encodes in pure Python and yields
+    every token apart, and `json.dump` writes each one."""
+    text = _scalar_text(doc)
+    if text is not None:
+        return text
+    parts: list[str] = []
+    _append_json(doc, "\n", parts)
+    return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
@@ -415,7 +496,8 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"series order {n} is above the limit {MAX_ORDER}")
         ok, lines, payload = args.handler(args)
         if args.format == "json":
-            json.dump(payload(), sys.stdout, indent=2)
+            # Two writes: the text plus "\n" would copy the whole document.
+            sys.stdout.write(_json_text(payload()))
             sys.stdout.write("\n")
         else:
             for line in lines():

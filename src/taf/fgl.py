@@ -54,11 +54,31 @@ class FormalGroupLaw(NamedTuple):
     order: int
 
 
-def _unit_axiom_holds(law: BiTruncSeries) -> bool:
-    return (
-        law.set_y() == TruncSeries.identity(law.order)
-        and law.set_x() == TruncSeries.identity(law.order)
-    )
+def _first_difference(
+    name_f: str, f: BiTruncSeries, name_g: str, g: BiTruncSeries
+) -> str:
+    """"" if f = g; else the first (a, b), in sorted order, where the two
+    differ, and both values.  Coefficients are compared, not subtracted, so
+    a mis-graded one is named too."""
+    fs, gs = f.terms, g.terms
+    keys = [k for k in fs.keys() | gs.keys() if fs.get(k) != gs.get(k)]
+    if not keys:
+        return ""
+    a, b = min(keys)
+    left, right = f.coefficient(a, b), g.coefficient(a, b)
+    return f": first at x^{a}*y^{b}, {name_f} has {left}, {name_g} has {right}"
+
+
+def _unit_discrepancy(law: BiTruncSeries) -> str:
+    """"" if F(x, 0) = x and F(0, y) = y; else the first coefficient on an
+    axis where F differs from x + y, and both values."""
+    n = law.order
+    x = TruncSeries.identity(n)
+    if law.set_y() == x and law.set_x() == x:
+        return ""
+    on_axes = BiTruncSeries({k: c for k, c in law.terms.items() if 0 in k}, n)
+    unit = BiTruncSeries.variable(0, n) + BiTruncSeries.variable(1, n)
+    return _first_difference("F", on_axes, "x + y", unit)
 
 
 def _log_additivity_holds(law: BiTruncSeries, log: TruncSeries) -> bool:
@@ -74,9 +94,7 @@ def _additivity_discrepancy(law: BiTruncSeries, log: TruncSeries) -> str:
     rhs = bi_from_univariate(log, 0, n) + bi_from_univariate(log, 1, n)
     if lhs == rhs:
         return ""
-    a, b = min((lhs - rhs).terms)
-    left, right = lhs.coefficient(a, b), rhs.coefficient(a, b)
-    return f": first at x^{a}*y^{b}, L(F) has {left}, L(x) + L(y) has {right}"
+    return _first_difference("L(F)", lhs, "L(x) + L(y)", rhs)
 
 
 def build_fgl(log: TruncSeries) -> FormalGroupLaw:
@@ -90,10 +108,12 @@ def build_fgl(log: TruncSeries) -> FormalGroupLaw:
     exp = revert(log)
     lsum = bi_from_univariate(log, 0, n) + bi_from_univariate(log, 1, n)
     law = bi_compose_outer(exp, lsum)
-    if not _unit_axiom_holds(law):
-        raise ConsistencyError("unit axiom failed")
-    if law != law.swap():
-        raise ConsistencyError("commutativity failed")
+    if detail := _unit_discrepancy(law):
+        raise ConsistencyError(f"unit axiom failed{detail}")
+    swapped = law.swap()
+    if law != swapped:
+        detail = _first_difference("F(x, y)", law, "F(y, x)", swapped)
+        raise ConsistencyError(f"commutativity failed{detail}")
     if not _log_additivity_holds(law, log):
         detail = _additivity_discrepancy(law, log)
         raise ConsistencyError(f"logarithm additivity failed{detail}")

@@ -4,12 +4,16 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taf
 import taf.cli as cli
@@ -223,8 +227,8 @@ def test_lazy_names_are_the_module_names():
 
 @pytest.mark.parametrize("k", ["600", "2"])
 def test_closed_stdout_exits_quietly(k):
-    # P_600's JSON outgrows the pipe buffer, so the write fails inside
-    # json.dump; P_2's fits, so it fails at the final flush.
+    # P_600's JSON outgrows the pipe buffer, so the write of its text
+    # fails; P_2's fits, so it fails at the final flush.
     src = str(Path(taf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
@@ -389,8 +393,9 @@ def test_output_past_the_int_digit_limit(capsys, monkeypatch, fmt):
 
 
 # sha256 of stdout in text and in JSON.  A change to a renderer must leave
-# these bytes as they are.  selftest's JSON has elapsed_s, so only its text
-# is pinned.
+# these bytes as they are.  selftest's JSON is pinned with every elapsed_s
+# read as 0.  landweber -p 53 (515 KB of JSON) and qexpand -K 300 (84 KB)
+# are the benchmark's largest outputs.
 PINNED_OUTPUT = {
     "legendre 50": (
         "25f7b47274a2e5d57855a002c85fc3986af8e1e7a8c65a2437e5902856e08249",
@@ -460,9 +465,17 @@ PINNED_OUTPUT = {
         "dd742a49cca35deda5309ae439b0372b5bb922ebb7f0d8f2594acf4672b2205e",
         "cb05b2124e081cd950089d4ad8f394086d43cc064d36d78b8694c23ba8b703af",
     ),
+    "landweber -p 53": (
+        "711bed9a4a2ec5740e25482b3dd603b9c3caf82d01b22e735a154b882a3aa463",
+        "b212da446340d97de7cdbad398742a0ed2dab7f32e2835df35c2d9bf2cc04ed7",
+    ),
+    "qexpand -K 300": (
+        "50aba4b1e143b788a2420e85554e3f8b2dbc492b090ceba5f5dd0b5e2ba107a5",
+        "809b6bf0f64b133053c2c5822cddb72251bdf9527836b6c0224390ea26293421",
+    ),
     "selftest": (
         "65beaa910bd339c9fc480eda3ad3058b8dfb441d865ffc02317b8506caf5ba6f",
-        None,
+        "53205d7c59d71e723855707add273b3c577d41b6c4914fc14002d4871e1de9e3",
     ),
 }
 
@@ -474,10 +487,104 @@ def _digest(out: str) -> str:
 @pytest.mark.parametrize("command", PINNED_OUTPUT)
 def test_output_bytes_pinned(capsys, command):
     for fmt, digest in zip(("text", "json"), PINNED_OUTPUT[command]):
-        if digest is None:
-            continue
         code, out = run(capsys, *command.split(), "--format", fmt)
+        out = re.sub(r'"elapsed_s": [^,\n]+', '"elapsed_s": 0', out)
         assert (code, _digest(out)) == (0, digest), fmt
+
+
+# JSON documents for the writer's oracle: nested and empty dicts, lists and
+# tuples over every scalar json writes, with non-ASCII and control
+# characters, ints past 4,300 digits, and the floats json writes as words.
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300]
+_KEYS = st.one_of(
+    st.text(),
+    st.integers(),
+    st.sampled_from([True, False, None, 1.5, *_SPECIAL_FLOATS]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.builds(
+        lambda digits, sign: sign * (10**digits - 7),
+        st.integers(4300, 4400),
+        st.sampled_from([1, -1]),
+    ),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "é☃𝄞", "\ud800"]),
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_KEYS, inner),
+    ),
+    max_leaves=40,
+)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "a float"
+
+
+class _Str(str):
+    def __repr__(self):
+        return "a str"
+
+
+class TestJsonText:
+    # cli._json_text against json.dumps(doc, indent=2), byte for byte.
+    @given(_DOCUMENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert cli._json_text(doc) == json.dumps(doc, indent=2)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            True,
+            False,
+            None,
+            0,
+            1,
+            -0.0,
+            [True, 1, False, 0],
+            {"a": {}, "b": [], "c": ()},
+            # Subclasses are written as their base type, whatever their repr.
+            [_Int(7), _Float(0.5), _Str("s")],
+            {_Str("k"): _Int(1), _Int(2): [_Float(-0.0)]},
+        ],
+        ids=repr,
+    )
+    def test_words_subclasses_and_empty_containers(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [Fraction(1, 2), [1, Fraction(1, 2)], {"a": [{"b": Fraction(1)}]}, {(1,): 2}],
+        ids=repr,
+    )
+    def test_unserializable_values_raise_as_json_does(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            cli._json_text(doc)
 
 
 def _refuse(*args, **kwargs):

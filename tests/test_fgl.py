@@ -109,15 +109,15 @@ def perturbation(d: int, mirror: bool) -> BiTruncSeries:
     return BiTruncSeries(terms, 9)
 
 
-def perturb_construction(monkeypatch, log, d):
+def perturb_construction(monkeypatch, log, extra):
     """Make the construction's outer compose, exp(L(x) + L(y)), return the
-    law plus `perturbation(d, mirror=True)`; the additivity check's compose,
-    L(F(x, y)), is left alone."""
+    law plus the series `extra`; the additivity check's compose, L(F(x, y)),
+    is left alone."""
     compose = fgl.bi_compose_outer
 
     def perturbed(f, g):
         law = compose(f, g)
-        return law if f == log else law + perturbation(d, mirror=True)
+        return law if f == log else law + extra
 
     monkeypatch.setattr(fgl, "bi_compose_outer", perturbed)
 
@@ -155,7 +155,7 @@ class TestConstruction:
         # the build must refuse it at the additivity check.
         good = fgl_phiL(9)
         fgl_phiL.cache_clear()
-        perturb_construction(monkeypatch, good.log, d)
+        perturb_construction(monkeypatch, good.log, perturbation(d, mirror=True))
         with pytest.raises(ConsistencyError, match="additivity failed: first at"):
             build_fgl(good.log)
         with pytest.raises(ConsistencyError, match="additivity"):
@@ -168,13 +168,39 @@ class TestConstruction:
     def test_additivity_failure_names_its_first_discrepancy(self, monkeypatch):
         # d = 2 adds alpha*x^4*y + alpha*x*y^4; sorted, (1, 4) comes first.
         good = fgl_phiL(9)
-        perturb_construction(monkeypatch, good.log, 2)
+        perturb_construction(monkeypatch, good.log, perturbation(2, mirror=True))
         with pytest.raises(ConsistencyError) as err:
             build_fgl(good.log)
         assert str(err.value) == (
             "logarithm additivity failed: first at x^1*y^4, L(F) has a,"
             " L(x) + L(y) has 0"
         )
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            # An x^2 term: F(x, 0) is no longer x.
+            (
+                {(2, 0): ONE},
+                "unit axiom failed: first at x^2*y^0, F has 1, x + y has 0",
+            ),
+            # x*y^2 without its partner x^2*y: F(x, y) != F(y, x).
+            (
+                {(1, 2): ONE},
+                "commutativity failed: first at x^1*y^2, F(x, y) has 1,"
+                " F(y, x) has 0",
+            ),
+        ],
+        ids=["unit", "commutativity"],
+    )
+    def test_axiom_failure_names_its_first_discrepancy(
+        self, extra, message, fresh_laws, monkeypatch
+    ):
+        good = fgl_phiL(9)
+        perturb_construction(monkeypatch, good.log, BiTruncSeries(extra, 9))
+        with pytest.raises(ConsistencyError) as err:
+            build_fgl(good.log)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_construction_checks_reject_a_perturbed_law(self, d):
