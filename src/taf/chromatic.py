@@ -132,11 +132,7 @@ class VGenReport(NamedTuple):
             "details": self.details,
         }
         if self.landweber is not None:
-            d["landweber"] = {
-                "v1_nonzero_mod_p": self.landweber.v1_nonzero_mod_p,
-                "v2_nonzero_mod_p_v1": self.landweber.v2_nonzero_mod_p_v1,
-                "height2_cozero_check": self.landweber.height2_cozero_check,
-            }
+            d["landweber"] = self.landweber._asdict()
         return d
 
 

@@ -10,7 +10,8 @@ zero-argument callables that build the text lines and the JSON payload.
 nothing.  A refusal is raised by the handler, before it returns.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The orders
-default to N = 13 (-N, at most `series.MAX_ORDER`) and K = 50 (-K).
+default to N = 13 (-N, at most `series.MAX_ORDER`) and K = 50 (-K, at most
+`MAX_QORDER`); `main` refuses a larger one before any handler runs.
 `selftest` runs the gating criteria of `taf.criteria`.
 """
 
@@ -37,6 +38,10 @@ from .series import MAX_ORDER
 # them, so a command that needs none of them does not load them.
 
 _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
+
+# The cap on -K, here so that checking it loads no `qexp`: `qexpand -K 10000
+# --format json` takes 1.1 s and 46 MB, and the cost grows with K.
+MAX_QORDER = 10_000
 
 
 def _verdict(ok: bool) -> str:
@@ -152,15 +157,7 @@ def _cmd_cor2(args):
     ]
 
     def payload():
-        return {
-            "prime": r.prime,
-            "binomial": str(r.binomial),
-            "valuation": r.valuation,
-            "alpha_divides_v1": r.alpha_divides_v1,
-            "congruence_mod_alpha": r.congruence_mod_alpha,
-            "v2_mod_p_v1_nonzero": r.v2_mod_p_v1_nonzero,
-            "pass": r.passes(),
-        }
+        return r._asdict() | {"binomial": str(r.binomial), "pass": r.passes()}
 
     return r.passes(), lambda: lines, payload
 
@@ -238,12 +235,7 @@ def _cmd_transform_check(args):
         f"inversion residual: {r.residual_s:.3e}",
         f"both < {args.tolerance:g}: {_verdict(ok)}",
     ]
-    payload = {
-        "residual_c4": r.residual_c4,
-        "residual_s": r.residual_s,
-        "tolerance": args.tolerance,
-        "pass": ok,
-    }
+    payload = r._asdict() | {"tolerance": args.tolerance, "pass": ok}
     return ok, lambda: lines, lambda: payload
 
 
@@ -379,16 +371,18 @@ def _append_json(o, nl: str, parts: list[str]) -> None:
         parts[start:] = ["".join(parts[start:])]
 
 
-def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte, joined once from a list
-    of parts.  With `indent` set, `json` encodes in pure Python and yields
-    every token apart, and `json.dump` writes each one."""
+def _json_parts(doc) -> list[str]:
+    """The parts whose concatenation is `json.dumps(doc, indent=2)`, byte for
+    byte, to be written one after another and never joined, so a large
+    document is not held as one more whole copy.  With `indent` set, `json`
+    encodes in pure Python and yields every token apart, and `json.dump`
+    writes each one."""
     text = _scalar_text(doc)
     if text is not None:
-        return text
+        return [text]
     parts: list[str] = []
     _append_json(doc, "\n", parts)
-    return "".join(parts)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +488,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if (n := getattr(args, "order", 0)) > MAX_ORDER:
             raise InputError(f"series order {n} is above the limit {MAX_ORDER}")
+        if (k := getattr(args, "qorder", 0)) > MAX_QORDER:
+            raise InputError(f"q-expansion order {k} is above the limit {MAX_QORDER}")
         ok, lines, payload = args.handler(args)
         if args.format == "json":
-            # Two writes: the text plus "\n" would copy the whole document.
-            sys.stdout.write(_json_text(payload()))
+            sys.stdout.writelines(_json_parts(payload()))
             sys.stdout.write("\n")
         else:
             for line in lines():

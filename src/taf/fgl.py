@@ -81,10 +81,6 @@ def _unit_discrepancy(law: BiTruncSeries) -> str:
     return _first_difference("F", on_axes, "x + y", unit)
 
 
-def _log_additivity_holds(law: BiTruncSeries, log: TruncSeries) -> bool:
-    return not _additivity_discrepancy(law, log)
-
-
 def _additivity_discrepancy(law: BiTruncSeries, log: TruncSeries) -> str:
     """"" if L(F(x, y)) = L(x) + L(y) through the law's order; else the first
     (a, b), in sorted order, where the two sides differ, and both values,
@@ -114,8 +110,7 @@ def build_fgl(log: TruncSeries) -> FormalGroupLaw:
     if law != swapped:
         detail = _first_difference("F(x, y)", law, "F(y, x)", swapped)
         raise ConsistencyError(f"commutativity failed{detail}")
-    if not _log_additivity_holds(law, log):
-        detail = _additivity_discrepancy(law, log)
+    if detail := _additivity_discrepancy(law, log):
         raise ConsistencyError(f"logarithm additivity failed{detail}")
     return FormalGroupLaw(law=law, log=log, order=n)
 

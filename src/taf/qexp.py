@@ -1,20 +1,23 @@
 """Exact Fourier expansions at the cusp and their numeric evaluation.
 
 Everything is a series in s = q^(1/2) = e^(pi*i*tau) with rational
-coefficients.  The two theta fourth powers are
+coefficients.  The theta fourth powers X = theta2^4 and Y = theta4^4 are
+Jacobi's divisor sums,
 
-    theta2^4 = 16*s * (sum_{n>=0} s^(n(n+1)))^4,
-    theta4^4 = (1 + 2*sum_{n>=1} (-1)^n s^(n^2))^4,
+    X = 16*sum_{n odd} sigma(n) s^n
+    Y = 1 + sum_{n>=1} (-1)^n r_4(n) s^n,   r_4(n) = 8*sum_{d | n, 4 !| d} d,
 
-and the generator forms are assembled from them:
+and the generator forms are polynomials in them:
 
-    delta' = (theta2^4 - theta4^4)/8        eps'   = -theta2^4*theta4^4/16
-    alpha  = -2^7*(eps' - delta'^2/2)       beta   = 2^12*delta'^4
-    Delta  = 2^6*eps'*(eps' - delta'^2)     (the normalized cusp form)
+    delta' = (X - Y)/8              eps'  = -X*Y/16
+    alpha  = X^2 + 6*X*Y + Y^2      beta  = (X - Y)^4
+    Delta  = X*Y*(X + Y)^2/16       (the normalized cusp form)
 
-The theta conventions are validated against hard leading-term anchors
+The tests keep the products X = 16*s*(sum_{n>=0} s^(n(n+1)))^4 and
+Y = (1 + 2*sum_{n>=1} (-1)^n s^(n^2))^4, with alpha, beta and Delta derived
+from delta' and eps', as the oracle of both.  Leading-term anchors
 (delta' = -1/8 + O(s), eps' = -s + O(s^2), alpha = 1 + O(s),
-Delta = s + O(s^2)); a convention mismatch fails loudly there.
+Delta = s + O(s^2)) pin the theta conventions; a mismatch fails there.
 
 A series is kept as `GradedPoly` keeps a polynomial: one denominator and
 an integer list, in lowest terms (see `QExpansion`).  So a product is one
@@ -138,26 +141,18 @@ class QExpansion:
 
 
 def theta_fourth_powers(K: int) -> tuple[QExpansion, QExpansion]:
-    """(theta2^4, theta4^4) through s^K; both have integer coefficients."""
+    """(theta2^4, theta4^4) through s^K, integral, from one sieve: r4[n]
+    sums the divisors d of n with 4 !| d, which is sigma(n) for odd n."""
     if K < 1:
         raise InputError("order must be >= 1")
-    # sum_{n>=0} s^(n(n+1)) through s^(K-1) (the outer factor s shifts by 1)
-    tri = [0] * K
-    n = 0
-    while n * (n + 1) < K:
-        tri[n * (n + 1)] += 1
-        n += 1
-    tri_q = QExpansion(tri, K - 1) ** 4
-    theta2_4 = QExpansion([0] + [16 * c for c in tri_q.vec], K)
-
-    sq = [0] * (K + 1)
-    sq[0] = 1
-    n = 1
-    while n * n <= K:
-        sq[n * n] += 2 * (-1) ** n
-        n += 1
-    theta4_4 = QExpansion(sq, K) ** 4
-    return theta2_4, theta4_4
+    r4 = [0] * (K + 1)
+    for d in range(1, K + 1):
+        if d % 4:
+            for n in range(d, K + 1, d):
+                r4[n] += d
+    theta2_4 = [16 * r if n % 2 else 0 for n, r in enumerate(r4)]
+    theta4_4 = [1] + [-8 * r if n % 2 else 8 * r for n, r in enumerate(r4) if n]
+    return QExpansion(theta2_4, K), QExpansion(theta4_4, K)
 
 
 class GeneratorForms(NamedTuple):
@@ -170,16 +165,18 @@ class GeneratorForms(NamedTuple):
 
 @lru_cache(maxsize=8)
 def forms(K: int) -> GeneratorForms:
-    """The five generator expansions through s^K."""
+    """The five generator expansions through s^K, as polynomials in
+    X = theta2^4 and Y = theta4^4 (see the module docstring)."""
     if K < 2:
         raise InputError("order must be >= 2")
-    t2, t4 = theta_fourth_powers(K)
-    delta_prime = (t2 - t4).scale(Fraction(1, 8))
-    eps_prime = (t2 * t4).scale(Fraction(-1, 16))
-    d2 = delta_prime * delta_prime
-    alpha = (eps_prime - d2.scale(Fraction(1, 2))).scale(-128)
-    beta = (d2 * d2).scale(4096)
-    delta_g = (eps_prime * (eps_prime - d2)).scale(64)
+    x, y = theta_fourth_powers(K)
+    xy, diff, total = x * y, x - y, x + y
+    diff2, total2 = diff * diff, total * total
+    delta_prime = diff.scale(Fraction(1, 8))
+    eps_prime = xy.scale(Fraction(-1, 16))
+    alpha = total2 + xy.scale(4)  # X^2 + 6*X*Y + Y^2
+    beta = diff2 * diff2
+    delta_g = (xy * total2).scale(Fraction(1, 16))
     return GeneratorForms(delta_prime, eps_prime, alpha, beta, delta_g)
 
 
@@ -200,10 +197,10 @@ def integrality_and_identity(K: int) -> bool:
     """alpha, Delta, 8*delta', eps' integer-coefficient through s^K and the
     exact relation alpha^2 - beta - 2^8*Delta = 0.
 
-    Only the integrality half tests the theta constants.  `forms` defines
-    alpha = 2^6*delta'^2 - 2^7*eps', beta = 2^12*delta'^4 and
-    Delta = 2^6*eps'^2 - 2^6*eps'*delta'^2, so the relation holds for any
-    delta' and eps' in any ring: it checks the q-series product kernel."""
+    Both halves are structural once X = theta2^4 is 0 (mod 16) and
+    Y = theta4^4 is integral, as the sieve builds them: 8*delta', eps', alpha
+    and Delta are then integral polynomials in X/16 and Y, and the relation
+    holds for any X and Y.  So it checks the product kernel and reduction."""
     f = forms(K)
     integral = (
         f.alpha.has_integer_coeffs()

@@ -227,7 +227,7 @@ def test_lazy_names_are_the_module_names():
 
 @pytest.mark.parametrize("k", ["600", "2"])
 def test_closed_stdout_exits_quietly(k):
-    # P_600's JSON outgrows the pipe buffer, so the write of its text
+    # P_600's JSON outgrows the pipe buffer, so a write of its parts
     # fails; P_2's fits, so it fails at the final flush.
     src = str(Path(taf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -368,6 +368,31 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1
         message = f"error: series order {n} is above the limit {MAX_ORDER}\n"
         assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qexpand"],
+            ["eval-tau", "alpha", "0", "2"],
+            ["jg", "0", "1"],
+            ["transform-check", "0", "2"],
+            ["selftest"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_qorder_above_the_cap_is_refused_up_front(self, capsys, argv):
+        k = cli.MAX_QORDER + 1
+        for fmt in ("text", "json"):
+            t0 = time.perf_counter()
+            assert main([*argv, "-K", str(k), "--format", fmt]) == 2
+            assert time.perf_counter() - t0 < 1
+            message = f"error: q-expansion order {k} is above the limit 10000\n"
+            assert capsys.readouterr() == ("", message)
+
+    def test_qorder_at_the_cap_runs(self, capsys):
+        code, out = run(capsys, "qexpand", "-K", "10000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["qorder"] == 10000
 
     def test_series_order_at_the_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_ORDER", 5)
@@ -542,7 +567,8 @@ class _Str(str):
 
 
 class TestJsonText:
-    # cli._json_text against json.dumps(doc, indent=2), byte for byte.
+    # The parts of cli._json_parts, joined, against json.dumps(doc, indent=2),
+    # byte for byte.
     @given(_DOCUMENTS)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, doc):
@@ -550,7 +576,7 @@ class TestJsonText:
         if limit is not None:
             sys.set_int_max_str_digits(0)
         try:
-            assert cli._json_text(doc) == json.dumps(doc, indent=2)
+            assert "".join(cli._json_parts(doc)) == json.dumps(doc, indent=2)
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
@@ -573,7 +599,7 @@ class TestJsonText:
         ids=repr,
     )
     def test_words_subclasses_and_empty_containers(self, doc):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+        assert "".join(cli._json_parts(doc)) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize(
         "doc",
@@ -584,7 +610,7 @@ class TestJsonText:
         with pytest.raises(TypeError) as expected:
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
-            cli._json_text(doc)
+            cli._json_parts(doc)
 
 
 def _refuse(*args, **kwargs):

@@ -9,7 +9,7 @@ import taf.series as series
 from taf.exact import ALPHA, InputError, ONE, _dot
 from taf.fgl import (
     ConsistencyError,
-    _log_additivity_holds,
+    _additivity_discrepancy,
     beta_zero_law,
     build_fgl,
     euler_law,
@@ -176,6 +176,23 @@ class TestConstruction:
             " L(x) + L(y) has 0"
         )
 
+    def test_failed_additivity_composes_once(self, monkeypatch):
+        # The failed check names its discrepancy from the composite L(F(x, y))
+        # it compared, without composing the logarithm with the law again.
+        good = fgl_phiL(9)
+        perturb_construction(monkeypatch, good.log, perturbation(2, mirror=True))
+        perturbed = fgl.bi_compose_outer
+        outer = []
+
+        def counted(f, g):
+            outer.append("L(F)" if f == good.log else "exp")
+            return perturbed(f, g)
+
+        monkeypatch.setattr(fgl, "bi_compose_outer", counted)
+        with pytest.raises(ConsistencyError, match="additivity failed: first at"):
+            build_fgl(good.log)
+        assert outer == ["exp", "L(F)"]
+
     @pytest.mark.parametrize(
         "extra,message",
         [
@@ -209,9 +226,9 @@ class TestConstruction:
         f = fgl_phiL(9)
         law = f.law + perturbation(d, mirror=True)
         assert law == law.swap()
-        assert _associativity_holds(f.law) and _log_additivity_holds(f.law, f.log)
+        assert _associativity_holds(f.law) and not _additivity_discrepancy(f.law, f.log)
         assert not _associativity_holds(law)
-        assert not _log_additivity_holds(law, f.log)
+        assert _additivity_discrepancy(law, f.log)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 6, 7, 8])
     def test_construction_checks_reject_a_mis_graded_law(self, t):
@@ -223,7 +240,7 @@ class TestConstruction:
         law = f.law + BiTruncSeries({(t - 1, 1): ALPHA, (1, t - 1): ALPHA}, 9)
         checks = (
             lambda: _associativity_holds(law),
-            lambda: _log_additivity_holds(law, f.log),
+            lambda: not _additivity_discrepancy(law, f.log),
         )
         for check in checks:
             if t < 4:
@@ -333,7 +350,9 @@ class TestMemoisation:
     def test_failed_construction_is_not_cached(self, monkeypatch):
         fgl_phi.cache_clear()
         fgl_phiL.cache_clear()
-        monkeypatch.setattr(fgl, "_log_additivity_holds", lambda law, log: False)
+        monkeypatch.setattr(
+            fgl, "_additivity_discrepancy", lambda law, log: ": first at x^1*y^4"
+        )
         for _ in range(2):
             with pytest.raises(ConsistencyError, match="additivity"):
                 fgl_phi(5)

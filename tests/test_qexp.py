@@ -51,6 +51,39 @@ def termwise_substitute(poly: GradedPoly, f: GeneratorForms, K: int) -> QExpansi
     return acc
 
 
+def product_theta_fourth_powers(K: int) -> tuple[QExpansion, QExpansion]:
+    """(theta2^4, theta4^4) through s^K as fourth powers of the theta series,
+    16*s*(sum_{n>=0} s^(n(n+1)))^4 and (1 + 2*sum_{n>=1} (-1)^n s^(n^2))^4:
+    the construction `theta_fourth_powers` replaced, kept as its oracle."""
+    tri = [0] * K  # through s^(K-1); the outer factor s shifts by 1
+    n = 0
+    while n * (n + 1) < K:
+        tri[n * (n + 1)] += 1
+        n += 1
+    tri_q = QExpansion(tri, K - 1) ** 4
+    theta2_4 = QExpansion([0] + [16 * c for c in tri_q.vec], K)
+    sq = [1] + [0] * K
+    n = 1
+    while n * n <= K:
+        sq[n * n] += 2 * (-1) ** n
+        n += 1
+    return theta2_4, QExpansion(sq, K) ** 4
+
+
+def derived_forms(K: int) -> GeneratorForms:
+    """The five forms from the product construction, alpha, beta and Delta
+    derived from delta' and eps' as `forms` did before it built them in
+    X = theta2^4 and Y = theta4^4, kept as its oracle."""
+    t2, t4 = product_theta_fourth_powers(K)
+    delta_prime = (t2 - t4).scale(Fraction(1, 8))
+    eps_prime = (t2 * t4).scale(Fraction(-1, 16))
+    d2 = delta_prime * delta_prime
+    alpha = (eps_prime - d2.scale(Fraction(1, 2))).scale(-128)
+    beta = (d2 * d2).scale(4096)
+    delta_g = (eps_prime * (eps_prime - d2)).scale(64)
+    return GeneratorForms(delta_prime, eps_prime, alpha, beta, delta_g)
+
+
 class TestQExpansion:
     def test_arithmetic(self):
         a = QExpansion([1, 2, 3], 2)
@@ -169,10 +202,14 @@ def divisor_sums(K: int, f) -> list[int]:
     return out
 
 
+# Every order from the smallest valid one to 200, and two large ones.
+ORACLE_ORDERS = [*range(1, 201), 300, 1000]
+
+
 class TestThetaOracle:
-    """Closed forms of the theta fourth powers and of alpha, sieved over
-    divisors and independent of the products that define them, through
-    K = 1000."""
+    """The closed forms against the product construction, and Jacobi's
+    divisor sums and the Eisenstein series of alpha against both, sieved
+    here apart from `theta_fourth_powers`, through K = 1000."""
 
     K = 1000
 
@@ -180,15 +217,25 @@ class TestThetaOracle:
         # theta2^4 = 16 * sum_{n odd} sigma(n) s^n
         K = self.K
         sigma = divisor_sums(K, lambda d: d)
-        expected = [16 * sigma[n] if n % 2 else 0 for n in range(K + 1)]
-        assert theta_fourth_powers(K)[0] == QExpansion(expected, K)
+        expected = QExpansion([16 * sigma[n] if n % 2 else 0 for n in range(K + 1)], K)
+        assert product_theta_fourth_powers(K)[0] == expected
+        assert theta_fourth_powers(K)[0] == expected
 
     def test_jacobi_theta4_fourth_power(self):
         # theta4^4 = 1 + sum (-1)^n r_4(n) s^n, r_4(n) = 8 * sum_{d | n, 4 !| d} d
         K = self.K
         r4 = divisor_sums(K, lambda d: 8 * d if d % 4 else 0)
-        expected = [1] + [(-1) ** n * r4[n] for n in range(1, K + 1)]
-        assert theta_fourth_powers(K)[1] == QExpansion(expected, K)
+        expected = QExpansion([1] + [(-1) ** n * r4[n] for n in range(1, K + 1)], K)
+        assert product_theta_fourth_powers(K)[1] == expected
+        assert theta_fourth_powers(K)[1] == expected
+
+    def test_theta_fourth_powers_match_products(self):
+        for K in ORACLE_ORDERS:
+            assert theta_fourth_powers(K) == product_theta_fourth_powers(K), K
+
+    def test_forms_match_derivation(self):
+        for K in ORACLE_ORDERS[1:]:
+            assert forms.__wrapped__(K) == derived_forms(K), K
 
     def test_eisenstein_alpha(self):
         # alpha = (E4(tau/2) - 14 E4(tau) + 16 E4(2 tau)) / 3, where
@@ -205,7 +252,7 @@ class TestThetaOracle:
         expected = [
             Fraction(x - 14 * y + 16 * z, 3) for x, y, z in zip(e4(1), e4(2), e4(4))
         ]
-        assert forms(K).alpha == QExpansion(expected, K)
+        assert forms(K).alpha == QExpansion(expected, K) == derived_forms(K).alpha
 
 
 class TestThetaSeries:
@@ -248,7 +295,8 @@ class TestForms:
     def test_wrong_theta_constant_fails_the_gate(self, monkeypatch):
         # Negative control: with theta2^4 halved both checks fail, although
         # alpha^2 - beta - 2^8*Delta still vanishes, as it does for any
-        # delta' and eps'.  Other tests share the cached forms: clear it around.
+        # theta2^4 and theta4^4.  `forms` looks `theta_fourth_powers` up when
+        # it runs.  Other tests share the cached forms: clear it around.
         real = theta_fourth_powers
         monkeypatch.setattr(
             qexp,
