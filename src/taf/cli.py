@@ -340,11 +340,41 @@ def _key_text(key) -> str:
 _TEXT_BY_TYPE = {str: _quote, int: int.__repr__}
 
 
-def _append_json(o, nl: str, parts: list[str]) -> None:
+_CHUNK = 1 << 20  # characters of JSON text gathered before each write
+_COUNT_EVERY = 64  # parts appended between two counts of their characters
+
+
+class _Chunks(list):
+    """JSON parts that `spill` writes out, and drops, each time at least
+    `_CHUNK` characters of them have gathered, so a large document is never
+    held as text beside its payload."""
+
+    __slots__ = ("writelines", "seen", "held")
+
+    def __init__(self, writelines):
+        super().__init__()
+        self.writelines, self.seen, self.held = writelines, 0, 0
+
+    def spill(self) -> None:
+        """Count the characters of the parts appended since the last count,
+        and write the parts once `_CHUNK` characters are held.  Called only
+        where no open container will join its parts into one
+        (`_append_json`), once `_COUNT_EVERY` parts have been appended, so a
+        chunk holds at most that many parts more than `_CHUNK` characters."""
+        self.held += sum(map(len, self[self.seen :]))
+        self.seen = len(self)
+        if self.held >= _CHUNK:
+            self.writelines(self)
+            self.clear()
+            self.seen = self.held = 0
+
+
+def _append_json(o, nl: str, parts: _Chunks) -> None:
     """Append the JSON text of the dict, list or tuple `o`, whose lines
     start with `nl` (a newline and the indent), to `parts`.  A container
     whose values are all scalars, such as a term row, ends as one part, so
-    the list stays short."""
+    the list stays short.  The parts may spill after a nested container: its
+    parts and those of every container around it are never joined."""
     if isinstance(o, dict):
         brackets, values = "{}", o.values()
         heads = [(_quote(k) if type(k) is str else _key_text(k)) + ": " for k in o]
@@ -363,6 +393,8 @@ def _append_json(o, nl: str, parts: list[str]) -> None:
             leaf = False
             parts.append(sep + head)
             _append_json(value, inner, parts)
+            if len(parts) - parts.seen >= _COUNT_EVERY:
+                parts.spill()
         else:
             parts.append(sep + head + text)
         sep = "," + inner
@@ -371,18 +403,18 @@ def _append_json(o, nl: str, parts: list[str]) -> None:
         parts[start:] = ["".join(parts[start:])]
 
 
-def _json_parts(doc) -> list[str]:
-    """The parts whose concatenation is `json.dumps(doc, indent=2)`, byte for
-    byte, to be written one after another and never joined, so a large
-    document is not held as one more whole copy.  With `indent` set, `json`
-    encodes in pure Python and yields every token apart, and `json.dump`
-    writes each one."""
+def _write_json(doc, writelines) -> None:
+    """Write `json.dumps(doc, indent=2)`, byte for byte, by `writelines` in
+    chunks of about `_CHUNK` characters as they are made; a shorter document
+    is one call.  With `indent` set, `json` encodes in pure Python and
+    yields every token apart, and `json.dump` writes each one."""
     text = _scalar_text(doc)
     if text is not None:
-        return [text]
-    parts: list[str] = []
+        writelines([text])
+        return
+    parts = _Chunks(writelines)
     _append_json(doc, "\n", parts)
-    return parts
+    writelines(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"q-expansion order {k} is above the limit {MAX_QORDER}")
         ok, lines, payload = args.handler(args)
         if args.format == "json":
-            sys.stdout.writelines(_json_parts(payload()))
+            _write_json(payload(), sys.stdout.writelines)
             sys.stdout.write("\n")
         else:
             for line in lines():

@@ -1,10 +1,33 @@
 """Formal group laws from logarithms over Q[alpha, beta].
 
-A law is built as F(x, y) = exp(L(x) + L(y)) with exp the compositional
-inverse of the logarithm L; the unit axiom, commutativity and additivity
-L(F(x, y)) = L(x) + L(y) are verified at construction, and a failure aborts
-rather than returning a bad law.  Associativity follows: L = x + ..., so
-additivity through order N gives F = L^-1(L(x) + L(y)) mod deg N+1, and then
+A law is F(x, y) = L^-1(L(x) + L(y)) for a logarithm L = x + ...; it is built
+from its invariant differential dx/L'(x) = w(x) dx, w = 1/L' = sum_m w_m x^m
+with w_0 = 1 (Hazewinkel, *Formal Groups and Applications*, 1978), by a
+linear recurrence: nothing is reverted and nothing is composed.  The unit
+axiom, commutativity and additivity L(F(x, y)) = L(x) + L(y) are verified at
+construction, and a failure aborts rather than returning a bad law.
+
+The recurrence.  The vector field w(x) d/dx - w(y) d/dy kills L(x) + L(y),
+since w L' = 1, so it kills every series in L(x) + L(y), F among them:
+
+    w(x) * dF/dx = w(y) * dF/dy,    F(0, y) = y.
+
+With P = dF/dx and Q = dF/dy, the coefficient of x^a y^b reads
+
+    P[a,b] = Q[a,b] + sum_{m>=1} w_m * (Q[a,b-m] - P[a-m,b]),
+
+then F[a+1,b] = P[a,b]/(a+1) and Q[a+1,b-1] = b * F[a+1,b].  Along each
+diagonal a + b = s, from a = 0 up, the right side needs only Q[a,b], made
+one step before on the diagonal (Q[0,s] is 1 at s = 0 and 0 beyond, from
+F(0, y) = y), and lower diagonals.  So F(0, y) = y fixes each diagonal of
+the solution, the solution is unique, and it is L^-1(L(x) + L(y)).  Each
+coefficient costs one `exact._dot`.  F(0, y) = y holds by construction, but
+F(x, 0) = x and commutativity do not, and the additivity check compares the
+recurrence with a different algorithm, the sparse Horner composition
+L(F(x, y)) on `series._product_step`.
+
+Associativity follows: L = x + ..., so additivity through order N gives
+F = L^-1(L(x) + L(y)) mod deg N+1, and then
 F(F(x, y), z) = L^-1(L(x) + L(y) + L(z)) = F(x, F(y, z)) mod deg N+1.
 
 Each law is built and verified once per process: `fgl_phi(N)` and
@@ -21,10 +44,11 @@ reproduce it exactly.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO
+from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO, _dot
 from .legendre import log_phiL
 from .series import (
     BiTruncSeries,
@@ -32,7 +56,7 @@ from .series import (
     bi_compose_outer,
     bi_compose_slots,
     bi_from_univariate,
-    revert,
+    series_div,
     sqrt_unit,
     _is_normalized,
 )
@@ -93,17 +117,49 @@ def _additivity_discrepancy(law: BiTruncSeries, log: TruncSeries) -> str:
     return _first_difference("L(F)", lhs, "L(x) + L(y)", rhs)
 
 
+def _law_from_differential(w: TruncSeries, n: int) -> BiTruncSeries:
+    """The solution F through total order n of w(x)*dF/dx = w(y)*dF/dy with
+    F(0, y) = y, for w = 1 + O(x) known through order n - 1: one `_dot` per
+    coefficient P[a,b] = Q[a,b] + sum_{m>=1} w_m*(Q[a,b-m] - P[a-m,b]), on
+    each diagonal a + b = s from a = 0 up (see the module docstring)."""
+    tail = [(m, c, -c) for (m,), c in sorted(w.terms.items()) if m]
+    law = {(0, 1): ONE}
+    p, q = {}, {(0, 0): ONE}  # the nonzero P[a,b] = dF/dx and Q[a,b] = dF/dy
+    for s in range(n):
+        for a in range(s + 1):
+            b = s - a
+            pairs = [(ONE, q[a, b])] if (a, b) in q else []
+            for m, c, neg in tail:
+                if m > s:
+                    break
+                if (a, b - m) in q:
+                    pairs.append((c, q[a, b - m]))
+                if (a - m, b) in p:
+                    pairs.append((neg, p[a - m, b]))
+            pab = _dot(pairs)
+            if pab.vec:
+                p[a, b] = pab
+                law[a + 1, b] = fab = pab.scale(Fraction(1, a + 1))
+                if b:
+                    q[a + 1, b - 1] = fab.scale(b)
+    return BiTruncSeries.from_terms(law, n)
+
+
 def build_fgl(log: TruncSeries) -> FormalGroupLaw:
-    """F(x, y) = exp(L(x) + L(y)) through total order N, with the unit axiom,
-    commutativity and additivity verified.  Associativity follows: L = x + ...,
-    so additivity gives F = L^-1(L(x) + L(y)) mod deg N+1, and then
-    F(F(x, y), z) = L^-1(L(x) + L(y) + L(z)) = F(x, F(y, z)) mod deg N+1."""
+    """F(x, y) = L^-1(L(x) + L(y)) through total order N, with the unit
+    axiom, commutativity and additivity verified.
+
+    F is the unique solution of w(x)*dF/dx = w(y)*dF/dy with F(0, y) = y for
+    w = 1/L' (`_law_from_differential`): w(x) d/dx - w(y) d/dy kills
+    L(x) + L(y) and so L^-1(L(x) + L(y)), and F(0, y) = y fixes the
+    recurrence on each diagonal.  Associativity follows from additivity:
+    L = x + ..., so additivity gives F = L^-1(L(x) + L(y)) mod deg N+1, and
+    then F(F(x, y), z) = L^-1(L(x) + L(y) + L(z)) = F(x, F(y, z)) mod deg N+1."""
     if not _is_normalized(log):
         raise InputError("logarithm must be normalized: x + higher-order terms")
     n = log.order
-    exp = revert(log)
-    lsum = bi_from_univariate(log, 0, n) + bi_from_univariate(log, 1, n)
-    law = bi_compose_outer(exp, lsum)
+    w = series_div(TruncSeries.one(n - 1), log.differentiate())
+    law = _law_from_differential(w, n)
     if detail := _unit_discrepancy(law):
         raise ConsistencyError(f"unit axiom failed{detail}")
     swapped = law.swap()

@@ -31,7 +31,8 @@ from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unp
 Coeff = Union[GradedPoly, int, Fraction]
 Terms = Mapping[tuple[int, ...], GradedPoly]
 
-MAX_ORDER = 64  # the CLI's cap on -N: `taf iso-check -N 64` takes 9 s, 2 cores
+# The CLI's cap on -N: on 2 cores `taf iso-check -N 64` takes 8 s, `fgl -N 64` 3 s.
+MAX_ORDER = 64
 
 
 class _Series:

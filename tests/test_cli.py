@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -517,6 +518,23 @@ def test_output_bytes_pinned(capsys, command):
         assert (code, _digest(out)) == (0, digest), fmt
 
 
+@pytest.mark.parametrize("command", ["landweber -p 53", "fgl -N 21"])
+def test_output_bytes_pinned_in_chunks(capsys, monkeypatch, command):
+    # The benchmark's largest JSON outputs, written by main in chunks of
+    # about 4 KB, keep their pinned bytes.
+    writes = []
+    write_json = cli._write_json
+
+    def counted(doc, writelines):
+        write_json(doc, lambda parts: writes.append(writelines(parts)))
+
+    monkeypatch.setattr(cli, "_CHUNK", 4096)
+    monkeypatch.setattr(cli, "_write_json", counted)
+    code, out = run(capsys, *command.split(), "--format", "json")
+    assert (code, _digest(out)) == (0, PINNED_OUTPUT[command][1])
+    assert len(writes) >= 3
+
+
 # JSON documents for the writer's oracle: nested and empty dicts, lists and
 # tuples over every scalar json writes, with non-ASCII and control
 # characters, ints past 4,300 digits, and the floats json writes as words.
@@ -566,20 +584,54 @@ class _Str(str):
         return "a str"
 
 
+def json_writes(doc):
+    """The lists of parts `cli._write_json` passes to each `writelines`."""
+    writes = []
+    cli._write_json(doc, lambda parts: writes.append(list(parts)))
+    return writes
+
+
+def json_text(doc):
+    return "".join(part for parts in json_writes(doc) for part in parts)
+
+
 class TestJsonText:
-    # The parts of cli._json_parts, joined, against json.dumps(doc, indent=2),
-    # byte for byte.
-    @given(_DOCUMENTS)
+    # The parts of cli._write_json, joined, against json.dumps(doc, indent=2),
+    # byte for byte: in one write, and spilled in chunks of 1 to 64
+    # characters, counted once 1, 3 or 64 parts have been appended.
+    @given(
+        _DOCUMENTS,
+        st.sampled_from([cli._CHUNK, 1, 7, 64]),
+        st.sampled_from([1, 3, cli._COUNT_EVERY]),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, doc):
+    def test_matches_json_dumps(self, doc, size, every):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         if limit is not None:
             sys.set_int_max_str_digits(0)
         try:
-            assert "".join(cli._json_parts(doc)) == json.dumps(doc, indent=2)
+            with mock.patch.multiple(cli, _CHUNK=size, _COUNT_EVERY=every):
+                assert json_text(doc) == json.dumps(doc, indent=2)
         finally:
             if limit is not None:
                 sys.set_int_max_str_digits(limit)
+
+    def test_short_document_is_one_write(self):
+        doc = {"law": [{"a": a, "b": 1, "poly": {"den": "1"}} for a in range(999)]}
+        assert len(json.dumps(doc, indent=2)) < cli._CHUNK
+        assert len(json_writes(doc)) == 1
+
+    def test_long_document_is_written_in_chunks(self):
+        # Each write but the last holds at least one chunk, and at most one
+        # chunk plus `_COUNT_EVERY` parts, so the text is never held whole.
+        row = {"poly": {"den": "1", "vec": ["9" * 999]}}
+        doc = {"rows": [row] * 4000}
+        writes = json_writes(doc)
+        sizes = [sum(map(len, parts)) for parts in writes]
+        widest = max(len(part) for parts in writes for part in parts)
+        assert 3 <= len(writes) and sum(sizes) == len(json.dumps(doc, indent=2))
+        slack = cli._COUNT_EVERY * widest
+        assert all(cli._CHUNK <= s <= cli._CHUNK + slack for s in sizes[:-1])
 
     @pytest.mark.parametrize(
         "doc",
@@ -599,7 +651,7 @@ class TestJsonText:
         ids=repr,
     )
     def test_words_subclasses_and_empty_containers(self, doc):
-        assert "".join(cli._json_parts(doc)) == json.dumps(doc, indent=2)
+        assert json_text(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize(
         "doc",
@@ -610,7 +662,7 @@ class TestJsonText:
         with pytest.raises(TypeError) as expected:
             json.dumps(doc, indent=2)
         with pytest.raises(TypeError, match=re.escape(str(expected.value))):
-            cli._json_parts(doc)
+            json_text(doc)
 
 
 def _refuse(*args, **kwargs):

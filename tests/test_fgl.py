@@ -3,6 +3,8 @@
 import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taf.fgl as fgl
 import taf.series as series
@@ -17,7 +19,8 @@ from taf.fgl import (
     fgl_phiL,
     iso_check,
 )
-from taf.curve import t_of_v
+from taf.curve import log_phi, t_of_v
+from taf.legendre import log_phiL
 from taf.series import (
     BiTruncSeries,
     TruncSeries,
@@ -25,7 +28,9 @@ from taf.series import (
     bi_compose_outer,
     bi_compose_slots,
     bi_from_univariate,
+    revert,
 )
+from test_exact import graded_polys
 from test_series import tri_mul
 
 
@@ -109,17 +114,35 @@ def perturbation(d: int, mirror: bool) -> BiTruncSeries:
     return BiTruncSeries(terms, 9)
 
 
-def perturb_construction(monkeypatch, log, extra):
-    """Make the construction's outer compose, exp(L(x) + L(y)), return the
-    law plus the series `extra`; the additivity check's compose, L(F(x, y)),
-    is left alone."""
-    compose = fgl.bi_compose_outer
+def perturb_construction(monkeypatch, extra):
+    """Make the construction's recurrence return the law plus the series
+    `extra`; the checks are left alone."""
+    recurrence = fgl._law_from_differential
+    monkeypatch.setattr(
+        fgl, "_law_from_differential", lambda w, n: recurrence(w, n) + extra
+    )
 
-    def perturbed(f, g):
-        law = compose(f, g)
-        return law if f == log else law + extra
 
-    monkeypatch.setattr(fgl, "bi_compose_outer", perturbed)
+def oracle_law(log):
+    """The construction before the recurrence, kept as the oracle: revert the
+    logarithm (Newton), then compose exp with L(x) + L(y) by sparse Horner."""
+    n = log.order
+    lsum = bi_from_univariate(log, 0, n) + bi_from_univariate(log, 1, n)
+    return bi_compose_outer(revert(log), lsum)
+
+
+@st.composite
+def normalized_logs(draw):
+    """x + sum_k c_k x^(s*k + 1) through order n, for a step s of 1, 2 or 4
+    and c_k homogeneous of Legendre degree e*k: the grading that makes the
+    law's coefficient at total degree t homogeneous of degree e*(t - 1)/s."""
+    s = draw(st.sampled_from([1, 2, 4]))
+    e = draw(st.integers(0, 2))
+    n = draw(st.integers(3, 13 if s == 4 else 8))
+    coeffs = {(1,): ONE}
+    for k in range(1, (n - 1) // s + 1):
+        coeffs[(s * k + 1,)] = draw(graded_polys(e * k))
+    return TruncSeries.from_terms(coeffs, n)
 
 
 class TestConstruction:
@@ -150,12 +173,12 @@ class TestConstruction:
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_build_refuses_a_perturbed_law(self, d, fresh_laws, monkeypatch):
-        # The construction's own outer compose returns F plus a mirrored
+        # The construction's recurrence returns F plus a mirrored
         # perturbation: commutative, with the unit, but not associative, and
         # the build must refuse it at the additivity check.
         good = fgl_phiL(9)
         fgl_phiL.cache_clear()
-        perturb_construction(monkeypatch, good.log, perturbation(d, mirror=True))
+        perturb_construction(monkeypatch, perturbation(d, mirror=True))
         with pytest.raises(ConsistencyError, match="additivity failed: first at"):
             build_fgl(good.log)
         with pytest.raises(ConsistencyError, match="additivity"):
@@ -168,7 +191,7 @@ class TestConstruction:
     def test_additivity_failure_names_its_first_discrepancy(self, monkeypatch):
         # d = 2 adds alpha*x^4*y + alpha*x*y^4; sorted, (1, 4) comes first.
         good = fgl_phiL(9)
-        perturb_construction(monkeypatch, good.log, perturbation(2, mirror=True))
+        perturb_construction(monkeypatch, perturbation(2, mirror=True))
         with pytest.raises(ConsistencyError) as err:
             build_fgl(good.log)
         assert str(err.value) == (
@@ -178,20 +201,20 @@ class TestConstruction:
 
     def test_failed_additivity_composes_once(self, monkeypatch):
         # The failed check names its discrepancy from the composite L(F(x, y))
-        # it compared, without composing the logarithm with the law again.
+        # it compared, without composing the logarithm with the law again; the
+        # construction itself composes nothing.
         good = fgl_phiL(9)
-        perturb_construction(monkeypatch, good.log, perturbation(2, mirror=True))
-        perturbed = fgl.bi_compose_outer
+        perturb_construction(monkeypatch, perturbation(2, mirror=True))
         outer = []
 
         def counted(f, g):
-            outer.append("L(F)" if f == good.log else "exp")
-            return perturbed(f, g)
+            outer.append("L(F)" if f == good.log else f)
+            return bi_compose_outer(f, g)
 
         monkeypatch.setattr(fgl, "bi_compose_outer", counted)
         with pytest.raises(ConsistencyError, match="additivity failed: first at"):
             build_fgl(good.log)
-        assert outer == ["exp", "L(F)"]
+        assert outer == ["L(F)"]
 
     @pytest.mark.parametrize(
         "extra,message",
@@ -214,7 +237,7 @@ class TestConstruction:
         self, extra, message, fresh_laws, monkeypatch
     ):
         good = fgl_phiL(9)
-        perturb_construction(monkeypatch, good.log, BiTruncSeries(extra, 9))
+        perturb_construction(monkeypatch, BiTruncSeries(extra, 9))
         with pytest.raises(ConsistencyError) as err:
             build_fgl(good.log)
         assert str(err.value) == message
@@ -278,6 +301,47 @@ class TestConstruction:
         assert issubclass(ConsistencyError, RuntimeError)
 
 
+class TestRecurrence:
+    # The law from the invariant differential, against the oracle that
+    # reverts the logarithm and composes.
+    @pytest.mark.parametrize("log", [log_phi, log_phiL])
+    @pytest.mark.parametrize("n", [13, 21, 29, 45])
+    def test_laws_match_the_oracle(self, log, n):
+        assert build_fgl(log(n)).law == oracle_law(log(n))
+
+    @given(normalized_logs())
+    @settings(max_examples=40, deadline=None)
+    def test_random_logs_match_the_oracle(self, log):
+        assert build_fgl(log).law == oracle_law(log)
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_dropping_a_term_of_w_is_refused(self, m, monkeypatch):
+        # Negative control: the recurrence without w_m builds the law of
+        # another logarithm.  Its x-linear part is w(y), so the law first
+        # differs from the oracle at x*y^m, and L(F) there is -w_m.
+        log = log_phiL(13)
+        recurrence = fgl._law_from_differential
+        built, dropped = [], []
+
+        def without_w_m(w, n):
+            dropped.append(w[m])
+            terms = {k: c for k, c in w.terms.items() if k != (m,)}
+            built.append(recurrence(TruncSeries.from_terms(terms, w.order), n))
+            return built[-1]
+
+        monkeypatch.setattr(fgl, "_law_from_differential", without_w_m)
+        with pytest.raises(ConsistencyError) as err:
+            build_fgl(log)
+        assert not dropped[0].is_zero()
+        oracle = oracle_law(log).terms
+        differ = built[0].terms.items() ^ oracle.items()
+        assert min(k for k, _ in differ) == (1, m)
+        assert str(err.value) == (
+            f"logarithm additivity failed: first at x^1*y^{m},"
+            f" L(F) has {-dropped[0]}, L(x) + L(y) has 0"
+        )
+
+
 @pytest.fixture
 def fresh_laws():
     """Empty law caches before and after the test, so that no law built
@@ -293,10 +357,10 @@ class TestProductKernel:
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [9, 13])
     def test_laws_match_the_pairwise_product(self, build, n, fresh_laws, monkeypatch):
-        # The laws built on the packed `_product_step`, against the same
-        # construction with every product step on the pairwise reference
-        # `tri_mul`: each pair converted to term maps, multiplied, and the
-        # sum lifted back.
+        # The laws checked on the packed `_product_step`, against a build
+        # whose additivity check runs every product step on the pairwise
+        # reference `tri_mul`: each pair converted to term maps, multiplied,
+        # and the sum lifted back.
         fast = build(n).law
         build.cache_clear()
         calls = []
