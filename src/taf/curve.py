@@ -26,14 +26,6 @@ from .series import TruncSeries, compose, revert, sqrt_unit
 # ---------------------------------------------------------------------------
 
 
-def _quintic_value(u: TruncSeries) -> TruncSeries:
-    """u - 2*alpha*u^3 + beta*u^5 evaluated on a series."""
-    u2 = u * u
-    u3 = u2 * u
-    u5 = u3 * u2
-    return u + u3.scale(ALPHA.scale(-2)) + u5.scale(BETA)
-
-
 def solve_u_of_v(N: int) -> TruncSeries:
     """The unique series u(v) with u - 2*alpha*u^3 + beta*u^5 = v^2 through
     order N; only exponents = 2 (mod 4) occur.
@@ -43,7 +35,8 @@ def solve_u_of_v(N: int) -> TruncSeries:
     """
     if N < 2:
         raise InputError("order must be >= 2")
-    r = revert(_quintic_value(TruncSeries.identity(N // 2)))
+    quintic = {(1,): ONE, (3,): ALPHA.scale(-2), (5,): BETA}
+    r = revert(TruncSeries.from_terms(quintic, N // 2))
     return TruncSeries.from_terms({(2 * k,): c for (k,), c in r.terms.items()}, N)
 
 

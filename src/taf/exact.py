@@ -15,7 +15,7 @@ sum or `_dot` that mixes degrees.  `ModPoly` is the same list mod p.
 
 The private kernels are `_dot`, `_miller_power`, `_power` and `_kron_mul`.
 `_kron_mul` multiplies dense integer lists by Kronecker substitution, one
-big-int multiply of lists packed by `_pack`; `series._sum_of_products` packs
+big-int multiply of lists packed by `_pack`; `series._product_step` packs
 whole series terms with the same codec.  `_dot` sums the convolutions of a
 list of pairs over one common denominator by a plain loop.
 `GradedPoly.__pow__` runs on `_miller_power`, J.C.P. Miller's power

@@ -35,7 +35,7 @@ import cmath
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import fmod, lcm
 from typing import NamedTuple
 
 from .exact import GradedPoly, InputError, _kron_mul, _lowest, _power
@@ -230,9 +230,10 @@ def _require_upper_half_plane(tau: complex) -> None:
 
 
 def eval_form(form: QExpansion, tau: complex) -> EvalResult:
-    """Horner evaluation at s = e^(pi*i*tau) with a geometric tail estimate."""
+    """Horner evaluation at s = e^(pi*i*tau) with a geometric tail estimate;
+    s has period 2 in tau, and Re tau is read modulo 2 by the exact `fmod`."""
     _require_upper_half_plane(tau)
-    s = cmath.exp(1j * cmath.pi * tau)
+    s = cmath.exp(1j * cmath.pi * complex(fmod(tau.real, 2), tau.imag))
     r = abs(s)
     if r >= 1:
         raise InputError("evaluation point has |s| >= 1 (divergent)")

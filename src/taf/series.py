@@ -9,14 +9,16 @@ implicit min.
 
 Every product of maps of any arity is one `_product_step` on lifted forms
 (`_lift`: one denominator, integer lists): Kronecker substitution on whole
-terms, one big-int multiply-add per pair of terms.  A chain of products,
-the sparse Horner `_compose_outer` that `compose` and `bi_compose_outer`
-share and the substitution into a law `_substitute`, stays lifted from step
-to step and builds `GradedPoly`s (`_terms`) only where it ends.  Division
-and square roots make one `exact._dot` per output coefficient.
+terms, one big-int multiply-add per pair of terms.  A series product lifts
+both factors, takes one step and builds `GradedPoly`s (`_terms`).  A chain
+of products, the sparse Horner `_compose_outer` that `compose` and
+`bi_compose_outer` share and the substitution into a law `_substitute`,
+stays lifted from step to step and builds `GradedPoly`s only where it ends.
+Division and square roots make one `exact._dot` per output coefficient.
 
-Reversion is the one Newton iteration (the working order doubles each
-step); square roots run on J.C.P. Miller's power recurrence in one pass.
+Reversion is Lagrange inversion, [x^m] f^-1 = (1/m) [x^(m-1)] (x/f)^m: one
+division and one product per coefficient.  Square roots run on J.C.P.
+Miller's power recurrence in one pass.  No Newton step is left.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .exact import GradedPoly, InputError, ONE, ZERO, _dot, _graded, _pack, _unp
 Coeff = Union[GradedPoly, int, Fraction]
 Terms = Mapping[tuple[int, ...], GradedPoly]
 
-# The CLI's cap on -N: on 2 cores `taf iso-check -N 64` takes 8 s, `fgl -N 64` 3 s.
+# The CLI's cap on -N: on 2 cores `taf iso-check -N 64` takes 5-7 s, `fgl -N 64` 2-3 s.
 MAX_ORDER = 64
 
 
@@ -87,9 +89,9 @@ class _Series:
 
     def __mul__(self, other):
         self._check(other)
-        return self.from_terms(
-            _truncated_product(self.terms, other.terms, self.order), self.order
-        )
+        n, arity = self.order, self.arity
+        step = _product_step([(_lift(self.terms, n), _lift(other.terms, n))], n, arity)
+        return self.from_terms(_terms(step, n, arity), n)
 
     def scale(self, c: Coeff):
         g = GradedPoly.coerce(c)
@@ -148,16 +150,6 @@ class TruncSeries(_Series):
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise InputError("cannot truncate upward")
-        return TruncSeries.from_terms(self.terms, order)
-
-    def extend_zero(self, order: int) -> "TruncSeries":
-        """Reinterpret with a higher order, padding with zero coefficients.
-
-        Only valid when the caller knows the extra coefficients vanish
-        (e.g. a plain polynomial); used for exact substitution checks.
-        """
-        if order < self.order:
-            raise InputError("use truncate to lower the order")
         return TruncSeries.from_terms(self.terms, order)
 
     def differentiate(self) -> "TruncSeries":
@@ -231,48 +223,26 @@ def sqrt_unit(f: TruncSeries) -> TruncSeries:
 
 
 def revert(f: TruncSeries) -> TruncSeries:
-    """Compositional inverse of f = x + O(x^2) with unit linear coefficient.
-
-    Newton iteration g <- g - (f(g) - x)/f'(g), order doubling per step.
+    """Compositional inverse g of f = x + O(x^2) with unit linear coefficient,
+    by Lagrange inversion (Knuth, TAOCP vol. 2, section 4.7, Algorithm L):
+    with h = x/f, [x^m] g = (1/m) [x^(m-1)] h^m.  h is one `series_div`, and
+    each h^m one product more; no Newton step is left.
     """
     if not _is_normalized(f):
         raise InputError("revert needs f = x + higher-order terms")
     n = f.order
-    fp = f.differentiate()
-    g = TruncSeries.identity(1)
-    k = 1
-    while k < n:
-        k = min(2 * k + 1, n)
-        fk = f.truncate(k)
-        gk = g.extend_zero(k)
-        num = compose(fk, gk) - TruncSeries.identity(k)
-        # f' is known through order n-1; the padded coefficient only touches
-        # the quotient beyond order k because num starts above x^(k/2).
-        fpk = fp.truncate(k) if k <= fp.order else fp.extend_zero(k)
-        den = compose(fpk, gk)
-        g = gk - series_div(num, den)
-    return g
+    f_over_x = {(k - 1,): c for (k,), c in f.terms.items()}
+    h = series_div(TruncSeries.one(n - 1), TruncSeries.from_terms(f_over_x, n - 1))
+    terms, power = {(1,): ONE}, h
+    for m in range(2, n + 1):
+        power = power * h
+        terms[(m,)] = power[m - 1].scale(Fraction(1, m))
+    return TruncSeries.from_terms(terms, n)
 
 
 # ---------------------------------------------------------------------------
 # Sparse kernels on term maps of any arity
 # ---------------------------------------------------------------------------
-
-
-def _truncated_product(a: Terms, b: Terms, n: int) -> dict[tuple[int, ...], GradedPoly]:
-    """a * b with every term of total degree above n dropped; no stored zeros."""
-    return _sum_of_products([(a, b)], n)
-
-
-def _sum_of_products(pairs, n: int) -> dict[tuple[int, ...], GradedPoly]:
-    """The sum of a * b over the pairs (a, b) of term maps of one arity,
-    through total degree n; no stored zeros: each map lifted once, one
-    `_product_step`, one `_graded` per output term."""
-    arity = len(next((k for pair in pairs for m in pair for k in m), ()))
-    maps = {id(m): m for pair in pairs for m in pair}
-    lifted = {i: _lift(m, n) for i, m in maps.items()}
-    step = _product_step([(lifted[id(a)], lifted[id(b)]) for a, b in pairs], n, arity)
-    return _terms(step, n, arity)
 
 
 def _codec(arity: int, n: int) -> tuple[list[int], int]:

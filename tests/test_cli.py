@@ -360,6 +360,17 @@ class TestExitCodes:
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv", [["eval-tau", "alpha", "1e308", "1"], ["jg", "1e308", "1"]]
+    )
+    def test_large_real_part_runs(self, capsys, argv):
+        # s = e^(pi*i*tau) is read at Re tau mod 2, which is 0 here: the
+        # value printed after the point is the one at tau = i.
+        code, out = run(capsys, *argv)
+        assert code == 0
+        _, at_i = run(capsys, *argv[:-2], "0", "1")
+        assert out.split(" = ", 1)[1] == at_i.split(" = ", 1)[1]
+
+    @pytest.mark.parametrize(
         "command", ["ulog", "llog", "fgl", "euler", "iso-check", "selftest"]
     )
     def test_series_order_above_the_cap_is_refused_up_front(self, capsys, command):

@@ -345,6 +345,26 @@ class TestEvaluation:
         assert abs(a.value) < 1e-6
         assert abs(b.value) < 1e-6
 
+    @pytest.mark.parametrize(
+        "tau, shifts",
+        [
+            # Re tau dyadic, so that tau + 2k is exact in floating point.
+            (complex(0.375, 0.8), [2, 4, 2.0**40]),
+            (complex(-0.625, 0.8), [-2, -(2.0**44)]),
+            (complex(1, 1.5), [2.0**52]),
+            # Every float of magnitude at least 2^53 is an even integer.
+            (complex(0, 1), [1e16, -1e16, 2.0**200, 1e308, -1e308]),
+        ],
+    )
+    def test_period_two_in_re_tau(self, tau, shifts):
+        # fmod keeps the sign of Re tau, so each shift keeps it too: then
+        # tau + 2k reduces to tau itself, and the value is the same float.
+        f = forms(40)
+        for form in (f.alpha, f.beta):
+            value = eval_form(form, tau)
+            for shift in shifts:
+                assert eval_form(form, tau + shift) == value, shift
+
     def test_transform_residuals(self):
         r = transform_check(2j, K=60)
         assert r.residual_c4 < 1e-6

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taf.series as series
+from taf.curve import v_of_t
 from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
 from taf.series import (
     BiTruncSeries,
@@ -23,10 +24,9 @@ from taf.series import (
     sqrt_unit,
     _compose_outer,
     _lift,
+    _product_step,
     _substitute,
-    _sum_of_products,
     _terms,
-    _truncated_product,
 )
 from test_exact import pairwise_product
 
@@ -49,9 +49,37 @@ def newton_sqrt_unit(f):
     k = 0
     while k < f.order:
         k = min(2 * k + 1, f.order)
-        gk = g.extend_zero(k)
+        gk = TruncSeries.from_terms(g.terms, k)
         g = (gk + series_div(f.truncate(k), gk)).scale(Fraction(1, 2))
     return g
+
+
+def newton_revert(f):
+    """The Newton iteration g <- g - (f(g) - x)/f'(g) that `revert` ran
+    before Lagrange inversion, doubling the correct order each step; kept as
+    the reference.  Padding g and f' with zeros to order k only touches the
+    quotient beyond order k, because f(g) - x starts above x^(k/2)."""
+    n = f.order
+    fp = f.differentiate()
+    g = TruncSeries.identity(1)
+    k = 1
+    while k < n:
+        k = min(2 * k + 1, n)
+        gk = TruncSeries.from_terms(g.terms, k)
+        num = compose(f.truncate(k), gk) - TruncSeries.identity(k)
+        den = compose(TruncSeries.from_terms(fp.terms, k), gk)
+        g = gk - series_div(num, den)
+    return g
+
+
+def product_step(pairs, n):
+    """The sum of a * b over the pairs (a, b) of term maps of one arity,
+    through total degree n: each map `_lift`ed once (a map shared by pairs
+    too), one `_product_step`, and `_terms`."""
+    arity = len(next((k for pair in pairs for m in pair for k in m), ()))
+    lifted = {id(m): _lift(m, n) for pair in pairs for m in pair}
+    step = _product_step([(lifted[id(a)], lifted[id(b)]) for a, b in pairs], n, arity)
+    return _terms(step, n, arity)
 
 
 class TestTruncSeries:
@@ -72,11 +100,9 @@ class TestTruncSeries:
     def test_truncate_and_extend(self):
         f = TruncSeries([1, 2, 3], 2)
         assert f.truncate(1) == TruncSeries([1, 2], 1)
-        assert f.extend_zero(4).order == 4
+        assert f.truncate(2) == f
         with pytest.raises(InputError):
             f.truncate(5)
-        with pytest.raises(InputError):
-            f.extend_zero(1)
 
     def test_calculus_inverse(self):
         f = TruncSeries([1, 2, 3, 4], 3)
@@ -93,6 +119,19 @@ class TestComposeRevert:
         g = revert(f)
         assert compose(f, g) == TruncSeries.identity(f.order)
         assert compose(g, f) == TruncSeries.identity(f.order)
+
+    @given(trunc_series(order=9, normalized=True))
+    @settings(max_examples=30, deadline=None)
+    def test_revert_matches_newton(self, f):
+        assert revert(f) == newton_revert(f)
+
+    @pytest.mark.parametrize("n", [13, 21, 29, 45, 64])
+    def test_revert_of_program_inputs_matches_newton(self, n):
+        # The quintic u - 2*alpha*u^3 + beta*u^5 of the chart solve, and v(t).
+        quintic = {(1,): ONE, (3,): ALPHA.scale(-2), (5,): BETA}
+        f = TruncSeries.from_terms(quintic, n)
+        assert revert(f) == newton_revert(f)
+        assert revert(v_of_t(n)) == newton_revert(v_of_t(n))
 
     def test_revert_rejects_unnormalized(self):
         with pytest.raises(InputError):
@@ -199,7 +238,7 @@ class TestBivariate:
 
 
 def tri_mul(f, g, order):
-    """The trivariate product `_truncated_product` replaced, generalised to
+    """The trivariate product the lifted kernel replaced, generalised to
     maps of any arity and kept as the reference: one partial sum per pair of
     terms, coefficient products by the pairwise Fraction reference."""
     out = {}
@@ -242,7 +281,7 @@ class TestTruncatedProduct:
         a = data.draw(graded_maps(arity))
         b = data.draw(graded_maps(arity, shift=1))
         n = data.draw(st.integers(0, 3 * arity))
-        got = _truncated_product(a, b, n)
+        got = product_step([(a, b)], n)
         assert got == tri_mul(a, b, n)
         assert all(not c.is_zero() and sum(k) <= n for k, c in got.items())
 
@@ -252,9 +291,9 @@ class TestTruncatedProduct:
         # for them; x^2 sits exactly at degree n = 2 and is dropped at n = 1.
         one, x, xx = (tuple([e] + [0] * (arity - 1)) for e in (0, 1, 2))
         plus, minus = {one: ONE, x: ONE}, {one: ONE, x: -ONE}
-        assert _truncated_product(plus, minus, 2) == {one: ONE, xx: -ONE}
-        assert _truncated_product(plus, minus, 1) == {one: ONE}
-        assert _truncated_product(plus, minus, 2) == tri_mul(plus, minus, 2)
+        assert product_step([(plus, minus)], 2) == {one: ONE, xx: -ONE}
+        assert product_step([(plus, minus)], 1) == {one: ONE}
+        assert product_step([(plus, minus)], 2) == tri_mul(plus, minus, 2)
 
 
 def sum_reference(pairs, n):
@@ -316,7 +355,7 @@ class TestSumOfProducts:
             a = data.draw(wide_maps(arity, s))
             b = data.draw(wide_maps(arity, total - s))
             pairs += [(a, b)] * data.draw(st.integers(1, 3))
-        got = _sum_of_products(pairs, n)
+        got = product_step(pairs, n)
         assert got == sum_reference(pairs, n)
         assert all(not c.is_zero() and sum(k) <= n for k, c in got.items())
 
@@ -343,7 +382,7 @@ class TestSumOfProducts:
                 [(constant_map([Fraction(top, 3), Fraction(top, 5)]), one)],
             ]
             for pairs in cases:
-                assert _sum_of_products(pairs, 8) == sum_reference(pairs, 8), k
+                assert product_step(pairs, 8) == sum_reference(pairs, 8), k
 
     @pytest.mark.parametrize("arity", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -353,12 +392,12 @@ class TestSumOfProducts:
         top = tuple([n] + [0] * (arity - 1))
         x1 = tuple([0, 1] + [0] * (arity - 2))
         pairs = [({unit: ONE}, {top: ONE, x1: ONE.scale(2)})]
-        assert _sum_of_products(pairs, n) == {top: ONE, x1: ONE.scale(2)}
+        assert product_step(pairs, n) == {top: ONE, x1: ONE.scale(2)}
 
     def test_zero_coefficients_are_skipped(self):
-        assert _sum_of_products([({(0,): ZERO}, {(0,): ONE})], 3) == {}
+        assert product_step([({(0,): ZERO}, {(0,): ONE})], 3) == {}
         pairs = [({(0,): ZERO, (1,): ONE}, {(0,): ONE, (2,): ZERO})]
-        assert _sum_of_products(pairs, 3) == {(1,): ONE}
+        assert product_step(pairs, 3) == {(1,): ONE}
 
     def test_mixed_degrees_raise(self):
         # Key (1,) is reached at Legendre degrees 0 and 1, within one pair or
@@ -366,11 +405,11 @@ class TestSumOfProducts:
         # products cancel.
         a, b = {(0,): ONE, (1,): ALPHA}, {(0,): ONE, (1,): ONE}
         with pytest.raises(InputError):
-            _sum_of_products([(a, b)], 2)
+            product_step([(a, b)], 2)
         x, y = {(1,): ONE}, {(0,): ONE}
         cancel = [(y, x), (y, {(1,): -ONE}), ({(1,): ALPHA}, y)]
         with pytest.raises(InputError):
-            _sum_of_products(cancel, 2)
+            product_step(cancel, 2)
 
 
 def dense_compose(f, g):
@@ -478,15 +517,15 @@ class TestSparseHorner:
 
 def productwise_compose_outer(f, g):
     """The sparse Horner `_compose_outer` ran before its steps stayed lifted,
-    kept as the reference: every product one `_truncated_product` on term
+    kept as the reference: every product one `product_step` on term
     maps, and c_{k_i} set at the origin between products."""
     n, origin = g.order, (0,) * g.arity
     powers = {1: g.terms}
 
     def power(e):
         if e not in powers:
-            sq = _truncated_product(power(e // 2), power(e // 2), n)
-            powers[e] = _truncated_product(sq, g.terms, n) if e % 2 else sq
+            sq = product_step([(power(e // 2), power(e // 2))], n)
+            powers[e] = product_step([(sq, g.terms)], n) if e % 2 else sq
         return powers[e]
 
     support = sorted(k for (k,) in f.terms)
@@ -494,22 +533,22 @@ def productwise_compose_outer(f, g):
         return {}
     result = {origin: f.terms[(support[-1],)]}
     for lo, hi in zip(reversed(support[:-1]), reversed(support[1:])):
-        result = _truncated_product(result, power(hi - lo), n)
+        result = product_step([(result, power(hi - lo))], n)
         result[origin] = f.terms[(lo,)]
     if support[0]:
-        result = _truncated_product(result, power(support[0]), n)
+        result = product_step([(result, power(support[0]))], n)
     return result
 
 
 def productwise_substitute(law, first, second, n):
     """law(first, second) with every power, row product and sum formed on term
-    maps by `_truncated_product` and `GradedPoly` addition."""
+    maps by `product_step` and `GradedPoly` addition."""
     one = {tuple(0 for _ in next(iter(first or second), (0, 0))): ONE}
     pow1, pow2 = [one], [one]
     while len(pow1) <= max((a for a, _ in law), default=0):
-        pow1.append(_truncated_product(pow1[-1], first, n))
+        pow1.append(product_step([(pow1[-1], first)], n))
     while len(pow2) <= max((b for _, b in law), default=0):
-        pow2.append(_truncated_product(pow2[-1], second, n))
+        pow2.append(product_step([(pow2[-1], second)], n))
     pairs = [
         ({k: c * v for k, v in pow1[a].items()}, pow2[b]) for (a, b), c in law.items()
     ]
