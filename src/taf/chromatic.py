@@ -124,10 +124,11 @@ class VGenReport(NamedTuple):
         return all(self.integrality)
 
     def to_json_dict(self) -> dict:
+        """The JSON payload, with v_n and ell_n as `GradedPoly` leaves."""
         d = {
             "prime": self.prime,
-            "v": [g.to_json_dict() for g in self.v],
-            "ell": [g.to_json_dict() for g in self.ell],
+            "v": self.v,
+            "ell": self.ell,
             "integrality": self.integrality,
             "details": self.details,
         }

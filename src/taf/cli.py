@@ -7,7 +7,10 @@ computation, and returns `(ok, lines, payload)`: the verdict, and two
 zero-argument callables that build the text lines and the JSON payload.
 `main` alone calls the one `--format` asks for, writes its output, and maps
 `ok` to the exit code, so neither rendering of a long result is built for
-nothing.  A refusal is raised by the handler, before it returns.
+nothing.  A refusal is raised by the handler, before it returns.  A JSON
+payload carries each polynomial as a `GradedPoly` leaf, which the writer
+(`_write_json`) renders from the polynomial's rows, and `main` parses with
+the parser of the named command alone (`_build_parser`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The orders
 default to N = 13 (-N, at most `series.MAX_ORDER`) and K = 50 (-K, at most
@@ -29,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import __version__
 from .chromatic import cor1_check, cor2_check, key_lemma_check, landweber_check
 from .curve import log_phi
-from .exact import InputError
+from .exact import GradedPoly, InputError
 from .fgl import beta_zero_law, euler_law, fgl_phi, iso_check
 from .legendre import legendre, log_phiL
 from .series import MAX_ORDER
@@ -42,6 +45,8 @@ _FORM_NAMES = ("alpha", "beta", "delta-prime", "eps-prime", "delta-g")
 # The cap on -K, here so that checking it loads no `qexp`: `qexpand -K 10000
 # --format json` takes 1.1 s and 46 MB, and the cost grows with K.
 MAX_QORDER = 10_000
+
+_INF = float("inf")
 
 
 def _verdict(ok: bool) -> str:
@@ -59,7 +64,7 @@ def _cmd_legendre(args):
     return (
         True,
         lambda: [f"P_{args.k} = {p}"],
-        lambda: {"k": args.k, "poly": p.to_json_dict()},
+        lambda: {"k": args.k, "poly": p},
     )
 
 
@@ -68,7 +73,7 @@ def _cmd_ulog(args):
     return (
         True,
         lambda: [f"log_phi = {s}"],
-        lambda: {"order": s.order, "coeffs": s.to_json_list()},
+        lambda: {"order": s.order, "coeffs": s.coeffs},
     )
 
 
@@ -77,7 +82,7 @@ def _cmd_llog(args):
     return (
         True,
         lambda: [f"log_phiL = {s}"],
-        lambda: {"order": s.order, "coeffs": s.to_json_list()},
+        lambda: {"order": s.order, "coeffs": s.coeffs},
     )
 
 
@@ -226,6 +231,8 @@ def _cmd_jg(args):
 
 
 def _cmd_transform_check(args):
+    if not 0 < args.tolerance < _INF:  # nan, inf or <= 0 make the verdict moot
+        raise InputError(f"tolerance must be finite and above 0, not {args.tolerance}")
     from .qexp import transform_check
 
     r = transform_check(complex(args.re, args.im), K=args.qorder)
@@ -307,9 +314,6 @@ def _cmd_selftest(args):
 # JSON output
 # ---------------------------------------------------------------------------
 
-_INF = float("inf")
-
-
 def _scalar_text(o) -> str | None:
     """The JSON text of a str, int, float, bool or None, as `json` writes
     it; None for anything else."""
@@ -359,14 +363,44 @@ class _Chunks(list):
         """Count the characters of the parts appended since the last count,
         and write the parts once `_CHUNK` characters are held.  Called only
         where no open container will join its parts into one
-        (`_append_json`), once `_COUNT_EVERY` parts have been appended, so a
-        chunk holds at most that many parts more than `_CHUNK` characters."""
+        (`_append_json`, `_append_poly`), once `_COUNT_EVERY` parts have been
+        appended, so a chunk holds at most that many parts more than `_CHUNK`
+        characters."""
         self.held += sum(map(len, self[self.seen :]))
         self.seen = len(self)
         if self.held >= _CHUNK:
             self.writelines(self)
             self.clear()
             self.seen = self.held = 0
+
+
+@functools.cache
+def _row_format(nl: str) -> str:
+    """The %-format of one (i, j, num, den) row of `GradedPoly.to_json_dict`
+    in a polynomial whose lines start with `nl`, with the comma before it."""
+    row, field = nl + "    ", nl + "      "
+    keys = ('"i": %d', '"j": %d', '"num": "%d"', '"den": "%s"')
+    return f",{row}{{{field}" + f",{field}".join(keys) + f"{row}}}"
+
+
+def _append_poly(g: GradedPoly, nl: str, parts: _Chunks) -> None:
+    """Append the JSON text of `g.to_json_dict()`, whose lines start with
+    `nl`, to `parts`: one part per term row, made from `_row_format` with no
+    escaping, since num and den are digits.  The parts may spill before
+    each `_COUNT_EVERY` rows, so a long polynomial is not held whole as
+    text."""
+    rows = g._rows()
+    head = "{" + nl + '  "terms": ['
+    if not rows:
+        parts.append(head + "]" + nl + "}")
+        return
+    row = _row_format(nl)
+    rows.reverse()
+    parts.append(head + row[1:] % rows[0])
+    for k in range(1, len(rows), _COUNT_EVERY):
+        parts.spill()
+        parts.extend(map(row.__mod__, rows[k : k + _COUNT_EVERY]))
+    parts.append(nl + "  ]" + nl + "}")
 
 
 def _append_json(o, nl: str, parts: _Chunks) -> None:
@@ -380,6 +414,9 @@ def _append_json(o, nl: str, parts: _Chunks) -> None:
         heads = [(_quote(k) if type(k) is str else _key_text(k)) + ": " for k in o]
     elif isinstance(o, (list, tuple)):
         brackets, heads, values = "[]", [""] * len(o), o
+    elif isinstance(o, GradedPoly):
+        _append_poly(o, nl, parts)
+        return
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not heads:
@@ -404,10 +441,13 @@ def _append_json(o, nl: str, parts: _Chunks) -> None:
 
 
 def _write_json(doc, writelines) -> None:
-    """Write `json.dumps(doc, indent=2)`, byte for byte, by `writelines` in
-    chunks of about `_CHUNK` characters as they are made; a shorter document
-    is one call.  With `indent` set, `json` encodes in pure Python and
-    yields every token apart, and `json.dump` writes each one."""
+    """Write `json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)`,
+    byte for byte, by `writelines` in chunks of about `_CHUNK` characters as
+    they are made; a shorter document is one call.  A payload carries each
+    polynomial as a `GradedPoly` leaf, which `_append_poly` renders from its
+    rows, so no dict is built per term.  With `indent` set, `json` encodes in
+    pure Python and yields every token apart, and `json.dump` writes each
+    one."""
     text = _scalar_text(doc)
     if text is not None:
         writelines([text])
@@ -492,15 +532,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when it is None.
+    A parser of one command shows every command name in its usage, so each
+    text it prints is the one the full parser prints for the same argv."""
     parser = _Parser(
         prog="taf",
         description="Exact computations and verifications for the genus-2 "
         "formal-group / automorphic-forms pipeline.",
     )
     parser.add_argument("--version", action="version", version=f"taf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, arguments) in _COMMANDS.items():
+    names = _COMMANDS if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in (_FORMAT, *arguments):
             p.add_argument(*flags, **kwargs)
@@ -509,10 +555,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The parser is built once, on the first call, and reused: parse_args
-    # keeps no state between calls, and a build of every subcommand and its
-    # options takes milliseconds, a large share of a short command.
-    args = _build_parser().parse_args(argv)
+    # Each parser is built once, on the first call that needs it, and
+    # reused: parse_args keeps no state between calls.  A command gets the
+    # parser of that command alone, since a build of all of them takes
+    # milliseconds, a large share of a short command; any other first
+    # argument (--help, --version, none, or a wrong name) gets the full one.
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     # Exact output may pass CPython's 4,300-digit limit on int-to-str; the
     # limit (3.10.7 and later) is lifted here, not on importing the library.
     if hasattr(sys, "set_int_max_str_digits"):

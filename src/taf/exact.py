@@ -396,6 +396,8 @@ class GradedPoly(_Homogeneous):
         return rows
 
     def to_json_dict(self) -> dict:
+        """The JSON of a polynomial: its rows, j descending.  `cli` writes
+        this text from `_rows` without building the dict."""
         return {
             "terms": [
                 {"i": i, "j": j, "num": str(num), "den": den}

@@ -17,8 +17,9 @@ stays lifted from step to step and builds `GradedPoly`s only where it ends.
 Division and square roots make one `exact._dot` per output coefficient.
 
 Reversion is Lagrange inversion, [x^m] f^-1 = (1/m) [x^(m-1)] (x/f)^m: one
-division and one product per coefficient.  Square roots run on J.C.P.
-Miller's power recurrence in one pass.  No Newton step is left.
+division and one product per coefficient that the exponents of f leave
+nonzero.  Square roots run on J.C.P. Miller's power recurrence in one pass.
+No Newton step is left.
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ class TruncSeries(_Series):
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r}, order={self.order})"
 
-    def to_json_list(self) -> list[dict]:
-        return [c.to_json_dict() for c in self.coeffs]
-
 
 def integrate(f: TruncSeries) -> TruncSeries:
     """Term-wise integral with zero constant; output order N+1."""
@@ -225,17 +223,24 @@ def sqrt_unit(f: TruncSeries) -> TruncSeries:
 def revert(f: TruncSeries) -> TruncSeries:
     """Compositional inverse g of f = x + O(x^2) with unit linear coefficient,
     by Lagrange inversion (Knuth, TAOCP vol. 2, section 4.7, Algorithm L):
-    with h = x/f, [x^m] g = (1/m) [x^(m-1)] h^m.  h is one `series_div`, and
-    each h^m one product more; no Newton step is left.
+    with h = x/f, [x^m] g = (1/m) [x^(m-1)] h^m.  h is one `series_div`.
+    When every exponent of f/x is a multiple of d (d = 2 for the chart's
+    quintic, 4 for v(t)), so is every exponent of h^m, and [x^(m-1)] h^m is
+    zero unless d divides m - 1: h^m steps by h^d over those m alone, one
+    product each.  No Newton step is left.
     """
     if not _is_normalized(f):
         raise InputError("revert needs f = x + higher-order terms")
     n = f.order
     f_over_x = {(k - 1,): c for (k,), c in f.terms.items()}
     h = series_div(TruncSeries.one(n - 1), TruncSeries.from_terms(f_over_x, n - 1))
-    terms, power = {(1,): ONE}, h
-    for m in range(2, n + 1):
-        power = power * h
+    d = gcd(*(k for (k,) in f_over_x)) or n
+    terms, power, step = {(1,): ONE}, h, h
+    if d < n:
+        for _ in range(d - 1):
+            step = step * h
+    for m in range(1 + d, n + 1, d):
+        power = power * step
         terms[(m,)] = power[m - 1].scale(Fraction(1, m))
     return TruncSeries.from_terms(terms, n)
 
@@ -437,10 +442,8 @@ class BiTruncSeries(_Series):
         return (" + ".join(parts) or "0") + f" + O(deg {self.order + 1})"
 
     def to_json_list(self) -> list[dict]:
-        return [
-            {"a": a, "b": b, "poly": c.to_json_dict()}
-            for (a, b), c in sorted(self.terms.items())
-        ]
+        """The terms as {"a", "b", "poly"} rows, the poly a `GradedPoly` leaf."""
+        return [{"a": a, "b": b, "poly": c} for (a, b), c in sorted(self.terms.items())]
 
 
 def bi_from_univariate(f: TruncSeries, slot: int, order: int) -> BiTruncSeries:

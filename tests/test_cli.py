@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, and JSON output contracts."""
 
+import contextlib
 import hashlib
 import importlib
 import json
@@ -20,7 +21,7 @@ import taf
 import taf.cli as cli
 from taf.cli import main
 from taf.criteria import CRITERIA, Criterion
-from taf.exact import ALPHA, GradedPoly
+from taf.exact import ALPHA, ZERO, GradedPoly, _graded
 from taf.series import MAX_ORDER
 
 
@@ -139,9 +140,11 @@ class TestDispatch:
         assert json.loads(out)["certificate"] is True
 
     def test_negative_exponent_option_value(self, capsys):
-        code, out = run(capsys, "transform-check", "0", "2", "--tolerance", "-1e-3")
-        assert code == 1  # no residual is below a negative tolerance
-        assert "FAIL" in out
+        # Read as a number, not taken for an option (a usage error, exit 2 by
+        # SystemExit), and refused: no residual is below a negative tolerance.
+        code = main(["transform-check", "0", "2", "--tolerance", "-1e-3"])
+        assert code == 2
+        assert "not -0.001" in capsys.readouterr().err
 
     def test_verify_embeddings(self, capsys):
         code, out = run(capsys, "verify-embeddings", "--format", "json")
@@ -280,6 +283,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["legendre", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "0", "-0.0"])
+    def test_tolerance_not_finite_and_above_0_maps_to_2(
+        self, capsys, monkeypatch, tolerance
+    ):
+        # nan and -1 made every verdict FAIL and inf every verdict PASS.  The
+        # refusal comes before any q-expansion is built.
+        monkeypatch.setattr("taf.qexp.transform_check", _refuse)
+        code = main(["transform-check", "0", "2", f"--tolerance={tolerance}"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
 
     def test_input_error_maps_to_2(self, capsys):
         # 7 = 3 (mod 4): the chromatic pipeline rejects it as a usage error.
@@ -580,6 +594,44 @@ _DOCUMENTS = st.recursive(
 )
 
 
+@st.composite
+def _graded_polys(draw):
+    """A GradedPoly of Legendre degree 0 to 9, odd ones too, with entries of
+    either sign over a denominator 2^e * p^n; zero now and then."""
+    deg = draw(st.integers(0, 9))
+    entries = st.integers(-(10**40), 10**40)
+    vec = draw(st.lists(entries, min_size=deg // 2 + 1, max_size=deg // 2 + 1))
+    p = draw(st.sampled_from([3, 5, 13]))
+    den = 2 ** draw(st.integers(0, 5)) * p ** draw(st.integers(0, 3))
+    return _graded(deg, den, vec)
+
+
+# Documents as the handlers return them: polynomial leaves at any depth,
+# beside scalars.
+_POLY_DOCUMENTS = st.recursive(
+    st.one_of(_graded_polys(), st.just(ZERO), _SCALARS),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(_KEYS, inner),
+    ),
+    max_leaves=20,
+)
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """CPython's limit on int-to-str lifted, as `main` lifts it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 class _Int(int):
     def __repr__(self):
         return "an int"
@@ -617,15 +669,22 @@ class TestJsonText:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, doc, size, every):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        try:
+        with _no_int_digit_limit():
             with mock.patch.multiple(cli, _CHUNK=size, _COUNT_EVERY=every):
                 assert json_text(doc) == json.dumps(doc, indent=2)
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+
+    # A polynomial leaf is written as json writes its `to_json_dict`.
+    @given(
+        _POLY_DOCUMENTS,
+        st.sampled_from([cli._CHUNK, 1, 7, 64]),
+        st.sampled_from([1, 3, cli._COUNT_EVERY]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_leaves_match_json_dumps(self, doc, size, every):
+        with _no_int_digit_limit():
+            expected = json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)
+            with mock.patch.multiple(cli, _CHUNK=size, _COUNT_EVERY=every):
+                assert json_text(doc) == expected
 
     def test_short_document_is_one_write(self):
         doc = {"law": [{"a": a, "b": 1, "poly": {"den": "1"}} for a in range(999)]}
@@ -641,6 +700,19 @@ class TestJsonText:
         sizes = [sum(map(len, parts)) for parts in writes]
         widest = max(len(part) for parts in writes for part in parts)
         assert 3 <= len(writes) and sum(sizes) == len(json.dumps(doc, indent=2))
+        slack = cli._COUNT_EVERY * widest
+        assert all(cli._CHUNK <= s <= cli._CHUNK + slack for s in sizes[:-1])
+
+    def test_long_polynomial_is_written_in_chunks(self):
+        # Its rows are parts of their own: each write but the last holds at
+        # least one chunk, and at most one chunk plus `_COUNT_EVERY` rows.
+        doc = {"v": [_graded(2 * 3999, 5**3, [10**999 + j for j in range(4000)])]}
+        writes = json_writes(doc)
+        sizes = [sum(map(len, parts)) for parts in writes]
+        widest = max(len(part) for parts in writes for part in parts)
+        assert widest < 1200 and len(writes) >= 3  # one part per row
+        expected = json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)
+        assert "".join(part for parts in writes for part in parts) == expected
         slack = cli._COUNT_EVERY * widest
         assert all(cli._CHUNK <= s <= cli._CHUNK + slack for s in sizes[:-1])
 
@@ -680,13 +752,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("rendered for the other format")
 
 
+# A renderer is a GradedPoly method, or the writer's `cli._append_poly`,
+# which makes the JSON rows of a polynomial.  JSON output builds no
+# `to_json_dict` either: the writer renders each polynomial from its rows.
 @pytest.mark.parametrize(
     "command,fmt,renderer",
     [
         ("landweber -p 5", "text", "to_json_dict"),
+        ("landweber -p 5", "text", "_append_poly"),
         ("legendre 50", "text", "to_json_dict"),
+        ("legendre 50", "text", "_append_poly"),
         ("legendre 50", "json", "__str__"),
         ("vgens -p 5 -n 3", "json", "__str__"),
+        ("vgens -p 5 -n 3", "json", "to_json_dict"),
+        ("fgl -N 9", "json", "to_json_dict"),
     ],
 )
 def test_each_format_builds_only_its_own_output(
@@ -695,7 +774,8 @@ def test_each_format_builds_only_its_own_output(
     argv = [*command.split(), "--format", fmt]
     expected = run(capsys, *argv)
     assert expected[0] == 0
-    monkeypatch.setattr(GradedPoly, renderer, _refuse)
+    owner = cli if renderer == "_append_poly" else GradedPoly
+    monkeypatch.setattr(owner, renderer, _refuse)
     assert run(capsys, *argv) == expected
 
 
@@ -823,7 +903,7 @@ class TestFailurePaths:
 
 
 def _subcommands():
-    parser = cli._build_parser()
+    parser = cli._build_parser(None)
     (action,) = [a for a in parser._actions if a.dest == "command"]
     return action.choices
 
@@ -835,3 +915,105 @@ def test_every_subcommand_has_a_handler_and_help(capsys):
             main([name, "--help"])
         assert exc.value.code == 0, name
         assert capsys.readouterr().out.startswith(f"usage: taf {name} ")
+
+
+def _exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit: --help,
+    --version or a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParserPerCommand:
+    # main builds the parser of the command that argv names, and the full
+    # parser of every command only for any other first argument.  What each
+    # prints is what the full parser prints.
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fgl", "-N", "x"],
+            ["landweber", "--help"],
+            ["landweber"],
+            ["landweber", "-p", "5", "extra"],
+            ["cor1", "--version"],
+            ["transform-check", "0"],
+            ["eval-tau", "gamma", "0", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_command_prints_what_the_full_parser_prints(self, capsys, argv):
+        full = cli._build_parser(None).parse_args
+        assert _exit(capsys, main, argv) == _exit(capsys, full, argv)
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = _exit(capsys, main, ["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: taf [-h] [--version]\n")
+        usage = out[: out.index("\n\n")]
+        assert "{" + ",".join(cli._COMMANDS) + "}" in usage.replace(" ", "")
+        for name, (_, help_text, _) in cli._COMMANDS.items():
+            assert re.search(rf"^    {name} +{re.escape(help_text)}$", out, re.M)
+
+    def test_no_command(self, capsys):
+        code, out, err = _exit(capsys, main, [])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: taf [-h] [--version]\n")
+        required = "the following arguments are required: command"
+        assert err.endswith(f"taf: error: {required}\n")
+
+    def test_wrong_command(self, capsys):
+        code, out, err = _exit(capsys, main, ["nosuch"])
+        assert (code, out) == (2, "")
+        choices = ", ".join(map(repr, cli._COMMANDS))
+        message = f"argument command: invalid choice: 'nosuch' (choose from {choices})"
+        assert err.endswith(f"taf: error: {message}\n")
+
+    def test_bad_option_value(self, capsys):
+        assert _exit(capsys, main, ["fgl", "-N", "x"]) == (
+            2,
+            "",
+            "usage: taf fgl [-h] [--format {text,json}] [-N ORDER]\n"
+            "taf fgl: error: argument -N/--order: invalid int value: 'x'\n",
+        )
+
+    def test_command_help(self, capsys):
+        code, out, err = _exit(capsys, main, ["landweber", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(
+            "usage: taf landweber [-h] [--format {text,json}] -p PRIME\n"
+        )
+        assert "  -p PRIME, --prime PRIME\n" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["legendre", "7", "--format", "json"],
+            ["fgl"],
+            ["vgens", "-p", "13", "-n", "3"],
+            ["eval-tau", "-K", "30", "beta", "-7.6e-05", "2"],
+            ["transform-check", "0.1", "1.2", "--tolerance", "1e-9"],
+            ["selftest", "-N", "21", "-K", "60"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_command_reads_what_the_full_parser_reads(self, argv):
+        full = cli._build_parser(None).parse_args(argv)
+        assert cli._build_parser(argv[0]).parse_args(argv) == full
+
+    def test_a_command_builds_only_its_own_parser(self):
+        parser = cli._build_parser("fgl")
+        (action,) = [a for a in parser._actions if a.dest == "command"]
+        assert list(action.choices) == ["fgl"]
+
+    def test_a_second_call_reuses_the_parser(self, capsys):
+        assert main(["cor1"]) == 0
+        before = cli._build_parser.cache_info()
+        assert main(["cor1"]) == 0
+        after = cli._build_parser.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

@@ -41,6 +41,17 @@ def trunc_series(draw, order=6, normalized=False):
     return TruncSeries(cs, order)
 
 
+@st.composite
+def sparse_normalized_series(draw):
+    """x plus terms x^(1 + d*k) alone, for d in 1..4: f/x has exponents in
+    steps of d, as the chart's quintic (d = 2) and v(t) (d = 4) have."""
+    d, order = draw(st.sampled_from([1, 2, 3, 4])), draw(st.integers(1, 13))
+    terms = {(1,): ONE}
+    for k in range(1 + d, order + 1, d):
+        terms[(k,)] = GradedPoly.const(draw(fractions))
+    return TruncSeries.from_terms(terms, order)
+
+
 def newton_sqrt_unit(f):
     """The Newton iteration g <- (g + f/g)/2 that `sqrt_unit` ran before
     Miller's recurrence, doubling the correct order each step; kept as the
@@ -132,6 +143,24 @@ class TestComposeRevert:
         f = TruncSeries.from_terms(quintic, n)
         assert revert(f) == newton_revert(f)
         assert revert(v_of_t(n)) == newton_revert(v_of_t(n))
+
+    @given(sparse_normalized_series())
+    @settings(max_examples=40, deadline=None)
+    def test_revert_of_sparse_series_matches_newton(self, f):
+        assert revert(f) == newton_revert(f)
+
+    def test_revert_skips_the_coefficients_that_are_zero(self, monkeypatch):
+        # v(t) = t + O(t^5) has exponents 1 + 4k: three products build h^4,
+        # and one more each gives h^m for m = 5, 9, .., 61, not 63 in all.
+        f, products, mul = v_of_t(64), [], TruncSeries.__mul__
+
+        def counted(a, b):
+            products.append(a.order)
+            return mul(a, b)
+
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+        revert(f)
+        assert products == [63] * (3 + 15)
 
     def test_revert_rejects_unnormalized(self):
         with pytest.raises(InputError):
