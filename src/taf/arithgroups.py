@@ -257,7 +257,10 @@ def in_u11(g: Mat) -> bool:
 
 
 def in_gamma_theta(m: Mat) -> bool:
-    """Integer entries, det 1, and ab = cd = 0 (mod 2)."""
+    """Integer entries, det 1, and ab = cd = 0 (mod 2); `InputError` unless
+    m is 2x2."""
+    if m.shape != (2, 2):
+        raise InputError(f"Gamma_theta membership needs a 2x2 matrix, not {m.shape}")
     if not m.is_rational_integral():
         return False
     a, b, c, d = m[0, 0].re, m[0, 1].re, m[1, 0].re, m[1, 1].re

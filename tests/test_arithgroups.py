@@ -153,6 +153,8 @@ SHAPE_ERRORS = {
     "extended": lambda: extended_action(
         Mat([[1, 2], [3, 4]]), Mat.identity(2), [GR(1), GR(1)]
     ),
+    "gamma_theta_4x4": lambda: in_gamma_theta(Mat.identity(4)),
+    "gamma_theta_2x1": lambda: in_gamma_theta(Mat([[1], [0]])),
 }
 
 

@@ -199,6 +199,23 @@ class TestConstruction:
             " L(x) + L(y) has 0"
         )
 
+    @pytest.mark.parametrize("n", [21, 45])
+    @pytest.mark.parametrize("s", [1, 10])
+    def test_additivity_names_a_perturbation_at_the_top_degree(self, n, s, monkeypatch):
+        # The check caps its Horner levels below n, deepest at total degree
+        # n: the law's coefficients at x^s*y^(n-s) and its mirror, each
+        # moved by alpha^((n-1)/4), must still be refused and named there.
+        good = fgl_phiL(n)
+        delta = ALPHA ** ((n - 1) // 4)
+        extra = BiTruncSeries({(s, n - s): delta, (n - s, s): delta}, n)
+        perturb_construction(monkeypatch, extra)
+        with pytest.raises(ConsistencyError) as err:
+            build_fgl(good.log)
+        assert str(err.value) == (
+            f"logarithm additivity failed: first at x^{s}*y^{n - s},"
+            f" L(F) has {delta}, L(x) + L(y) has 0"
+        )
+
     def test_failed_additivity_composes_once(self, monkeypatch):
         # The failed check names its discrepancy from the composite L(F(x, y))
         # it compared, without composing the logarithm with the law again; the
@@ -359,24 +376,25 @@ class TestProductKernel:
     def test_laws_match_the_pairwise_product(self, build, n, fresh_laws, monkeypatch):
         # The laws checked on the packed `_product_step`, against a build
         # whose additivity check runs every product step on the pairwise
-        # reference `tri_mul`: each pair converted to term maps, multiplied,
-        # and the sum lifted back.
+        # reference `tri_mul`: each pair converted to term maps, multiplied
+        # through the step's degree cap, and the sum lifted back.
         fast = build(n).law
         build.cache_clear()
-        calls = []
+        caps = []
 
-        def reference(pairs, k, arity):
-            calls.append(k)
+        def reference(pairs, k, arity, cap=None):
+            cap = k if cap is None else cap
+            caps.append(cap)
             total = {}
             for a, b in pairs:
                 a, b = series._terms(a, k, arity), series._terms(b, k, arity)
-                for key, c in tri_mul(a, b, k).items():
+                for key, c in tri_mul(a, b, cap).items():
                     total[key] = total[key] + c if key in total else c
             return series._lift(total, k)
 
         monkeypatch.setattr(series, "_product_step", reference)
         assert build(n).law == fast
-        assert calls
+        assert n in caps and min(caps) < n
 
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [5, 9, 13])

@@ -466,8 +466,13 @@ def dense_compose_outer(f, g):
 # k, and g's at x^a y^b has degree a + b - 1.
 
 
+OUTER_KINDS = ["gaps", "constant", "linear", "high", "top", "zero", "dense"]
+
+
 def outer_series(kind, n, rng):
-    """A univariate f of order n whose support has the given shape."""
+    """A univariate f of order n whose support has the given shape: "gaps"
+    draws it from 1..n, "constant" and "linear" put 0 and 1 before a draw
+    from above them, and "high" draws it from 2..n."""
     if kind == "zero":
         support = []
     elif kind == "top":
@@ -475,19 +480,23 @@ def outer_series(kind, n, rng):
     elif kind == "dense":
         support = range(n + 1)
     else:
-        support = sorted(rng.sample(range(1, n + 1), max(1, n // 3)))
+        rest = range(2 if kind in ("linear", "high") else 1, n + 1)
+        support = sorted(rng.sample(rest, min(len(rest), max(1, n // 3))))
         if kind == "constant":
             support = [0] + support
+        elif kind == "linear":
+            support = [1] + support
     coeffs = [rng.choice(small_coeffs(k)) for k in range(n + 1)]
     return TruncSeries([c if k in support else ZERO for k, c in enumerate(coeffs)], n)
 
 
-def inner_series(kind, n, rng, arity=2):
-    """A univariate or bivariate g of order n with no constant term."""
+def inner_series(kind, n, rng, arity=2, low=1):
+    """A univariate or bivariate g of order n with terms of total degree
+    `low` and above only (none if low > n)."""
     if arity == 1:
-        keys = [(d,) for d in range(1, n + 1)]
+        keys = [(d,) for d in range(low, n + 1)]
     else:
-        keys = [(a, d - a) for d in range(1, n + 1) for a in range(d + 1)]
+        keys = [(a, d - a) for d in range(low, n + 1) for a in range(d + 1)]
     if kind == "sparse":
         keys = rng.sample(keys, min(3, len(keys)))
     terms = {k: rng.choice(small_coeffs(sum(k) - 1)) for k in keys}
@@ -623,12 +632,25 @@ class TestLiftedChains:
         assert_canonical(lifted, n, arity)
 
     @pytest.mark.parametrize("n", [1, 5, 13])
-    @pytest.mark.parametrize("f_kind", ["gaps", "constant", "top", "zero", "dense"])
+    @pytest.mark.parametrize("f_kind", OUTER_KINDS)
     @pytest.mark.parametrize("arity", [1, 2])
     def test_compose_outer_matches_productwise(self, n, f_kind, arity):
         rng = random.Random(f"{n}-{f_kind}-{arity}-lifted")
         f = outer_series(f_kind, n, rng)
         g = inner_series("dense", n, rng, arity)
+        assert _compose_outer(f, g) == productwise_compose_outer(f, g)
+
+    @pytest.mark.parametrize("n", [5, 13])
+    @pytest.mark.parametrize("f_kind", OUTER_KINDS)
+    @pytest.mark.parametrize("arity", [1, 2])
+    @pytest.mark.parametrize("low", [2, 4, None], ids=["v2", "v4", "g0"])
+    def test_capped_levels_match_productwise(self, n, f_kind, arity, low):
+        # The oracle runs every Horner level through n; the kernel caps level
+        # i at n - v*k_i for g of lowest total degree v, and drops the k_i
+        # with v*k_i > n (all but k = 0 when g = 0).
+        rng = random.Random(f"{n}-{f_kind}-{arity}-{low}-capped")
+        f = outer_series(f_kind, n, rng)
+        g = inner_series("dense", n, rng, arity, low or n + 1)
         assert _compose_outer(f, g) == productwise_compose_outer(f, g)
 
     @pytest.mark.parametrize("n", [1, 5, 9])
@@ -665,8 +687,8 @@ class TestLiftedChains:
         steps = []
         real = series._product_step
 
-        def checked(pairs, k, a):
-            out = real(pairs, k, a)
+        def checked(pairs, k, a, cap=None):
+            out = real(pairs, k, a, cap)
             assert_canonical(out, k, a)
             steps.append(out)
             return out
