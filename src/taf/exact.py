@@ -378,21 +378,26 @@ class GradedPoly(_Homogeneous):
 
         With den = 2^e * m and m odd, gcd(c, den) is gcd(c, m) shifted left
         by min(tz(c), e), tz(c) the trailing zeros of c.  m is 1 for P_k and
-        v_n and p^n for ell_n, so no gcd of two long integers runs; den's
+        v_n and p^n for ell_n, so no gcd of two long integers runs; e is 0
+        for an odd den.  Each step runs only where it can divide, and den's
         string is made once per distinct gcd."""
         den, d = self.den, self.deg
+        if den == 1:
+            return [(d - 2 * j, j, c, "1") for j, c in enumerate(self.vec) if c]
         e = (den & -den).bit_length() - 1
         m = den >> e
         dens: dict[tuple[int, int], str] = {}
         rows = []
         for j, c in enumerate(self.vec):
             if c:
-                t = min((c & -c).bit_length() - 1, e)
-                h = gcd(c, m)
+                t = min((c & -c).bit_length() - 1, e) if e else 0
+                h = gcd(c, m) if m > 1 else 1
                 s = dens.get((t, h))
                 if s is None:
                     s = dens[t, h] = str((den >> t) // h)
-                rows.append((d - 2 * j, j, (c >> t) // h, s))
+                if t:
+                    c >>= t
+                rows.append((d - 2 * j, j, c // h if h > 1 else c, s))
         return rows
 
     def to_json_dict(self) -> dict:

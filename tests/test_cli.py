@@ -488,6 +488,18 @@ PINNED_OUTPUT = {
         "b227064313b2e2a11f501a9495d8f352b716a2f21cc0d0675884f2a73aea94db",
         "e61f3257d6e5ba5a772343d1e7c2a14a6e9ca6af9ccb30126a9596613aaf5141",
     ),
+    "fgl -N 45": (
+        "40de822981bb537db0e357a7c596c55271b40ac8e92054d17defb7c8f42eed23",
+        "d2c6d4645b03e0026560fb44bcc550707be3312e7a9c0f79d6df067a30270300",
+    ),
+    "euler -N 45": (
+        "6ad97bd6ee6c74dfbed4aaa0ee647c5d9d8b77ad6ae72d5c5ee8b8c999392ece",
+        "1d9d2b3529b5c8c6a5f9e3235d6fb1d1c75c015a08ec334659e7554c66813f70",
+    ),
+    "iso-check -N 45": (
+        "3fb821531501eeeeb61a6ede012a34dd6570872077236e7ebcb97a4af89eb18b",
+        "eb0d55975221522ab0a83647c45114a4300d1a2ec733a3eef238f8e6097566e7",
+    ),
     "qexpand -K 20": (
         "b8a1ba45533346c64c7323c80ac3dcf9a896e52f57c4e1fa9442359d4a097d59",
         "6175e7bcdb34b5336cf733ed3fc496e62647d7677f59320c1b2555371c74b847",

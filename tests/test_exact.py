@@ -134,13 +134,16 @@ def fraction_str(g: GradedPoly) -> str:
 
 
 @st.composite
-def two_adic_polys(draw):
+def two_adic_polys(
+    draw, es=st.integers(0, 2400), ms=st.sampled_from([1, 29, 29**3])
+):
     """A GradedPoly over den = 2^e * m with e up to 2,400 bits (v_2 at p = 97
-    has a 2,349-bit den) and m in {1, 29, 29^3}.  Entries have either sign
-    and up to 4 factors of 29 and e + 8 of 2, so some have more of either
-    than den and some share only part of den."""
-    e = draw(st.integers(0, 2400))
-    m = draw(st.sampled_from([1, 29, 29**3]))
+    has a 2,349-bit den) and m in {1, 29, 29^3}, or drawn from the given
+    strategies.  Entries have either sign and up to 4 factors of 29 and
+    e + 8 of 2, so some have more of either than den and some share only
+    part of den."""
+    e = draw(es)
+    m = draw(ms)
     d = draw(st.integers(0, 12))
     entry = st.builds(
         lambda sign, u, a, k: (sign * u * 29**a) << k,
@@ -368,6 +371,25 @@ class TestGradedPoly:
     @given(two_adic_polys())
     @settings(max_examples=150)
     def test_rendering_matches_fractions(self, g):
+        assert g.to_json_dict() == fraction_json_dict(g)
+        assert str(g) == fraction_str(g)
+
+    @pytest.mark.parametrize(
+        "es,ms",
+        [
+            (st.just(0), st.just(1)),
+            (st.just(0), st.sampled_from([29, 29**3])),
+            (st.integers(1, 2400), st.just(1)),
+            (st.integers(1, 2400), st.sampled_from([29, 29**3])),
+        ],
+        ids=["den-1", "odd", "power-of-2", "mixed"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_rows_match_fractions_for_each_kind_of_den(self, es, ms, data):
+        # `_rows` skips the shift where den is odd and the gcd where den is a
+        # power of two, and both where the entries already share no factor.
+        g = data.draw(two_adic_polys(es, ms))
         assert g.to_json_dict() == fraction_json_dict(g)
         assert str(g) == fraction_str(g)
 

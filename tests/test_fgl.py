@@ -469,3 +469,23 @@ class TestIsomorphism:
         x = TruncSeries.identity(13)
         lhs = bi_compose_outer(x, fgl_phi(13).law)
         assert lhs != bi_compose_slots(fgl_phiL(13).law, x, x)
+
+    @pytest.mark.parametrize("n,k", [(13, 5), (13, 13), (21, 9), (21, 21)])
+    def test_changed_coefficient_of_t_fails(self, n, k, monkeypatch):
+        # Negative control: one coefficient of t(v) moved by alpha^((k-1)/4),
+        # graded as t's own, low or at the top degree, where the left side's
+        # Horner levels are capped deepest.
+        t = t_of_v(n)
+        moved = t + TruncSeries.monomial(ALPHA ** ((k - 1) // 4), k, n)
+        assert iso_check(n)
+        monkeypatch.setattr(fgl, "t_of_v", lambda order: moved)
+        assert not iso_check(n)
+
+    def test_asymmetric_right_side_fails(self, monkeypatch):
+        # The left side is compared in e1 = x + y, e2 = xy, which read only
+        # the terms x^a*y^b with a >= b; a right side that is not symmetric
+        # must still fail, though its terms with a >= b match.
+        slots = fgl.bi_compose_slots
+        extra = BiTruncSeries({(1, 4): ALPHA}, 13)
+        monkeypatch.setattr(fgl, "bi_compose_slots", lambda *a: slots(*a) + extra)
+        assert not iso_check(13)

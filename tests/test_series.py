@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import taf.series as series
 from taf.curve import v_of_t
 from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
+from taf.fgl import fgl_phi, fgl_phiL
 from taf.series import (
     BiTruncSeries,
     TruncSeries,
@@ -18,17 +19,20 @@ from taf.series import (
     bi_compose_slots,
     bi_from_univariate,
     compose,
+    elementary_sum,
+    from_elementary,
     integrate,
     revert,
     series_div,
     sqrt_unit,
+    to_elementary,
     _compose_outer,
     _lift,
     _product_step,
     _substitute,
     _terms,
 )
-from test_exact import pairwise_product
+from test_exact import graded_polys, pairwise_product
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -709,3 +713,76 @@ class TestLiftedChains:
         expected = {k: ONE for k in law}
         assert _substitute(law, x, y, n) == expected
         assert steps
+
+
+@st.composite
+def symmetric_maps(draw, n):
+    """A symmetric bivariate series of order n whose coefficients at total
+    degree s all have Legendre degree s + shift, so that products sum like
+    degrees; the terms with a >= b are drawn and mirrored."""
+    shift = draw(st.integers(0, 2))
+    keys = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+        lambda k: k[0] >= k[1] and sum(k) <= n
+    )
+    terms = {}
+    for a, b in draw(st.lists(keys, max_size=8)):
+        terms[a, b] = terms[b, a] = draw(graded_polys(a + b + shift))
+    return BiTruncSeries.from_terms(terms, n)
+
+
+def expand_elementary(g):
+    """The series sum c * (x + y)^i * (xy)^j over the terms c*e1^i*e2^j of g
+    (key (i + j, j)), by the binomial theorem on `GradedPoly`s: the
+    definition of the coordinates, kept as the reference."""
+    out = {}
+    for (p, j), c in g.terms.items():
+        i = p - j
+        for a in range(i + 1):
+            k = (a + j, i - a + j)
+            out[k] = out.get(k, ZERO) + c.scale(comb(i, a))
+    return BiTruncSeries.from_terms(out, g.order)
+
+
+class TestElementaryCoordinates:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_products(self, data):
+        n = data.draw(st.integers(0, 12))
+        f, g = data.draw(symmetric_maps(n)), data.draw(symmetric_maps(n))
+        e = to_elementary(f)
+        assert expand_elementary(e) == f
+        assert from_elementary(e) == f
+        assert all(p >= j for p, j in e.terms)
+        # Keys add under products: the coordinates are a ring map.
+        assert to_elementary(f * g) == e * to_elementary(g)
+
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [13, 21, 29])
+    def test_laws_round_trip(self, build, n):
+        law = build(n).law
+        e = to_elementary(law)
+        assert from_elementary(e) == law
+        assert expand_elementary(e) == law
+
+    def test_waring_power_sums(self):
+        # x^k + y^k in elementary coordinates, for every k <= 64: Waring's
+        # formula against the converted power sum, and p_0 = 2.
+        n = 64
+        for k in range(n + 1):
+            p_k = BiTruncSeries({(k, 0): ONE}, n) + BiTruncSeries({(0, k): ONE}, n)
+            waring = elementary_sum(TruncSeries.monomial(ONE, k, n))
+            assert waring == to_elementary(p_k), k
+
+    def test_power_sums_of_a_series(self):
+        f = TruncSeries([ZERO, ONE, ZERO, ALPHA, BETA.scale(Fraction(1, 3))], 4)
+        sum_xy = bi_from_univariate(f, 0, 4) + bi_from_univariate(f, 1, 4)
+        assert from_elementary(elementary_sum(f)) == sum_xy
+
+    def test_mixed_degrees_raise(self):
+        # Terms of one total degree at two Legendre degrees have no common
+        # integer list.
+        f = BiTruncSeries({(2, 0): ONE, (0, 2): ONE, (1, 1): ALPHA}, 2)
+        with pytest.raises(InputError, match="mixed Legendre degrees"):
+            to_elementary(f)
+        with pytest.raises(InputError, match="mixed Legendre degrees"):
+            from_elementary(BiTruncSeries({(2, 0): ONE, (1, 1): ALPHA}, 2))
