@@ -11,11 +11,18 @@ desk scale checks v_1 != 0 mod p, v_2 != 0 mod (p, v_1), and that the
 common zero locus of v_1, v_2 over F_p-bar is contained in the vanishing
 locus of the cusp form (alpha^2 - beta)/2^8, i.e. the lines alpha = +-beta-
 normalized x = +-1 after dehomogenizing at beta = 1 (plus the beta = 0 ray).
+
+Each prime's pass of the recursion runs once per process: `_hazewinkel_pass`
+is memoised per (n, p), so `landweber_check`, `cor2_check`, `cor1_check` and
+`hazewinkel_v` at one prime share v_1 and v_2.  It keeps at most 8 passes,
+since one at p = 173 holds about 14 MB; a refused input raises and so is
+never cached, and `_hazewinkel_pass.__wrapped__(n, p)` runs the pass afresh.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -59,8 +66,13 @@ def ell(n: int, p: int) -> GradedPoly:
     return legendre((p**n - 1) // 4).scale(Fraction(1, p**n))
 
 
-def _hazewinkel_pass(n: int, p: int) -> tuple[list[GradedPoly], list[GradedPoly]]:
-    """v_1..v_n and ell_1..ell_n from one pass of the recursion."""
+@lru_cache(maxsize=8)
+def _hazewinkel_pass(
+    n: int, p: int
+) -> tuple[tuple[GradedPoly, ...], tuple[GradedPoly, ...]]:
+    """v_1..v_n and ell_1..ell_n from one pass of the recursion, run once per
+    process for each (n, p); tuples, so no caller can change the cached
+    pass."""
     if n < 1:
         raise InputError("generator index must be >= 1")
     ells = [ell(m, p) for m in range(1, n + 1)]
@@ -70,7 +82,7 @@ def _hazewinkel_pass(n: int, p: int) -> tuple[list[GradedPoly], list[GradedPoly]
         for i in range(1, m):
             acc = acc - ells[i - 1] * vs[m - i - 1] ** (p**i)
         vs.append(acc)
-    return vs, ells
+    return tuple(vs), tuple(ells)
 
 
 def hazewinkel_v(n: int, p: int) -> GradedPoly:
@@ -146,7 +158,9 @@ def key_lemma_check(p: int, n_max: int = 2) -> VGenReport:
         f"{'p-integral' if ok else 'NOT p-integral'}"
         for n, (v, ok) in enumerate(zip(vs, verdicts), start=1)
     ]
-    return VGenReport(prime=p, v=vs, ell=ells, integrality=verdicts, details=details)
+    return VGenReport(
+        prime=p, v=list(vs), ell=list(ells), integrality=verdicts, details=details
+    )
 
 
 # ---------------------------------------------------------------------------

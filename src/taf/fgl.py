@@ -51,11 +51,10 @@ reproduce it exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO, _dot
+from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO, _dot, _graded
 from .legendre import log_phiL
 from .series import (
     BiTruncSeries,
@@ -152,9 +151,10 @@ def _law_from_differential(w: TruncSeries, n: int) -> BiTruncSeries:
             pab = _dot(pairs)
             if pab.vec:
                 p[a, b] = pab
-                law[a + 1, b] = fab = pab.scale(Fraction(1, a + 1))
+                law[a + 1, b] = fab = _graded(pab.deg, pab.den * (a + 1), pab.vec)
                 if b:
-                    q[a + 1, b - 1] = fab.scale(b)
+                    vec = [b * c for c in fab.vec]
+                    q[a + 1, b - 1] = _graded(fab.deg, fab.den, vec)
     return BiTruncSeries.from_terms(law, n)
 
 

@@ -21,6 +21,7 @@ from taf.chromatic import (
 from taf.exact import (
     ALPHA,
     GradedPoly,
+    InputError,
     _graded,
     _poly_mod,
     _power,
@@ -80,8 +81,71 @@ class TestPowerKernel:
             return _graded((g.deg or 0) * e, g.den**e, vec)
 
         monkeypatch.setattr(GradedPoly, "__pow__", square_and_multiply)
-        assert _hazewinkel_pass(n, p)[0] == fast
+        # The cached pass would never reach the patched power: run it afresh.
+        assert _hazewinkel_pass.__wrapped__(n, p)[0] == fast
         assert calls
+
+
+LADDER_PRIMES = (5, 13, 17, 29, 37, 41, 53)
+
+
+class TestPassCache:
+    # `_hazewinkel_pass` runs once per process for each (n, p).
+
+    @pytest.mark.parametrize("p, n", [(p, 2) for p in LADDER_PRIMES] + [(5, 3)])
+    def test_cached_pass_equals_a_fresh_one(self, p, n):
+        assert _hazewinkel_pass(n, p) == _hazewinkel_pass.__wrapped__(n, p)
+
+    @pytest.mark.parametrize("p", LADDER_PRIMES)
+    def test_reports_hand_out_fresh_lists(self, p):
+        vs, ells = _hazewinkel_pass.__wrapped__(2, p)
+        report = key_lemma_check(p)
+        report.v[0] = ALPHA
+        report.ell.clear()
+        ladder = landweber_check(p)
+        assert ladder.v == list(vs) and ladder.ell == list(ells)
+        ladder.v.append(ALPHA)
+        ladder.ell[1] = ALPHA
+        again = key_lemma_check(p)
+        assert again.v == list(vs) and again.ell == list(ells)
+        assert hazewinkel_v(2, p) == vs[1]
+
+    @pytest.mark.parametrize("p", (5, 13, 29, 37, 53))
+    def test_ladder_cor2_and_key_lemma_share_one_pass(self, p):
+        _hazewinkel_pass.cache_clear()
+        landweber_check(p)
+        cor2_check(p)
+        key_lemma_check(p, 2)
+        info = _hazewinkel_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_ladder_jobs_fit_the_cache(self):
+        # landweber at seven primes, cor2 at five, vgens -p 5 -n 3 and cor1:
+        # eight distinct passes, each run once, and none evicted by a second
+        # round.
+        _hazewinkel_pass.cache_clear()
+        for _ in range(2):
+            for p in LADDER_PRIMES:
+                landweber_check(p)
+            for p in (5, 13, 29, 37, 53):
+                cor2_check(p)
+            key_lemma_check(5, 3)
+            assert cor1_check()
+            assert _hazewinkel_pass.cache_info().misses == 8
+
+    def test_refused_inputs_raise_on_every_call(self):
+        landweber_check(17)
+        for _ in range(3):
+            with pytest.raises(UnsupportedPrimeError):
+                key_lemma_check(7)  # 7 = 3 (mod 4): inert
+            with pytest.raises(UnsupportedPrimeError):
+                _hazewinkel_pass(2, 11)
+            with pytest.raises(InputError):
+                key_lemma_check(5, 0)
+            with pytest.raises(InputError):
+                hazewinkel_v(0, 13)
+            with pytest.raises(UnsupportedPrimeError):
+                cor2_check(17)  # 17 = 1 (mod 8)
 
 
 class TestIntegrality:
