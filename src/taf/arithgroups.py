@@ -1,8 +1,12 @@
 """Exact matrix machinery: U(1,1; Z[i]), the Cayley transform, and the
 embeddings into Sp(2; Z).
 
-All algebra runs over Q(i) (`GaussianRational` entries) so membership
-certificates are exact.  The standard embedding sends
+All algebra is exact, so membership certificates are exact.  A `Mat`
+entry is stored in the narrowest of three forms: an `int` when it is a
+rational integer, a `Fraction` when it is real, and a `GaussianRational`
+only when its imaginary part is nonzero.  So the integer 4x4 matrices of
+Sp(2; Z) multiply on Python ints, and Q(i) arithmetic runs only on complex
+entries.  The standard embedding sends
 
     g = Re(g) + i*Im(g)  ->  ( Re(g)      Im(g)*H  )
                              ( -H*Im(g)   H*Re(g)*H )
@@ -44,6 +48,21 @@ from .exact import GaussianRational, InputError, I
 GR = GaussianRational
 
 
+def _entry(x):
+    """x as an int if it is a rational integer, as a Fraction if it is real,
+    and as a GaussianRational otherwise: the one form a `Mat` stores."""
+    kind = type(x)
+    if kind is int:
+        return x
+    if kind is GR:
+        if x.im:
+            return x
+        x = x.re
+    elif kind is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class Mat:
     """Dense matrix over Q(i) of any shape; immutable.
 
@@ -51,13 +70,14 @@ class Mat:
     `-` need equal shapes, `A * B` needs as many columns in A as rows in B,
     and `det` and `inv` need a square matrix; each raises `InputError`
     otherwise, as the constructor does on ragged rows.  `det` and `inv`
-    share one Gauss-Jordan pass.
+    share one Gauss-Jordan pass.  Entries are stored as `_entry` gives
+    them, so equal matrices have equal rows and equal hashes.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rs = tuple(tuple(GR.coerce(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(_entry, row)) for row in rows)
         if len({len(r) for r in rs}) > 1:
             raise InputError("matrix rows must have equal lengths")
         object.__setattr__(self, "rows", rs)
@@ -97,13 +117,10 @@ class Mat:
         if self.shape[1] != other.shape[0]:
             raise InputError(f"cannot multiply {self.shape} by {other.shape}")
         cols = tuple(zip(*other.rows))
-        return Mat(
-            [sum((a * b for a, b in zip(r, c)), GR(0)) for c in cols]
-            for r in self.rows
-        )
+        return Mat([sum(map(operator.mul, r, c)) for c in cols] for r in self.rows)
 
     def scale(self, c) -> "Mat":
-        c = GR.coerce(c)
+        c = _entry(c)
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __eq__(self, other):
@@ -117,11 +134,8 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(zip(*self.rows))
 
-    def conj(self) -> "Mat":
-        return Mat([[a.conj() for a in r] for r in self.rows])
-
     def conj_transpose(self) -> "Mat":
-        return self.conj().transpose()
+        return Mat([a.conjugate() for a in c] for c in zip(*self.rows))
 
     def _gauss_jordan(self) -> tuple[GR, "Mat | None"]:
         """(det, inverse) from one Gauss-Jordan pass over Q(i); the inverse
@@ -130,28 +144,27 @@ class Mat:
         if n != m:
             raise InputError(f"a {n}x{m} matrix is not square")
         a = [list(r) for r in self.rows]
-        b = [[GR(1) if i == j else GR(0) for j in range(n)] for i in range(n)]
-        det = GR(1)
+        b = [[int(i == j) for j in range(n)] for i in range(n)]
+        det = 1
         for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if not a[r][col].is_zero()), None
-            )
+            pivot = next((r for r in range(col, n) if a[r][col]), None)
             if pivot is None:
                 return GR(0), None
             if pivot != col:
                 a[col], a[pivot] = a[pivot], a[col]
                 b[col], b[pivot] = b[pivot], b[col]
                 det = -det
-            det = det * a[col][col]
-            inv_p = a[col][col].inv()
+            p = a[col][col]
+            det = det * p
+            inv_p = p.inv() if type(p) is GR else _entry(Fraction(1, p))
             a[col] = [x * inv_p for x in a[col]]
             b[col] = [x * inv_p for x in b[col]]
             for r in range(n):
-                if r != col and not a[r][col].is_zero():
+                if r != col and a[r][col]:
                     f = a[r][col]
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                     b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return det, Mat(b)
+        return GR.coerce(det), Mat(b)
 
     def inv(self) -> "Mat":
         """Exact inverse over Q(i); `InputError` when singular."""
@@ -168,24 +181,26 @@ class Mat:
         return Mat(r[j0 : j0 + size] for r in self.rows[i0 : i0 + size])
 
     def is_gaussian_integral(self) -> bool:
-        return all(a.is_gaussian_integer() for r in self.rows for a in r)
-
-    def is_rational_integral(self) -> bool:
         return all(
-            a.im == 0 and a.re.denominator == 1 for r in self.rows for a in r
+            a.real.denominator == 1 and a.imag.denominator == 1
+            for r in self.rows
+            for a in r
         )
 
+    def is_rational_integral(self) -> bool:
+        return all(not a.imag and a.real.denominator == 1 for r in self.rows for a in r)
+
     def apply(self, vec):
-        return [sum((a * x for a, x in zip(r, vec)), GR(0)) for r in self.rows]
+        return [sum(map(operator.mul, r, vec)) for r in self.rows]
 
     def to_json(self):
         return [
             [
                 {
-                    "re_num": str(a.re.numerator),
-                    "re_den": str(a.re.denominator),
-                    "im_num": str(a.im.numerator),
-                    "im_den": str(a.im.denominator),
+                    "re_num": str(a.real.numerator),
+                    "re_den": str(a.real.denominator),
+                    "im_num": str(a.imag.numerator),
+                    "im_den": str(a.imag.denominator),
                 }
                 for a in row
             ]
@@ -263,7 +278,7 @@ def in_gamma_theta(m: Mat) -> bool:
         raise InputError(f"Gamma_theta membership needs a 2x2 matrix, not {m.shape}")
     if not m.is_rational_integral():
         return False
-    a, b, c, d = m[0, 0].re, m[0, 1].re, m[1, 0].re, m[1, 1].re
+    (a, b), (c, d) = m.rows
     if a * d - b * c != 1:
         return False
     return (a * b) % 2 == 0 and (c * d) % 2 == 0
@@ -288,20 +303,23 @@ def rho(g: Mat) -> Mat:
 
 
 def rho_unchecked(g: Mat) -> Mat:
-    half = GR(Fraction(1, 2))
-    re = (g + g.conj()).scale(half)
-    im = (g - g.conj()).scale(half / I)
-    return block4(re, im * H, -(H * im), H * re * H)
+    """The block formula of the module docstring, read off the entries of a
+    2x2 g: with Re(g) = (a, b; c, d) and Im(g) = (e, f; k, l), Im(g)*H
+    negates the second column, H*Im(g) the second row, and H*Re(g)*H the
+    off-diagonal entries."""
+    (a, b), (c, d) = ([x.real for x in r] for r in g.rows)
+    (e, f), (k, l) = ([x.imag for x in r] for r in g.rows)
+    return Mat([[a, b, e, -f], [c, d, k, -l], [-e, -f, a, -b], [k, l, -c, d]])
 
 
 def cayley(g: Mat) -> Mat:
     """g0 g g0^{-1}, exactly: (1, i; i, 1) g (1, -i; -i, 1) / 2."""
-    return (_G0 * g * _G0_INV).scale(GR(Fraction(1, 2)))
+    return (_G0 * g * _G0_INV).scale(Fraction(1, 2))
 
 
 def cayley_inverse(gamma: Mat) -> Mat:
     """g0^{-1} gamma g0, exactly: (1, -i; -i, 1) gamma (1, i; i, 1) / 2."""
-    return (_G0_INV * gamma * _G0).scale(GR(Fraction(1, 2)))
+    return (_G0_INV * gamma * _G0).scale(Fraction(1, 2))
 
 
 def iota(gamma: Mat) -> Mat:
@@ -390,9 +408,10 @@ def j_identities(z: GR) -> bool:
     return period_tau * K4 == Mat([[0, 1], [-1, 0]]) * period_tau
 
 
-def eq2_check(g: Mat) -> bool:
-    """sigma(rho(g)) commutes with J for g in U(1,1; Z[i])."""
-    sg = sigma(rho(g))
+def eq2_check(image: Mat) -> bool:
+    """sigma(image) commutes with J; holds for image = rho(g), g in
+    U(1,1; Z[i])."""
+    sg = sigma(image)
     return sg * J == J * sg
 
 
@@ -513,9 +532,8 @@ def embedding_suite() -> dict[str, bool]:
     ok_eq2 = ok_rho = ok_j = ok_cayley = ok_equiv = True
     for _ in range(10):
         gamma = random_group_element(rng)
-        g = cayley_inverse(gamma)
-        ok_eq2 &= eq2_check(g)
-        image = rho(g)
+        image = rho(cayley_inverse(gamma))
+        ok_eq2 &= eq2_check(image)
         ok_rho &= is_symplectic(image) and image.is_rational_integral()
         z = random_ball_point(rng)
         ok_j &= j_identities(z)

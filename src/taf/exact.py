@@ -85,7 +85,12 @@ def require_prime(p: int) -> None:
 
 
 class GaussianRational:
-    """An element of Q(i), exact field arithmetic on Fraction parts."""
+    """An element of Q(i), exact field arithmetic on Fraction parts.
+
+    It reads as `int` and `Fraction` do (`real`, `imag`, `conjugate()`,
+    zero falsy), so code that takes all three reads entries one way, and it
+    equals and hashes as its real part when its imaginary part is 0.
+    """
 
     __slots__ = ("re", "im")
 
@@ -126,8 +131,19 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "GaussianRational":
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
+    def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
 
     def norm(self) -> Fraction:
         """re^2 + im^2, a non-negative rational, zero only at 0."""
@@ -153,13 +169,7 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taf.arithgroups import (
     G_GEN_C4,
@@ -16,11 +18,13 @@ from taf.arithgroups import (
     IOTA_IMAGE_TRANSLATION,
     J,
     J0,
+    K4,
     Mat,
     T_MATRIX,
     U_GEN_C4,
     U_GEN_PARABOLIC,
     U_GEN_ROTATION,
+    block4,
     cayley,
     cayley_inverse,
     embedding_suite,
@@ -46,6 +50,7 @@ from taf.arithgroups import (
     random_halfplane_point,
     reduce_to_fundamental_domain,
     rho,
+    rho_unchecked,
     siegel_action,
     sigma,
 )
@@ -122,6 +127,101 @@ def random_mat(rng, rows: int, cols: int) -> Mat:
     return Mat([[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+class GaussianMat:
+    """The matrix of this layer as it was before entries took their
+    narrowest form: every entry a GaussianRational, every product, the
+    Gauss-Jordan pass and the conjugate transpose on Q(i).  Kept as the
+    oracle of `Mat`."""
+
+    def __init__(self, rows):
+        self.rows = [[GR.coerce(x) for x in r] for r in rows]
+
+    def __mul__(self, other):
+        cols = list(zip(*other.rows))
+        return GaussianMat(
+            [sum((a * b for a, b in zip(r, c)), GR(0)) for c in cols]
+            for r in self.rows
+        )
+
+    def conj_transpose(self):
+        return GaussianMat([[a.conjugate() for a in c] for c in zip(*self.rows)])
+
+    def gauss_jordan(self):
+        """(det, inverse rows), the inverse None when the det is 0."""
+        n = len(self.rows)
+        a = [list(r) for r in self.rows]
+        b = [[GR(1) if i == j else GR(0) for j in range(n)] for i in range(n)]
+        det = GR(1)
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+            if pivot is None:
+                return GR(0), None
+            if pivot != col:
+                a[col], a[pivot] = a[pivot], a[col]
+                b[col], b[pivot] = b[pivot], b[col]
+                det = -det
+            det = det * a[col][col]
+            inv_p = a[col][col].inv()
+            a[col] = [x * inv_p for x in a[col]]
+            b[col] = [x * inv_p for x in b[col]]
+            for r in range(n):
+                if r != col and a[r][col] != 0:
+                    f = a[r][col]
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+        return det, b
+
+
+def is_canonical(x) -> bool:
+    """An int, a Fraction that is no integer, or a GaussianRational that is
+    not real."""
+    kind = type(x)
+    return (
+        kind is int
+        or (kind is Fraction and x.denominator != 1)
+        or (kind is GR and x.im != 0)
+    )
+
+
+def assert_matches(m: Mat, rows):
+    """m has the oracle's entries, each stored in its canonical form."""
+    assert len(m.rows) == len(rows)
+    for got, want in zip(m.rows, rows):
+        assert list(got) == want
+        assert all(map(is_canonical, got))
+
+
+_SMALL = st.integers(-4, 4)
+_REALS = st.one_of(_SMALL, st.builds(Fraction, _SMALL, st.integers(1, 3)))
+# Ints, Fractions and Gaussian rationals, some of them real or integral.
+_ENTRIES = st.one_of(_REALS, st.builds(GR, _REALS, _REALS))
+
+
+@st.composite
+def square_pairs(draw):
+    """Two n x n rows of mixed entries, n from 1 to 3."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(_ENTRIES, min_size=n, max_size=n)
+    square = st.lists(row, min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+def rho_by_blocks(g: Mat) -> Mat:
+    """rho(g) as block4 of Re(g) = (g + conj g)/2 and Im(g) = (g - conj g)/2i
+    with the twist H: the formula `rho_unchecked` reads off entries."""
+    conj = Mat([a.conjugate() for a in r] for r in g.rows)
+    half = GR(Fraction(1, 2))
+    re = (g + conj).scale(half)
+    im = (g - conj).scale(half / I)
+    return block4(re, im * H, -(H * im), H * re * H)
+
+
+def negated_entry(m: Mat, i: int, j: int) -> Mat:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = -rows[i][j]
+    return Mat(rows)
+
+
 def swapping_mat(seed: int, n: int) -> Mat:
     """A random n x n matrix with a zero in the corner, so that elimination
     swaps rows."""
@@ -196,11 +296,43 @@ class TestMat:
             assert hstack(b, a) == Mat(x + y for x, y in zip(b.rows, a.rows))
             assert hstack(b, a).shape == (2, 6)
 
+    def test_gaussian_integral_predicate(self):
+        assert Mat([[GR(3, -2), 1]]).is_gaussian_integral()
+        assert not Mat([[GR(Fraction(1, 2), 0)]]).is_gaussian_integral()
+        assert not Mat([[GR(1, Fraction(1, 3))]]).is_gaussian_integral()
+        assert Mat([[3, -1]]).is_rational_integral()
+        assert not Mat([[I]]).is_rational_integral()
+        assert not Mat([[Fraction(1, 2)]]).is_rational_integral()
+
+    def test_equal_values_make_equal_matrices(self):
+        forms = [Mat([[x, 0], [0, x]]) for x in (GR(3), Fraction(3), 3)]
+        assert all(m == forms[0] and hash(m) == hash(forms[0]) for m in forms)
+        assert len(set(forms)) == 1
+        assert all(type(a) is int for r in forms[0].rows for a in r)
+        assert Mat([[GR(Fraction(1, 2))]]).rows == ((Fraction(1, 2),),)
+
+    @given(square_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_entries_match_the_gaussian_oracle(self, pair):
+        a, b = pair
+        m, oracle = Mat(a), GaussianMat(a)
+        assert_matches(m, oracle.rows)
+        assert_matches(m * Mat(b), (oracle * GaussianMat(b)).rows)
+        assert_matches(m.conj_transpose(), oracle.conj_transpose().rows)
+        assert m == Mat(oracle.rows) and hash(m) == hash(Mat(oracle.rows))
+        det, inverse = oracle.gauss_jordan()
+        assert m.det() == det and type(m.det()) is GR
+        if inverse is None:
+            with pytest.raises(InputError):
+                m.inv()
+        else:
+            assert_matches(m.inv(), inverse)
+
     @pytest.mark.parametrize("m", PIVOTING)
     def test_det_and_inverse_with_row_swaps(self, m):
         det = m.det()
         assert det == leibniz_det(m)
-        if det.is_zero():
+        if not det:
             with pytest.raises(InputError):
                 m.inv()
         else:
@@ -263,6 +395,36 @@ class TestEmbeddings:
             assert m.is_rational_integral()
             assert is_symplectic(m)
 
+    def test_rho_matches_the_block_formula(self):
+        # The eight matrices E_ij and i*E_ij are an R-basis of M_2(C).
+        basis = [
+            Mat([[c if (r, s) == (i, j) else 0 for s in range(2)] for r in range(2)])
+            for i in range(2)
+            for j in range(2)
+            for c in (1, I)
+        ]
+        rng = random.Random(31)
+        words = [cayley_inverse(random_group_element(rng)) for _ in range(50)]
+        for g in basis + words:
+            assert rho_unchecked(g) == rho_by_blocks(g)
+
+    def test_one_flipped_sign_of_rho_fails(self):
+        rng = random.Random(37)
+        group = [U_GEN_PARABOLIC, U_GEN_ROTATION, U_GEN_C4]
+        group += [cayley_inverse(random_group_element(rng)) for _ in range(5)]
+        images = [rho(g) for g in group]
+        for i in range(4):
+            for j in range(4):
+                flipped = [negated_entry(m, i, j) for m in images if m[i, j]]
+                assert flipped, (i, j)
+                assert any(
+                    not (eq2_check(m) and is_symplectic(m)) for m in flipped
+                ), (i, j)
+
+    def test_symplectic_side_holds_integers(self):
+        for m in (iota(G_GEN_S), rho(U_GEN_PARABOLIC), T_MATRIX, J, K4, J0):
+            assert all(type(a) is int for r in m.rows for a in r)
+
     def test_rho_is_homomorphism(self):
         g1, g2 = U_GEN_PARABOLIC, U_GEN_ROTATION
         assert rho(g1 * g2) == rho(g1) * rho(g2)
@@ -271,7 +433,7 @@ class TestEmbeddings:
         rng = random.Random(5)
         for _ in range(10):
             g = cayley_inverse(random_group_element(rng))
-            assert eq2_check(g)
+            assert eq2_check(rho(g))
 
     def test_iota_generator_images(self):
         assert iota(G_GEN_TRANSLATION) == IOTA_IMAGE_TRANSLATION

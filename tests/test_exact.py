@@ -202,7 +202,7 @@ class TestGaussianRational:
     @given(gaussian_rationals())
     @settings(max_examples=60)
     def test_inverse(self, a):
-        if a.is_zero():
+        if not a:
             with pytest.raises(ZeroDivisionError):
                 a.inv()
         else:
@@ -211,16 +211,33 @@ class TestGaussianRational:
     @given(gaussian_rationals(), gaussian_rationals())
     @settings(max_examples=60)
     def test_conjugation_and_norm(self, a, b):
-        assert (a * b).conj() == a.conj() * b.conj()
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
         assert (a * b).norm() == a.norm() * b.norm()
         assert a.norm() >= 0
 
     def test_i_squared(self):
         assert I * I == GaussianRational(-1)
 
-    def test_gaussian_integer_predicate(self):
-        assert GaussianRational(3, -2).is_gaussian_integer()
-        assert not GaussianRational(Fraction(1, 2), 0).is_gaussian_integer()
+    @given(gaussian_rationals())
+    @settings(max_examples=60)
+    def test_reads_as_int_and_fraction_do(self, a):
+        assert (a.real, a.imag) == (a.re, a.im)
+        assert a.conjugate() == GaussianRational(a.re, -a.im)
+        assert bool(a) == (a.re != 0 or a.im != 0)
+
+    @pytest.mark.parametrize("value", [3, Fraction(1, 2), 0])
+    def test_a_real_value_equals_and_hashes_as_its_real_part(self, value):
+        z = GaussianRational(value)
+        assert z == value and value == z
+        assert hash(z) == hash(value)
+        assert len({z, value}) == 1
+        assert bool(z) == bool(value)
+
+    def test_zero_is_falsy(self):
+        assert not GaussianRational(0)
+        assert GaussianRational(0, 1) and GaussianRational(Fraction(1, 2))
+        assert len({GaussianRational(3), 3}) == 1
+        assert GaussianRational(3, 1) != 3
 
     def test_immutability(self):
         with pytest.raises(AttributeError):
