@@ -27,11 +27,11 @@ recurrence with a different algorithm, the sparse Horner composition
 L(F(x, y)) on `series._product_step`.
 
 Additivity is checked after commutativity, so F is symmetric, and so is
-L(F(x, y)): a univariate series composed with a symmetric one.  Both sides
-are formed in e1 = x + y, e2 = xy (`series.to_elementary`), where F has
-about half its terms, with L(x) + L(y) written there by Waring's formula
-(`series.elementary_sum`).  A failure expands both sides back to x, y and
-names the first coefficient where they differ.
+L(F(x, y)): a univariate series composed with a symmetric one.  It is
+composed in e1 = x + y, e2 = xy (`series.to_elementary`), where F has about
+half its terms, and compared there with L(x) + L(y), built in x, y.  A
+failure expands L(F) back to x, y and names the first coefficient where the
+two differ.
 
 Associativity follows: L = x + ..., so additivity through order N gives
 F = L^-1(L(x) + L(y)) mod deg N+1, and then
@@ -45,8 +45,9 @@ never cached, and `fgl_phi.__wrapped__(N)` builds and verifies afresh.
 
     (x*sqrt(1 - 2*alpha*y^4) + y*sqrt(1 - 2*alpha*x^4)) / (1 + 2*alpha*x^2*y^2)
 
-directly; setting beta = 0 in the law of the Legendre-genus logarithm must
-reproduce it exactly.
+term by term, each term of the square root placed on two keys with no
+bivariate product; setting beta = 0 in the law of the Legendre-genus
+logarithm must reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -54,15 +55,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exact import ALPHA, GradedPoly, InputError, ONE, ZERO, _dot, _graded
+from .exact import ALPHA, GradedPoly, InputError, ONE, _dot, _graded
 from .legendre import log_phiL
 from .series import (
     BiTruncSeries,
     TruncSeries,
     bi_compose_outer,
     bi_compose_slots,
-    bi_from_univariate,
-    elementary_sum,
     from_elementary,
     series_div,
     sqrt_unit,
@@ -117,16 +116,16 @@ def _unit_discrepancy(law: BiTruncSeries) -> str:
 def _additivity_discrepancy(law: BiTruncSeries, log: TruncSeries) -> str:
     """"" if L(F(x, y)) = L(x) + L(y) through the law's order, for a
     commutative law F; else the first (a, b), in sorted order, where the two
-    sides differ, and both values.  Both sides are symmetric, so they are
-    formed and compared in e1 = x + y, e2 = xy (`series.to_elementary`), and
-    expanded back to x, y only once `==` has failed."""
+    sides differ, and both values.  Both sides are symmetric, so L(F) is
+    composed in e1 = x + y, e2 = xy (`series.to_elementary`), and the sum,
+    built in x, y, is taken there; L(F) is expanded back only on failure."""
+    n = law.order
+    in_x = BiTruncSeries.from_terms({(k, 0): c for (k,), c in log.terms.items()}, n)
+    lsum = in_x + in_x.swap()
     lhs = bi_compose_outer(log, to_elementary(law))
-    rhs = elementary_sum(log)
-    if lhs == rhs:
+    if lhs == to_elementary(lsum):
         return ""
-    return _first_difference(
-        "L(F)", from_elementary(lhs), "L(x) + L(y)", from_elementary(rhs)
-    )
+    return _first_difference("L(F)", from_elementary(lhs), "L(x) + L(y)", lsum)
 
 
 def _law_from_differential(w: TruncSeries, n: int) -> BiTruncSeries:
@@ -205,24 +204,19 @@ def fgl_phiL(N: int) -> FormalGroupLaw:
 
 def euler_law(N: int) -> BiTruncSeries:
     """Bivariate expansion of the closed form
-    (x*sqrt(1 - 2a*y^4) + y*sqrt(1 - 2a*x^4)) / (1 + 2a*x^2*y^2)."""
+    (x*sqrt(1 - 2a*y^4) + y*sqrt(1 - 2a*x^4)) / (1 + 2a*x^2*y^2), with no
+    bivariate product: the term r_m x^m of sqrt(1 - 2a*x^4) times
+    (-2a*x^2*y^2)^k lands at x^(1+2k) y^(m+2k) and its mirror alone, as
+    4 | m makes 1 + 2k odd and m + 2k even."""
     if N < 1:
         raise InputError("order must be >= 1")
-    base = TruncSeries(
-        [ONE if k == 0 else ALPHA.scale(-2) if k == 4 else ZERO for k in range(N + 1)],
-        N,
-    )
-    root = sqrt_unit(base)  # sqrt(1 - 2a x^4)
-    root_x = bi_from_univariate(root, 0, N)
-    root_y = bi_from_univariate(root, 1, N)
-    x = BiTruncSeries.variable(0, N)
-    y = BiTruncSeries.variable(1, N)
-    numerator = x * root_y + y * root_x
-    # 1/(1 + t) at t = 2a*x^2*y^2, as the geometric series sum (-t)^k; t has
-    # total degree 4, so the terms past k = N/4 truncate to zero.
-    geometric = TruncSeries([(-1) ** k for k in range(N // 4 + 1)], N)
-    t = BiTruncSeries({(2, 2): ALPHA.scale(2)}, N)
-    return numerator * bi_compose_outer(geometric, t)
+    step = ALPHA.scale(-2)
+    out = {}
+    root = sqrt_unit(TruncSeries.from_terms({(0,): ONE, (4,): step}, N))
+    for (m,), c in root.terms.items():
+        for k in range((N - 1 - m) // 4 + 1):
+            out[1 + 2 * k, m + 2 * k] = out[m + 2 * k, 1 + 2 * k] = c * step**k
+    return BiTruncSeries.from_terms(out, N)
 
 
 def beta_zero_law(N: int) -> BiTruncSeries:
@@ -239,9 +233,10 @@ def iso_check(N: int) -> bool:
 
     F_phi is commutative, so the left side is composed in e1 = x + y,
     e2 = xy (`series.to_elementary`).  The right side stays the slot
-    substitution while the benchmark's tracer reports
-    `series.bi_compose_slots` by name; it is compared in the same
-    coordinates once it is seen to be symmetric, as the left side is."""
+    substitution `series.bi_compose_slots` while the benchmark's tracer
+    reports it by name; both slots hold t, so it reads one table of powers
+    of t.  It is compared in the same coordinates once it is seen to be
+    symmetric, as the left side is."""
     if N < 1:
         raise InputError("order must be >= 1")
     f_phi = fgl_phi(N).law

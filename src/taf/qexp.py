@@ -39,7 +39,7 @@ from math import fmod, lcm
 from typing import NamedTuple
 
 from .exact import GradedPoly, InputError, _kron_mul, _lowest, _power
-from .chromatic import _require_split, hazewinkel_v
+from .chromatic import _require_split, key_lemma_check
 
 
 class QExpansion:
@@ -321,8 +321,7 @@ def genus_qexp_consistency(p: int, K: int = 40) -> bool:
     """The expansions of v_1 and v_2 are p-integral through s^K, for a
     split prime p (1 mod 4)."""
     _require_split(p)
-    for n in (1, 2):
-        expansion = substitute_forms(hazewinkel_v(n, p), K)
-        if not expansion.is_p_integral(p):
+    for v in key_lemma_check(p, 2).v:
+        if not substitute_forms(v, K).is_p_integral(p):
             return False
     return True

@@ -10,15 +10,17 @@ implicit min.
 Every product of maps of any arity is one `_product_step` on lifted forms
 (`_lift`: one denominator, integer lists): Kronecker substitution on whole
 terms, one big-int multiply-add per pair of terms.  A series product lifts
-both factors, takes one step and builds `GradedPoly`s (`_terms`).  A chain
-of products, the sparse Horner `_compose_outer` that `compose` and
-`bi_compose_outer` share and the substitution into a law `_substitute`,
+both factors, takes one step and builds `GradedPoly`s (`_terms`).  The
+sparse Horner `_compose_outer` that `compose` and `bi_compose_outer` share
 stays lifted from step to step and builds `GradedPoly`s only where it ends.
 A step can stop below N (`_product_step`'s cap): each Horner level of
 `_compose_outer` is later multiplied by g^k, whose terms start at degree v*k
 for v the lowest total degree of g, so it is formed through N - v*k alone;
 what it leaves out lands above N, and f(g) is the same term for term.
-Division and square roots make one `exact._dot` per output coefficient.
+Division, square roots and `bi_compose_slots` make one `exact._dot` per
+output coefficient: a law's two slots share no variable, so filling them
+with univariate series multiplies tables of univariate powers, never two
+bivariate series.
 
 A symmetric bivariate series, such as a commutative formal group law or a
 univariate series composed with one, can be written in e1 = x + y and
@@ -26,8 +28,7 @@ e2 = xy (`to_elementary`; Macdonald, *Symmetric Functions and Hall
 Polynomials*, 2nd ed., 1995, section I.2).  Keyed (i + j, j) for
 e1^i e2^j, its keys add under products and sum to the total degree, so the
 kernels above run on it unchanged, on about half the terms and a quarter of
-the pairs.  `elementary_sum` writes f(x) + f(y) there by Waring's formula,
-without a product, and `from_elementary` expands a series back to x, y.
+the pairs.  `from_elementary` expands a series back to x, y.
 
 Reversion is Lagrange inversion, [x^m] f^-1 = (1/m) [x^(m-1)] (x/f)^m: one
 division and one product per coefficient that the exponents of f leave
@@ -398,32 +399,6 @@ def _compose_outer(f: TruncSeries, g: _Series) -> dict[tuple[int, ...], GradedPo
     return _terms(result, n, arity)
 
 
-def _substitute(
-    law: Mapping[tuple[int, int], GradedPoly], first: Terms, second: Terms, n: int
-) -> dict[tuple[int, ...], GradedPoly]:
-    """law(first, second) through total degree n for sparse maps of one arity:
-    sum_a first^a * row_a with row_a = sum_b law[a, b] * second^b.  first,
-    second and the law's coefficients are lifted once; each power, each row
-    and the whole sum is one `_product_step`."""
-    # The arity comes from the inner series; two zero series count as bivariate.
-    origin = tuple(0 for _ in next(iter(first or second), (0, 0)))
-    arity = len(origin)
-    rows: dict[int, list] = {}
-    for (a, b), c in law.items():
-        rows.setdefault(a, []).append((_lift({origin: c}, n), b))
-    one, x, y = _lift({origin: ONE}, n), _lift(first, n), _lift(second, n)
-    pow1, pow2 = [one], [one]
-    while len(pow1) <= max(rows, default=0):
-        pow1.append(_product_step([(pow1[-1], x)], n, arity))
-    while len(pow2) <= max((b for _, b in law), default=0):
-        pow2.append(_product_step([(pow2[-1], y)], n, arity))
-    sums = [
-        (pow1[a], _product_step([(c, pow2[b]) for c, b in row], n, arity))
-        for a, row in rows.items()
-    ]
-    return _terms(_product_step(sums, n, arity), n, arity)
-
-
 # ---------------------------------------------------------------------------
 # Two variables
 # ---------------------------------------------------------------------------
@@ -473,13 +448,6 @@ class BiTruncSeries(_Series):
         return [{"a": a, "b": b, "poly": c} for (a, b), c in sorted(self.terms.items())]
 
 
-def bi_from_univariate(f: TruncSeries, slot: int, order: int) -> BiTruncSeries:
-    """Lift a univariate series into slot 0 (x) or 1 (y) of a bivariate one."""
-    return BiTruncSeries(
-        {((k, 0) if slot == 0 else (0, k)): c for (k,), c in f.terms.items()}, order
-    )
-
-
 def bi_compose_outer(f: TruncSeries, g: BiTruncSeries) -> BiTruncSeries:
     """f(g(x, y)) for univariate f and bivariate g with no constant term."""
     return BiTruncSeries(_compose_outer(f, g), g.order)
@@ -488,14 +456,38 @@ def bi_compose_outer(f: TruncSeries, g: BiTruncSeries) -> BiTruncSeries:
 def bi_compose_slots(
     f: BiTruncSeries, gx: TruncSeries, gy: TruncSeries
 ) -> BiTruncSeries:
-    """f(gx(x), gy(y)) for univariate gx, gy with zero constant terms."""
+    """f(gx(x), gy(y)) for univariate gx, gy with zero constant terms.  The
+    slots share no variable, so [x^i y^j] is sum_a [x^i] gx^a * r_a[j] with
+    r_a[j] = sum_b f[a, b] * [y^j] gy^b: two products of tables of powers,
+    one `exact._dot` per entry, and one table when gx is gy."""
     n = f.order
     if gx.order != n or gy.order != n:
         raise InputError("mixed truncation orders in slot substitution")
     if (0,) in gx.terms or (0,) in gy.terms:
         raise InputError("slot series must have zero constant terms")
-    x, y = bi_from_univariate(gx, 0, n), bi_from_univariate(gy, 1, n)
-    return BiTruncSeries(_substitute(f.terms, x.terms, y.terms, n), n)
+
+    def powers(g: TruncSeries) -> list[list[GradedPoly]]:
+        table = [TruncSeries.one(n)]
+        for _ in range(max(map(max, f.terms), default=0)):
+            table.append(table[-1] * g)
+        return [p.coeffs for p in table]
+
+    py = powers(gy)
+    px = py if gx is gy else powers(gx)
+    rows: dict[int, list] = {}
+    for (a, b), c in f.terms.items():
+        rows.setdefault(a, []).append((c, py[b]))
+    # gx^a starts at x^a, so r_a is needed through y^(n - a) alone.
+    r = {
+        a: [_dot([(c, p[j]) for c, p in row]) for j in range(n - a + 1)]
+        for a, row in rows.items()
+    }
+    out = {}
+    for i in range(n + 1):
+        col = [(px[a][i], r_a) for a, r_a in r.items() if a <= i]
+        for j in range(n - i + 1):
+            out[i, j] = _dot([(c, r_a[j]) for c, r_a in col])
+    return BiTruncSeries.from_terms(out, n)
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +576,3 @@ def from_elementary(g: BiTruncSeries) -> BiTruncSeries:
             if any(solved[j]):
                 out[s - j, j] = out[j, s - j] = _graded(deg, den, solved[j])
     return BiTruncSeries.from_terms(out, g.order)
-
-
-def elementary_sum(f: TruncSeries) -> BiTruncSeries:
-    """f(x) + f(y) in elementary coordinates (`to_elementary`), with no
-    product: sum_k f_k p_k by Waring's formula, p_0 = 2."""
-    out = {}
-    for (k,), c in f.terms.items():
-        for j, w in enumerate(_waring(k) if k else [2]):
-            out[k - j, j] = c.scale(w)
-    return BiTruncSeries.from_terms(out, f.order)

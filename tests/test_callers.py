@@ -1,5 +1,6 @@
 """The library is what the program runs: every public function or class in
-`src/taf` is used somewhere in `src/taf` besides its own definition.
+`src/taf` is used somewhere in `src/taf` besides its own definition, and
+every name a module imports is read in that module.
 
 A re-export in `__init__.py` does not count as a use, and a name used only
 by tests belongs in the tests.
@@ -50,3 +51,27 @@ def uncalled_names():
 
 def test_every_public_name_has_a_program_caller():
     assert uncalled_names() == []
+
+
+def _imported(tree):
+    """Every name the module's imports bind, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def unread_imports():
+    """"module: name" for every imported name its module never reads."""
+    unread = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}: {n}" for n in _imported(tree) if n not in read]
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []

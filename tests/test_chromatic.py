@@ -18,6 +18,7 @@ from taf.chromatic import (
     landweber_check,
     _divides_power_of,
 )
+from taf.cli import main
 from taf.exact import (
     ALPHA,
     GradedPoly,
@@ -132,6 +133,15 @@ class TestPassCache:
             key_lemma_check(5, 3)
             assert cor1_check()
             assert _hazewinkel_pass.cache_info().misses == 8
+
+    def test_selftest_runs_one_pass_per_prime(self, capsys):
+        # The closed forms and the q-expansion check read v_1 and v_2 from
+        # the n = 2 pass; a pass of their own for v_1 would make this 7.
+        # The five: n = 2 at p = 5, 13, 29 and 37, and n = 3 at p = 5.
+        _hazewinkel_pass.cache_clear()
+        assert main(["selftest"]) == 0
+        capsys.readouterr()
+        assert _hazewinkel_pass.cache_info().misses == 5
 
     def test_refused_inputs_raise_on_every_call(self):
         landweber_check(17)

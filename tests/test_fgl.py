@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import taf.fgl as fgl
 import taf.series as series
-from taf.exact import ALPHA, InputError, ONE, _dot
+from taf.exact import ALPHA, InputError, ONE, ZERO, _dot
 from taf.fgl import (
     ConsistencyError,
     _additivity_discrepancy,
@@ -24,14 +24,13 @@ from taf.legendre import log_phiL
 from taf.series import (
     BiTruncSeries,
     TruncSeries,
-    _substitute,
     bi_compose_outer,
     bi_compose_slots,
-    bi_from_univariate,
     revert,
+    sqrt_unit,
 )
 from test_exact import graded_polys
-from test_series import tri_mul
+from test_series import _substitute, bi_from_univariate, tri_mul
 
 
 def grouped_product(a, b, n):
@@ -399,17 +398,27 @@ class TestProductKernel:
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [5, 9, 13])
     def test_substitutions_match_rowwise(self, build, n):
-        # The substitutions into a law, against the row-by-row reference:
-        # F(F(x, y), z) of the associativity oracle, and
-        # F(t(x), t(y)) of the isomorphism check.
+        # F(F(x, y), z) of the associativity oracle, against the row-by-row
+        # reference.
         law = build(n).law.terms
         f_xy = {(a, b, 0): c for (a, b), c in law.items()}
         z = {(0, 0, 1): ONE}
         assert _substitute(law, f_xy, z, n) == rowwise_substitute(law, f_xy, z, n)
-        t = t_of_v(n)
-        tx = bi_from_univariate(t, 0, n).terms
-        ty = bi_from_univariate(t, 1, n).terms
-        assert _substitute(law, tx, ty, n) == rowwise_substitute(law, tx, ty, n)
+
+    @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
+    @pytest.mark.parametrize("n", [5, 9, 13])
+    @pytest.mark.parametrize("same", [True, False], ids=["gx=gy", "gx!=gy"])
+    def test_slots_match_rowwise(self, build, n, same):
+        # F(t(x), t(y)) of the isomorphism check, from one table of powers of
+        # t, and F(t(x), L(y)) from two tables, against the row-by-row
+        # reference on bivariate keys.
+        law = build(n)
+        gx = t_of_v(n)
+        gy = gx if same else law.log
+        tx = bi_from_univariate(gx, 0, n).terms
+        ty = bi_from_univariate(gy, 1, n).terms
+        expected = rowwise_substitute(law.law.terms, tx, ty, n)
+        assert bi_compose_slots(law.law, gx, gy).terms == expected
 
 
 class TestMemoisation:
@@ -442,7 +451,31 @@ class TestMemoisation:
         assert fgl_phi(5).order == 5
 
 
+def product_euler_law(N):
+    """Euler's law as `fgl.euler_law` built it before it placed each term of
+    the square root by hand, kept as the oracle: the numerator from two
+    products of bivariate series, times 1/(1 + 2a*x^2*y^2) composed as a
+    geometric series."""
+    base = TruncSeries(
+        [ONE if k == 0 else ALPHA.scale(-2) if k == 4 else ZERO for k in range(N + 1)],
+        N,
+    )
+    root = sqrt_unit(base)
+    root_x = bi_from_univariate(root, 0, N)
+    root_y = bi_from_univariate(root, 1, N)
+    x = BiTruncSeries.variable(0, N)
+    y = BiTruncSeries.variable(1, N)
+    numerator = x * root_y + y * root_x
+    geometric = TruncSeries([(-1) ** k for k in range(N // 4 + 1)], N)
+    t = BiTruncSeries({(2, 2): ALPHA.scale(2)}, N)
+    return numerator * bi_compose_outer(geometric, t)
+
+
 class TestEulerLaw:
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 21, 29, 45, 64])
+    def test_matches_product_construction(self, n):
+        assert euler_law(n) == product_euler_law(n)
+
     def test_degree5_part(self):
         law = euler_law(13)
         assert law.coefficient(4, 1) == -ALPHA

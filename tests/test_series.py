@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, lcm
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,9 @@ from taf.series import (
     BiTruncSeries,
     TruncSeries,
     bi_compose_outer,
+    Terms,
     bi_compose_slots,
-    bi_from_univariate,
     compose,
-    elementary_sum,
     from_elementary,
     integrate,
     revert,
@@ -29,8 +29,8 @@ from taf.series import (
     _compose_outer,
     _lift,
     _product_step,
-    _substitute,
     _terms,
+    _waring,
 )
 from test_exact import graded_polys, pairwise_product
 
@@ -237,6 +237,13 @@ def test_traced_methods_in_each_class_body():
             assert name in vars(cls), (cls.__name__, name)
 
 
+def bi_from_univariate(f: TruncSeries, slot: int, order: int) -> BiTruncSeries:
+    """Lift a univariate series into slot 0 (x) or 1 (y) of a bivariate one."""
+    return BiTruncSeries(
+        {((k, 0) if slot == 0 else (0, k)): c for (k,), c in f.terms.items()}, order
+    )
+
+
 class TestBivariate:
     def test_symmetric_product(self):
         x = BiTruncSeries.variable(0, 4)
@@ -267,6 +274,18 @@ class TestBivariate:
         g = BiTruncSeries({(0, 0): BETA, (1, 2): ALPHA}, 4)
         zero = TruncSeries([], 4)
         assert bi_compose_slots(g, zero, zero) == BiTruncSeries({(0, 0): BETA}, 4)
+
+    def test_compose_slots_refusals(self):
+        f = BiTruncSeries({(1, 1): ONE}, 4)
+        x = TruncSeries.identity(4)
+        with pytest.raises(InputError, match="mixed truncation orders"):
+            bi_compose_slots(f, x, TruncSeries.identity(3))
+        with pytest.raises(InputError, match="mixed truncation orders"):
+            bi_compose_slots(f, TruncSeries.identity(5), x)
+        with pytest.raises(InputError, match="zero constant terms"):
+            bi_compose_slots(f, x, TruncSeries([1, 1], 4))
+        with pytest.raises(InputError, match="zero constant terms"):
+            bi_compose_slots(f, TruncSeries([ALPHA, 1], 4), x)
 
 
 
@@ -582,6 +601,35 @@ def productwise_compose_outer(f, g):
     return result
 
 
+# The substitution into a law that `series` ran before `bi_compose_slots`
+# read tables of univariate powers; the associativity oracle of test_fgl
+# runs it on three-variable keys.
+def _substitute(
+    law: Mapping[tuple[int, int], GradedPoly], first: Terms, second: Terms, n: int
+) -> dict[tuple[int, ...], GradedPoly]:
+    """law(first, second) through total degree n for sparse maps of one arity:
+    sum_a first^a * row_a with row_a = sum_b law[a, b] * second^b.  first,
+    second and the law's coefficients are lifted once; each power, each row
+    and the whole sum is one `_product_step`."""
+    # The arity comes from the inner series; two zero series count as bivariate.
+    origin = tuple(0 for _ in next(iter(first or second), (0, 0)))
+    arity = len(origin)
+    rows: dict[int, list] = {}
+    for (a, b), c in law.items():
+        rows.setdefault(a, []).append((_lift({origin: c}, n), b))
+    one, x, y = _lift({origin: ONE}, n), _lift(first, n), _lift(second, n)
+    pow1, pow2 = [one], [one]
+    while len(pow1) <= max(rows, default=0):
+        pow1.append(_product_step([(pow1[-1], x)], n, arity))
+    while len(pow2) <= max((b for _, b in law), default=0):
+        pow2.append(_product_step([(pow2[-1], y)], n, arity))
+    sums = [
+        (pow1[a], _product_step([(c, pow2[b]) for c, b in row], n, arity))
+        for a, row in rows.items()
+    ]
+    return _terms(_product_step(sums, n, arity), n, arity)
+
+
 def productwise_substitute(law, first, second, n):
     """law(first, second) with every power, row product and sum formed on term
     maps by `product_step` and `GradedPoly` addition."""
@@ -698,6 +746,8 @@ class TestLiftedChains:
             return out
 
         monkeypatch.setattr(series, "_product_step", checked)
+        # `_substitute` above reads the kernel from this module's globals.
+        monkeypatch.setitem(globals(), "_product_step", checked)
         f = TruncSeries([Fraction(1, 2**k) for k in range(n + 1)], n)
         g = TruncSeries([0, 2, 2], n)
         assert _compose_outer(f, g) == productwise_compose_outer(f, g)
@@ -711,8 +761,9 @@ class TestLiftedChains:
         }
         x, y = {(1, 0): GradedPoly.const(2)}, {(0, 1): GradedPoly.const(2)}
         expected = {k: ONE for k in law}
+        composed = len(steps)
         assert _substitute(law, x, y, n) == expected
-        assert steps
+        assert composed and len(steps) > composed
 
 
 @st.composite
@@ -741,6 +792,17 @@ def expand_elementary(g):
             k = (a + j, i - a + j)
             out[k] = out.get(k, ZERO) + c.scale(comb(i, a))
     return BiTruncSeries.from_terms(out, g.order)
+
+
+def elementary_sum(f: TruncSeries) -> BiTruncSeries:
+    """f(x) + f(y) in elementary coordinates (`to_elementary`), with no
+    product: sum_k f_k p_k by Waring's formula, p_0 = 2.  `series` wrote
+    L(x) + L(y) so before it built the sum in x, y and converted it."""
+    out = {}
+    for (k,), c in f.terms.items():
+        for j, w in enumerate(_waring(k) if k else [2]):
+            out[k - j, j] = c.scale(w)
+    return BiTruncSeries.from_terms(out, f.order)
 
 
 class TestElementaryCoordinates:
