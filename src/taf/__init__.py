@@ -40,7 +40,7 @@ from .exact import (  # noqa: F401
 )
 from .series import BiTruncSeries, TruncSeries  # noqa: F401
 from .legendre import legendre, log_phiL  # noqa: F401
-from .curve import log_phi, solve_u_of_v, t_of_v, v_of_t  # noqa: F401
+from .curve import log_phi, solve_u_of_v, t_of_v  # noqa: F401
 from .fgl import build_fgl, euler_law, fgl_phi, fgl_phiL, iso_check  # noqa: F401
 from .chromatic import (  # noqa: F401
     UnsupportedPrimeError,

@@ -10,7 +10,8 @@ integrality statement says each v_n is p-integral; the Landweber ladder at
 desk scale checks v_1 != 0 mod p, v_2 != 0 mod (p, v_1), and that the
 common zero locus of v_1, v_2 over F_p-bar is contained in the vanishing
 locus of the cusp form (alpha^2 - beta)/2^8, i.e. the lines alpha = +-beta-
-normalized x = +-1 after dehomogenizing at beta = 1 (plus the beta = 0 ray).
+normalized x = +-1 after dehomogenizing at beta = 1.  All three run on the
+beta = 1 lists over F_p of `exact.dehom_mod_p`.
 
 Each prime's pass of the recursion runs once per process: `_hazewinkel_pass`
 is memoised per (n, p), so `landweber_check`, `cor2_check`, `cor1_check` and
@@ -33,11 +34,10 @@ from .exact import (
     GradedPoly,
     InputError,
     ModPoly,
-    dehom_gcd,
+    dehom_mod_p,
     is_p_integral,
-    reduce_mod_p,
-    reduce_mod_v1,
     require_prime,
+    _gcd_mod_p,
     _kron_mul,
     _poly_mod,
     _power,
@@ -171,15 +171,13 @@ def key_lemma_check(p: int, n_max: int = 2) -> VGenReport:
 def cor1_check() -> bool:
     """At p = 5 with v_1 = alpha: v_2, -beta^3, (alpha^2 - beta)^3, and the
     cube of the cusp form all agree mod (5, v_1), each reduction computed
-    independently."""
+    independently.  A class mod (5, v_1) is compared as its Legendre degree
+    and the remainder of its beta = 1 list by v_1's: all four have degree 6,
+    and -beta^3 = 4*beta^3 over F_5 is [4]."""
     p = 5
-    v1 = reduce_mod_p(ALPHA, p)
-    v2 = reduce_mod_p(hazewinkel_v(2, p), p)
-    expected = ModPoly(p, {(0, 3): 4})  # -beta^3 = 4*beta^3 over F_5
-    r_v2 = reduce_mod_v1(v2, v1)
-    r_sq = reduce_mod_v1(reduce_mod_p((ALPHA * ALPHA - BETA) ** 3, p), v1)
-    r_cusp = reduce_mod_v1(reduce_mod_p(DELTA_G**3, p), v1)
-    return r_v2 == expected and r_sq == expected and r_cusp == expected
+    v1 = dehom_mod_p(ALPHA, p)
+    polys = (hazewinkel_v(2, p), (ALPHA * ALPHA - BETA) ** 3, DELTA_G**3)
+    return all((a.deg, _poly_mod(dehom_mod_p(a, p), v1, p)) == (6, [4]) for a in polys)
 
 
 class Cor2Result(NamedTuple):
@@ -225,9 +223,7 @@ def cor2_check(p: int) -> Cor2Result:
     rhs = GradedPoly({(0, k): Fraction(binom) * Fraction(-1, 4) ** k})
     congruence = lhs == rhs
 
-    v1_p = reduce_mod_p(v1, p)
-    v2_p = reduce_mod_p(v2, p)
-    nonzero = not reduce_mod_v1(v2_p, v1_p).is_zero()
+    nonzero = bool(_poly_mod(dehom_mod_p(v2, p), dehom_mod_p(v1, p), p))
 
     return Cor2Result(
         prime=p,
@@ -249,35 +245,29 @@ def _divides_power_of(g: list[int], base: list[int], power: int, p: int) -> bool
 
 
 def landweber_check(p: int) -> VGenReport:
-    """The regularity ladder at desk scale: (a) v_1 != 0 mod p; (b) v_2 != 0
-    mod (p, v_1); (c) common roots of the dehomogenized v_1, v_2 over
-    F_p-bar lie on the cusp-form locus x^2 = 1 (gcd divides (x^2-1)^deg),
-    plus the beta = 0 ray check v_1(alpha, 0) != 0."""
+    """The regularity ladder at desk scale, on the beta = 1 lists over F_p
+    (`dehom_mod_p`): (a) v_1 != 0 mod p; (b) v_2 != 0 mod (p, v_1); (c) the
+    common roots of v_1(x, 1) and v_2(x, 1) over F_p-bar lie on the
+    cusp-form locus x^2 = 1: their gcd divides (x^2 - 1)^deg.
+
+    (b) divides by v_1 in alpha over F_p[beta], which needs v_1's
+    alpha-leading coefficient v_1(1, 0) to be a unit; `_poly_mod` refuses v_1
+    otherwise, with `InputError`.  So no common zero lies on the ray beta = 0,
+    and (c) has nothing to check there."""
     report = key_lemma_check(p, 2)
-    v1 = reduce_mod_p(report.v[0], p)
-    v2 = reduce_mod_p(report.v[1], p)
-
-    r = reduce_mod_v1(v2, v1)
-    a = not v1.is_zero()
-    b = not r.is_zero()
-
-    g = dehom_gcd(v1, r)  # gcd(v_1, v_2) = gcd(v_1, v_2 mod v_1)
-    deg_g = len(g) - 1
-    if deg_g == 0:
-        cozero = True  # coprime after dehomogenizing: no common line with beta != 0
-    else:
-        cozero = _divides_power_of(g, [p - 1, 0, 1], deg_g, p)  # (x^2 - 1)^deg
-    ray = not v1.set_beta_zero().is_zero()
-    c = cozero and ray
-
+    v1, v2 = (dehom_mod_p(v, p) for v in report.v)
+    r = _poly_mod(v2, v1, p)
+    g = _gcd_mod_p(v1, r, p)  # gcd(v_1, v_2) = gcd(v_1, v_2 mod v_1)
     verdicts = LandweberVerdicts(
-        v1_nonzero_mod_p=a,
-        v2_nonzero_mod_p_v1=b,
-        height2_cozero_check=c,
+        v1_nonzero_mod_p=any(v1),
+        v2_nonzero_mod_p_v1=bool(r),
+        height2_cozero_check=_divides_power_of(g, [p - 1, 0, 1], len(g) - 1, p),
     )
+    d = report.v[1].deg  # the remainder, homogenized at v_2's degree
+    r_hom = ModPoly(p, {(i, (d - i) // 2): c for i, c in enumerate(r)})
     details = [
         *report.details,
-        f"v_2 mod ({p}, v_1) = {r}",
+        f"v_2 mod ({p}, v_1) = {r_hom}",
         f"gcd(v_1(x,1), v_2(x,1)) over F_{p}: {g}",
     ]
     return report._replace(landweber=verdicts, details=details)

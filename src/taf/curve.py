@@ -6,7 +6,9 @@ infinity.  Near it the curve is a graph u = u(v), the reversion of the
 quintic at v^2, and the curve logarithm, the integral of the distinguished
 differential du/2v, is read off u(v) coefficient by coefficient.  A second
 local parameter t with u = t^2, v = t*sqrt(1 - 2*alpha*t^4 + beta*t^8)
-produces the Legendre form of the same logarithm (see `legendre.log_phiL`).
+produces the Legendre form of the same logarithm (see `legendre.log_phiL`);
+t(v) is read off the same chart solve, as the square root of u(v).  The one
+reversion in this module is the chart solve's.
 
 The automorphisms (the order-4 map behind the Z[i]-action, and the inversion)
 are checked exactly on the equation as a map {(x, y) exponents: coefficient in
@@ -55,19 +57,17 @@ def log_phi(N: int) -> TruncSeries:
     return TruncSeries.from_terms(terms, N)
 
 
-def v_of_t(N: int) -> TruncSeries:
-    """v(t) = t * (1 - 2*alpha*t^4 + beta*t^8)^(1/2) through order N; all
-    coefficient denominators are powers of 2."""
-    if N < 1:
-        raise InputError("order must be >= 1")
-    base = {(0,): ONE, (4,): ALPHA.scale(-2), (8,): BETA}
-    root = sqrt_unit(TruncSeries.from_terms(base, N - 1))
-    return TruncSeries.from_terms({(k + 1,): c for (k,), c in root.terms.items()}, N)
-
-
 def t_of_v(N: int) -> TruncSeries:
-    """Compositional inverse of v(t): t(v) = v + alpha*v^5 + O(v^9)."""
-    return revert(v_of_t(N))
+    """The second local parameter t(v) = v + alpha*v^5 + O(v^9) through order
+    N, the inverse of v(t) = t * (1 - 2*alpha*t^4 + beta*t^8)^(1/2).
+
+    u = t^2 on the chart, so t = v * sqrt(u(v)/v^2) with u = solve_u_of_v(N + 1):
+    one `sqrt_unit` of u/v^2 = 1 + 2*alpha*v^4 + .., and no second reversion.
+    """
+    u = solve_u_of_v(N + 1)
+    unit = {(m - 2,): c for (m,), c in u.terms.items()}
+    root = sqrt_unit(TruncSeries.from_terms(unit, N - 1))
+    return TruncSeries.from_terms({(k + 1,): c for (k,), c in root.terms.items()}, N)
 
 
 def log_phi_consistency(N: int) -> bool:

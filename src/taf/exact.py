@@ -23,8 +23,9 @@ recurrence, whose exact integer divisions keep a high power of a short list
 (v_1^p) free of long-by-long products.  `ModPoly.__mul__`, the q-expansions
 and the dense F_p lists run on `_kron_mul`, and `_power` is
 square-and-multiply for any product type.
-Division by v_1 in alpha and the height-two gcd work on the beta = 1 lists
-over F_p (`_poly_mod`).
+The mod-p layer is one list per polynomial: `dehom_mod_p` takes a p-integral
+`GradedPoly` to its beta = 1 list over F_p, and the division by v_1 in
+alpha and the height-two gcd run on those lists (`_poly_mod`, `_gcd_mod_p`).
 """
 
 from __future__ import annotations
@@ -572,7 +573,9 @@ def _modpoly(p: int, deg: int | None, vec: list[int]) -> "ModPoly":
 
 class ModPoly(_Homogeneous):
     """Homogeneous polynomial in alpha, beta over F_p: the GradedPoly layout
-    (deg, vec) with no denominator and vec[j] in {0, .., p-1}."""
+    (deg, vec) with no denominator and vec[j] in {0, .., p-1}.  The Landweber
+    ladder runs on the beta = 1 lists of `dehom_mod_p` and builds a ModPoly
+    only to print the remainder of v_2 by v_1."""
 
     __slots__ = ("p", "deg", "vec")
 
@@ -621,60 +624,36 @@ class ModPoly(_Homogeneous):
     def __hash__(self):
         return hash((self.p, self.deg, tuple(self.vec)))
 
-    def set_beta_zero(self) -> "ModPoly":
-        return _modpoly(self.p, self.deg, self.vec[:1])
-
     def __repr__(self):
         return f"ModPoly({self.p}, {self.terms!r})"
 
 
-def _dehomogenize(a: ModPoly) -> list[int]:
-    """Dense coefficient list of a(x, 1) over F_p, low degree first, with no
-    trailing zeros."""
+def dehom_mod_p(a: GradedPoly, p: int) -> list[int]:
+    """a(x, 1) over F_p for a p-integral a: the dense list, low degree first,
+    of a.deg + 1 entries in {0, .., p-1}, and [] for zero.  Its last entry is
+    the coefficient of alpha^deg, zero or not, so the list keeps the degree;
+    setting beta = 1 loses nothing, since x^i comes from
+    alpha^i beta^((deg - i)/2) alone."""
+    if not is_p_integral(a, p):
+        raise InputError(f"polynomial is not {p}-integral")
     if not a.vec:
         return []
+    inv = pow(a.den, -1, p)
     out = [0] * (a.deg + 1)
-    out[a.deg :: -2] = a.vec
-    while not out[-1]:
-        out.pop()
+    out[a.deg :: -2] = [c * inv % p for c in a.vec]
     return out
 
 
-def reduce_mod_p(a: GradedPoly, p: int) -> ModPoly:
-    """Coefficient-wise reduction into F_p; requires p-integrality."""
-    if not is_p_integral(a, p):
-        raise InputError(f"polynomial is not {p}-integral")
-    inv = pow(a.den, -1, p)
-    return _modpoly(p, a.deg, [c * inv for c in a.vec])
-
-
-def reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
-    """Remainder of a on division by v1 in the variable alpha over F_p[beta].
-
-    Requires the alpha-leading coefficient of v1 to be an invertible scalar
-    (no beta factor); the remainder has alpha-degree below that of v1.  With
-    that leading coefficient, division commutes with setting beta = 1: the
-    remainder is the univariate one of a(x, 1) by v1(x, 1), homogenized
-    again at the degree of a.
-    """
-    if v1.is_zero():
-        raise InputError("division by the zero polynomial")
-    p = v1.p
-    if a.p != p:
-        raise InputError("mixed characteristics")
-    if not v1.vec[0]:
-        raise InputError("alpha-leading coefficient of v1 is not scalar")
-    if a.is_zero():
-        return a
-    r = _poly_mod(_dehomogenize(a), _dehomogenize(v1), p)
-    r += [0] * (a.deg + 1 - len(r))
-    return _modpoly(p, a.deg, r[a.deg :: -2])
-
-
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p for dense integer coefficient lists (low first), with
-    b's last entry nonzero mod p; the remainder is reduced into
-    {0, .., p-1} and has no trailing zeros."""
+    """a mod b over F_p for dense integer coefficient lists (low first); the
+    remainder is reduced into {0, .., p-1} and has no trailing zeros.
+
+    b's last entry must be a unit mod p, and `InputError` says so otherwise.
+    On a list of `dehom_mod_p` that entry is the alpha-leading coefficient,
+    and with it a unit, division in alpha over F_p[beta] commutes with
+    setting beta = 1: the remainder is this one, homogenized again."""
+    if not (b and b[-1] % p):
+        raise InputError(f"the divisor's leading coefficient is 0 mod {p}")
     a = [c % p for c in a]
     top = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -689,15 +668,12 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return r
 
 
-def dehom_gcd(a: ModPoly, b: ModPoly) -> list[int]:
-    """Monic gcd of a(x, 1) and b(x, 1) over F_p, dense low-first coefficients."""
-    if a.is_zero() and b.is_zero():
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two dense lists (low first), not both zero, each
+    empty or with a last entry that is a unit mod p."""
+    while b:
+        a, b = b, _poly_mod(a, b, p)
+    if not a:
         raise InputError("gcd of two zero polynomials")
-    p = a.p
-    if b.p != p:
-        raise InputError("mixed characteristics")
-    u, v = _dehomogenize(a), _dehomogenize(b)
-    while v:
-        u, v = v, _poly_mod(u, v, p)
-    inv = pow(u[-1], -1, p)
-    return [c * inv % p for c in u]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]

@@ -240,9 +240,9 @@ def revert(f: TruncSeries) -> TruncSeries:
     by Lagrange inversion (Knuth, TAOCP vol. 2, section 4.7, Algorithm L):
     with h = x/f, [x^m] g = (1/m) [x^(m-1)] h^m.  h is one `series_div`.
     When every exponent of f/x is a multiple of d (d = 2 for the chart's
-    quintic, 4 for v(t)), so is every exponent of h^m, and [x^(m-1)] h^m is
-    zero unless d divides m - 1: h^m steps by h^d over those m alone, one
-    product each.  No Newton step is left.
+    quintic, the one series the program reverts), so is every exponent of
+    h^m, and [x^(m-1)] h^m is zero unless d divides m - 1: h^m steps by h^d
+    over those m alone, one product each.  No Newton step is left.
     """
     if not _is_normalized(f):
         raise InputError("revert needs f = x + higher-order terms")
@@ -560,19 +560,12 @@ def to_elementary(f: BiTruncSeries) -> BiTruncSeries:
 
 
 def from_elementary(g: BiTruncSeries) -> BiTruncSeries:
-    """The inverse of `to_elementary`: the symmetric series in x, y whose
-    elementary coordinates are g.  Degree by degree the change of
-    coordinates is unit lower triangular in j (W(k, 0) = 1), so
-    f[s-j, j] = g_j - sum_(b < j) W(s-2b, j-b) f[s-b, b], one weighted sum
-    per coefficient again."""
-    out = {}
-    for s, den, deg, rows in _by_total_degree(g.terms):
-        solved: list[list[int]] = []
-        for j, v in enumerate(rows):
-            pairs = [
-                (-_waring(s - 2 * b)[j - b], u) for b, u in enumerate(solved) if any(u)
-            ]
-            solved.append(_weighted(pairs + [(1, v)] if v else pairs, deg // 2 + 1))
-            if any(solved[j]):
-                out[s - j, j] = out[j, s - j] = _graded(deg, den, solved[j])
+    """The inverse of `to_elementary`: the series in x, y whose elementary
+    coordinates are g, by the binomial theorem on each term c*e1^i*e2^j
+    (key (i + j, j)), c*(x + y)^i*(xy)^j = sum_a C(i, a)*c*x^(a+j)*y^(i-a+j)."""
+    out: dict[tuple[int, int], GradedPoly] = {}
+    for (s, j), c in g.terms.items():
+        for a in range(s - j + 1):
+            key = (a + j, s - a)
+            out[key] = out.get(key, ZERO) + c.scale(comb(s - j, a))
     return BiTruncSeries.from_terms(out, g.order)

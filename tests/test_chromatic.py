@@ -6,8 +6,10 @@ from math import comb
 
 import pytest
 
+import taf.chromatic as chromatic
 from taf.chromatic import (
     UnsupportedPrimeError,
+    VGenReport,
     _hazewinkel_pass,
     binomial_valuation,
     cor1_check,
@@ -21,6 +23,7 @@ from taf.chromatic import (
 from taf.cli import main
 from taf.exact import (
     ALPHA,
+    BETA,
     GradedPoly,
     InputError,
     _graded,
@@ -183,6 +186,14 @@ class TestCorollaries:
     def test_cor1(self):
         assert cor1_check()
 
+    @pytest.mark.parametrize("shift, holds", [("alpha^6", True), ("beta^3", False)])
+    def test_cor1_compares_classes_mod_5_and_v1(self, monkeypatch, shift, holds):
+        # v_2 + alpha^6 has v_2's class mod (5, alpha); v_2 + beta^3 does not.
+        extra = {"alpha^6": ALPHA**6, "beta^3": BETA**3}[shift]
+        v = chromatic.hazewinkel_v
+        monkeypatch.setattr(chromatic, "hazewinkel_v", lambda n, p: v(n, p) + extra)
+        assert cor1_check() is holds
+
     @pytest.mark.parametrize("p", [5, 13, 29, 37])
     def test_cor2(self, p):
         r = cor2_check(p)
@@ -210,10 +221,34 @@ class TestLandweber:
         assert d["prime"] == 5
         assert d["landweber"]["v1_nonzero_mod_p"] is True
 
+    def test_cozero_check_can_fail(self, monkeypatch):
+        # Over F_13, v_1 = (x^2 - 4)(x^2 - 9) and v_2 = x(x^2 - 4) at beta = 1
+        # share the roots x = +-2, which are off the cusp-form locus x^2 = 1.
+        v1 = (ALPHA**2 - BETA.scale(4)) * (ALPHA**2 - BETA.scale(9))
+        v2 = ALPHA * (ALPHA**2 - BETA.scale(4))
+        report = VGenReport(13, [v1, v2], [], [True, True], [])
+        monkeypatch.setattr(chromatic, "key_lemma_check", lambda p, n: report)
+        out = landweber_check(13)
+        assert out.landweber == (True, True, False)
+        assert out.details == [
+            "v_2 mod (13, v_1) = a^3 + 9*a*b",
+            "gcd(v_1(x,1), v_2(x,1)) over F_13: [9, 0, 1]",
+        ]
+
+    def test_ladder_refuses_a_v1_that_is_not_monic_in_alpha(self, monkeypatch):
+        # 13*alpha^2 + beta: its alpha-leading coefficient is 0 mod 13.
+        v1 = ALPHA**2 * 13 + BETA
+        report = VGenReport(13, [v1, ALPHA**3], [], [True, True], [])
+        monkeypatch.setattr(chromatic, "key_lemma_check", lambda p, n: report)
+        with pytest.raises(InputError, match="leading coefficient is 0 mod 13"):
+            landweber_check(13)
+
     def test_divides_power_of_matches_direct_power(self):
-        # Step (c) calls this only for a non-constant gcd(v_1, v_2), which no
-        # split p <= 97 has; check it against (x^2 - 1)^n from the binomial
-        # theorem for every monic g of degree 1 to 3 over F_5.
+        # Step (c) runs on gcd(v_1, v_2), which is constant at every split
+        # p <= 97: g = [1] divides anything, even (x^2 - 1)^0.  Check it
+        # against (x^2 - 1)^n from the binomial theorem for every monic g of
+        # degree 1 to 3 over F_5.
+        assert _divides_power_of([1], [4, 0, 1], 0, 5)
         p = 5
         seen = set()
         for deg in (1, 2, 3):

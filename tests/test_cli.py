@@ -456,6 +456,15 @@ PINNED_OUTPUT = {
         "8d8e6f98db61831b6abda9c9b0f4ac293a001839efac491ffd6eba3169c07516",
         "de79ae748fbb1512299437510e09650ba2bc1e1c70ba621a60558aa6df5bf2a0",
     ),
+    # p = 1 (mod 8): v_1 has even Legendre degree.
+    "landweber -p 17": (
+        "77a25c7c1bd2f08fed7353ced764ca1dd4f2494c7b34134660ea1f9b6bcdf476",
+        "e734280427c4709b70aa86d0fa9c3b831692ff886b4a6d4f90fe604e322ac564",
+    ),
+    "landweber -p 41": (
+        "3c98770ea8a0faec806f298fde4671007790f20e3da5113341df67fb293a871f",
+        "4dacc65d33241a4985498c007cff6564b38becca2fc48bbe804394899b5f4f32",
+    ),
     "vgens -p 5 -n 3": (
         "b211040217d63aa95ab6fcbeee2c0016cf5cbb324cfec6319f5b90b8506cc62c",
         "00a9c406cb7251eb883df6fe1a0bf88987f65b6103b6be127d90c07c84bffc5c",

@@ -11,10 +11,9 @@ from taf.curve import (
     order4_check,
     solve_u_of_v,
     t_of_v,
-    v_of_t,
 )
 from taf.exact import ALPHA, BETA, I, InputError, ONE
-from taf.series import TruncSeries, compose, integrate, series_div
+from taf.series import TruncSeries, compose, integrate, revert, series_div, sqrt_unit
 
 
 def quintic_value(u):
@@ -43,6 +42,15 @@ def newton_u_of_v(N):
     while not (residual := quintic_value(u) - v_squared).is_zero():
         u = u - series_div(residual, quintic_derivative(u))
     return u
+
+
+def v_of_t(N):
+    """v(t) = t * (1 - 2*alpha*t^4 + beta*t^8)^(1/2) through order N, whose
+    reversion `t_of_v` computed before it was read off the chart solve; kept
+    as the reference."""
+    base = {(0,): ONE, (4,): ALPHA.scale(-2), (8,): BETA}
+    root = sqrt_unit(TruncSeries.from_terms(base, N - 1))
+    return TruncSeries.from_terms({(k + 1,): c for (k,), c in root.terms.items()}, N)
 
 
 def integrated_log_phi(N):
@@ -107,6 +115,27 @@ class TestLogarithms:
         assert t[5] == ALPHA
         # t and v are mutually inverse through the full order.
         assert compose(v_of_t(13), t_of_v(13)) == TruncSeries.identity(13)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 13, 21, 29, 45, 64])
+    def test_t_of_v_is_the_reversion_of_v_of_t(self, N):
+        # t = v * sqrt(u(v)/v^2) from the chart solve, against a second
+        # Lagrange reversion, of v(t).
+        assert t_of_v(N) == revert(v_of_t(N))
+
+    def test_t_of_v_reverts_only_the_quintic(self, monkeypatch):
+        # The chart solve's reversion, of w(u) = u - 2*alpha*u^3 + beta*u^5
+        # through order (21 + 1) // 2, is the only one t_of_v runs.
+        import taf.curve as curve
+
+        calls = []
+        monkeypatch.setattr(curve, "revert", lambda f: calls.append(f) or revert(f))
+        t_of_v(21)
+        quintic = {(1,): ONE, (3,): ALPHA.scale(-2), (5,): BETA}
+        assert calls == [TruncSeries.from_terms(quintic, 11)]
+
+    def test_t_of_v_rejects_order_zero(self):
+        with pytest.raises(InputError):
+            t_of_v(0)
 
     def test_v_of_t_denominators_are_powers_of_two(self):
         for c in v_of_t(13).coeffs:

@@ -19,15 +19,15 @@ from taf.exact import (
     ModPoly,
     ONE,
     ZERO,
-    dehom_gcd,
+    dehom_mod_p,
     is_p_integral,
     is_prime,
-    reduce_mod_p,
-    reduce_mod_v1,
     require_prime,
     _dot,
+    _gcd_mod_p,
     _kron_mul,
     _miller_power,
+    _modpoly,
     _poly_mod,
     _power,
 )
@@ -84,6 +84,61 @@ def alpha_degree(g) -> int:
 def evaluate(g: GradedPoly, a: Fraction, b: Fraction) -> Fraction:
     """g at alpha = a, beta = b."""
     return sum((c * a**i * b**j for (i, j), c in g.terms.items()), Fraction(0))
+
+
+def reduce_mod_p(a: GradedPoly, p: int) -> ModPoly:
+    """Coefficient-wise reduction into F_p as a homogeneous ModPoly, as the
+    mod-p layer reduced before it kept beta = 1 lists (`dehom_mod_p`); it and
+    the two functions below are kept as the reference."""
+    if not is_p_integral(a, p):
+        raise InputError(f"polynomial is not {p}-integral")
+    inv = pow(a.den, -1, p)
+    return _modpoly(p, a.deg, [c * inv for c in a.vec])
+
+
+def dehomogenize(a: ModPoly) -> list[int]:
+    """Dense coefficient list of a(x, 1) over F_p, low degree first, with no
+    trailing zeros."""
+    if not a.vec:
+        return []
+    out = [0] * (a.deg + 1)
+    out[a.deg :: -2] = a.vec
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
+    """Remainder of a on division by v1 in alpha over F_p[beta], for v1 with
+    a nonzero alpha^deg coefficient: the univariate remainder of a(x, 1) by
+    v1(x, 1), homogenized again at the degree of a."""
+    if v1.is_zero():
+        raise InputError("division by the zero polynomial")
+    if not v1.vec[0]:
+        raise InputError("alpha-leading coefficient of v1 is not scalar")
+    if a.is_zero():
+        return a
+    r = _poly_mod(dehomogenize(a), dehomogenize(v1), v1.p)
+    r += [0] * (a.deg + 1 - len(r))
+    return _modpoly(v1.p, a.deg, r[a.deg :: -2])
+
+
+def dehom_gcd(a: ModPoly, b: ModPoly) -> list[int]:
+    """Monic gcd of a(x, 1) and b(x, 1) over F_p, dense low-first
+    coefficients."""
+    if a.is_zero() and b.is_zero():
+        raise InputError("gcd of two zero polynomials")
+    u, v = dehomogenize(a), dehomogenize(b)
+    while v:
+        u, v = v, _poly_mod(u, v, a.p)
+    inv = pow(u[-1], -1, a.p)
+    return [c * inv % a.p for c in u]
+
+
+def homogenize(r: list[int], d: int, p: int) -> ModPoly:
+    """The ModPoly of Legendre degree d whose beta = 1 list is r, as
+    `landweber_check` builds the remainder it prints."""
+    return ModPoly(p, {(i, (d - i) // 2): c for i, c in enumerate(r)})
 
 
 def stepwise_reduce_mod_v1(a: ModPoly, v1: ModPoly) -> ModPoly:
@@ -581,26 +636,45 @@ class TestPrimality:
             require_prime(n)
 
 
+SPLIT_PRIMES = [5, 13, 17, 29, 37, 41, 53]
+
+
 class TestModLayer:
     def test_p_integrality(self):
         p = GradedPoly({(1, 0): Fraction(1, 5)})
         assert not is_p_integral(p, 5)
         assert is_p_integral(p, 13)
+        with pytest.raises(InputError, match="not 5-integral"):
+            dehom_mod_p(p, 5)
         with pytest.raises(InputError):
             reduce_mod_p(p, 5)
 
     def test_reduce_mod_p(self):
+        # a^2/2 + 7b over F_5 is 3a^2 + 2b, whose list at beta = 1 is
+        # [2, 0, 3]; the list keeps the degree, zero top entry and all.
         p = GradedPoly({(2, 0): Fraction(1, 2), (0, 1): 7})
-        r = reduce_mod_p(p, 5)
-        assert r == ModPoly(5, {(2, 0): 3, (0, 1): 2})
+        assert dehom_mod_p(p, 5) == [2, 0, 3]
+        assert reduce_mod_p(p, 5) == ModPoly(5, {(2, 0): 3, (0, 1): 2})
+        assert dehom_mod_p(GradedPoly({(3, 0): 10, (1, 1): -1}), 5) == [0, 4, 0, 0]
+        assert dehom_mod_p(ZERO, 5) == []
+        assert dehom_mod_p(ALPHA.scale(5), 5) == [0, 0]
+
+    @given(graded_polys())
+    @settings(max_examples=60)
+    def test_dehom_mod_p_matches_the_homogeneous_reduction(self, a):
+        for p in (5, 13, 97):
+            if is_p_integral(a, p):
+                lst = dehom_mod_p(a, p)
+                assert homogenize(lst, a.deg, p) == reduce_mod_p(a, p)
+                assert not a.vec or len(lst) == a.deg + 1
 
     def test_reduce_mod_v1_euclidean(self):
         # Divide a^4 + a^2*b by v1 = a^2 - b over F_5: a^2 = b, so the
         # remainder is 2*b^2; by v1 = a it is b^2.
-        p = ModPoly(5, {(4, 0): 1, (2, 1): 1, (0, 2): 1})
-        v1 = ModPoly(5, {(2, 0): 1, (0, 1): -1})
-        assert reduce_mod_v1(p - ModPoly(5, {(0, 2): 1}), v1) == ModPoly(5, {(0, 2): 2})
-        assert reduce_mod_v1(p, ModPoly(5, {(1, 0): 1})) == ModPoly(5, {(0, 2): 1})
+        a = dehom_mod_p(ALPHA**4 + ALPHA**2 * BETA, 5)
+        assert _poly_mod(a, dehom_mod_p(ALPHA**2 - BETA, 5), 5) == [2]
+        b = dehom_mod_p(ALPHA**4 + ALPHA**2 * BETA + BETA**2, 5)
+        assert _poly_mod(b, dehom_mod_p(ALPHA, 5), 5) == [1]
 
     @given(st.data())
     @settings(max_examples=80)
@@ -608,14 +682,32 @@ class TestModLayer:
         p = data.draw(st.sampled_from([2, 3, 5, 13]))
         a = data.draw(mod_polys(p, 18))
         v1 = data.draw(mod_polys(p, 8))
+        # The same polynomials over Z, lifted by multiples of p.
+        lift = data.draw(st.integers(0, 3)) * p
+        a_z, v1_z = (
+            GradedPoly({k: c + lift for k, c in g.terms.items()}) for g in (a, v1)
+        )
         if v1.is_zero() or (v1.deg, 0) not in v1.terms:
-            # Zero, or an alpha-leading coefficient with a beta factor.
+            # Zero, or an alpha-leading coefficient that is 0 mod p.
             with pytest.raises(InputError):
-                reduce_mod_v1(a, v1)
+                _poly_mod(dehom_mod_p(a_z, p), dehom_mod_p(v1_z, p), p)
             return
-        r = reduce_mod_v1(a, v1)
-        assert r == stepwise_reduce_mod_v1(a, v1)
-        assert r.is_zero() or alpha_degree(r) < v1.deg
+        r = _poly_mod(dehom_mod_p(a_z, p), dehom_mod_p(v1_z, p), p)
+        expected = stepwise_reduce_mod_v1(a, v1)
+        assert homogenize(r, a.deg, p) == expected == reduce_mod_v1(a, v1)
+        assert len(r) <= alpha_degree(v1)
+
+    @pytest.mark.parametrize("p", SPLIT_PRIMES)
+    def test_ladder_lists_match_the_homogeneous_path(self, p):
+        # The remainder of v_2 by v_1 and their gcd, on beta = 1 lists,
+        # against the ModPoly path the ladder ran before.
+        v1, v2 = (hazewinkel_v(n, p) for n in (1, 2))
+        l1, l2 = dehom_mod_p(v1, p), dehom_mod_p(v2, p)
+        m1, m2 = reduce_mod_p(v1, p), reduce_mod_p(v2, p)
+        r = _poly_mod(l2, l1, p)
+        assert homogenize(r, v2.deg, p) == reduce_mod_v1(m2, m1)
+        assert _gcd_mod_p(l1, r, p) == dehom_gcd(m1, reduce_mod_v1(m2, m1))
+        assert _gcd_mod_p(l1, r, p) == dehom_gcd(m1, m2)
 
     @pytest.mark.parametrize("p", [5, 13, 29, 53])
     def test_reduce_mod_v1_on_hazewinkel_generators(self, p):
@@ -625,9 +717,16 @@ class TestModLayer:
             assert reduce_mod_v1(a, v1) == stepwise_reduce_mod_v1(a, v1)
 
     def test_reduce_mod_v1_rejects_nonscalar_lead(self):
-        v1 = ModPoly(5, {(1, 1): 1})
+        # 5a^2 + b: its alpha-leading coefficient vanishes mod 5, and division
+        # in alpha over F_5[beta] by it does not commute with beta = 1.
+        v1 = dehom_mod_p(ALPHA**2 * 5 + BETA, 5)
+        assert v1 == [1, 0, 0]
+        with pytest.raises(InputError, match="leading coefficient is 0 mod 5"):
+            _poly_mod(dehom_mod_p(ALPHA**2, 5), v1, 5)
         with pytest.raises(InputError):
-            reduce_mod_v1(ModPoly(5, {(2, 0): 1}), v1)
+            _poly_mod([1], [], 5)
+        with pytest.raises(InputError):
+            reduce_mod_v1(reduce_mod_p(ALPHA**2, 5), reduce_mod_p(ALPHA * BETA, 5))
 
     def test_poly_mod_reduces_its_input(self):
         # x^3 + 5 = x^3 mod (5, x + 1) is -1 = 4; unreduced entries that are
@@ -639,10 +738,22 @@ class TestModLayer:
     def test_dehom_gcd(self):
         # At beta = 1, (x^2 - 1)*x and (x^2 - 1)*(x^2 + 4) share the factor
         # x^2 - 1 over F_5.
-        a = ModPoly(5, {(3, 0): 1, (1, 1): 4})
-        b = ModPoly(5, {(4, 0): 1, (2, 1): 3, (0, 2): 1})
-        assert dehom_gcd(a, b) == [4, 0, 1]
-        assert dehom_gcd(a, ModPoly(5, {(2, 0): 1, (0, 1): 1})) == [1]
+        a = GradedPoly({(3, 0): 1, (1, 1): 4})
+        b = GradedPoly({(4, 0): 1, (2, 1): 3, (0, 2): 1})
+        c = GradedPoly({(2, 0): 1, (0, 1): 1})
+        la, lb, lc = (dehom_mod_p(g, 5) for g in (a, b, c))
+        assert _gcd_mod_p(lb, la, 5) == [4, 0, 1]
+        assert _gcd_mod_p(la, lc, 5) == [1]
+        assert _gcd_mod_p(la, [], 5) == _gcd_mod_p([], la, 5) == [0, 4, 0, 1]
+        ma, mb = reduce_mod_p(a, 5), reduce_mod_p(b, 5)
+        assert dehom_gcd(ma, mb) == [4, 0, 1]
+        assert dehom_gcd(ma, reduce_mod_p(c, 5)) == [1]
+
+    def test_gcd_of_two_zeros_is_refused(self):
+        with pytest.raises(InputError, match="gcd of two zero polynomials"):
+            _gcd_mod_p([], [], 5)
+        with pytest.raises(InputError):
+            dehom_gcd(ModPoly(5), ModPoly(5))
 
     def test_power_is_reduction_of_exact_power(self):
         g = GradedPoly({(3, 0): Fraction(3, 2), (1, 1): -4})

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taf.series as series
-from taf.curve import v_of_t
 from taf.exact import ALPHA, BETA, GradedPoly, InputError, ONE, ZERO, _graded
 from taf.fgl import fgl_phi, fgl_phiL
 from taf.series import (
@@ -29,9 +28,12 @@ from taf.series import (
     _compose_outer,
     _lift,
     _product_step,
+    _by_total_degree,
     _terms,
     _waring,
+    _weighted,
 )
+from test_curve import v_of_t
 from test_exact import graded_polys, pairwise_product
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -142,7 +144,8 @@ class TestComposeRevert:
 
     @pytest.mark.parametrize("n", [13, 21, 29, 45, 64])
     def test_revert_of_program_inputs_matches_newton(self, n):
-        # The quintic u - 2*alpha*u^3 + beta*u^5 of the chart solve, and v(t).
+        # The quintic u - 2*alpha*u^3 + beta*u^5 of the chart solve, and v(t),
+        # whose reversion is the tests' reference for curve.t_of_v.
         quintic = {(1,): ONE, (3,): ALPHA.scale(-2), (5,): BETA}
         f = TruncSeries.from_terms(quintic, n)
         assert revert(f) == newton_revert(f)
@@ -206,7 +209,7 @@ class TestComposeRevert:
     @pytest.mark.parametrize(
         "base",
         [
-            {0: ONE, 4: ALPHA.scale(-2), 8: BETA},  # curve.v_of_t
+            {0: ONE, 4: ALPHA.scale(-2), 8: BETA},  # v(t), t_of_v's reference
             {0: ONE, 4: ALPHA.scale(-2)},  # fgl.euler_law
             {0: ONE, 1: ALPHA.scale(-2), 2: BETA},  # legendre.generating_check
         ],
@@ -781,16 +784,22 @@ def symmetric_maps(draw, n):
     return BiTruncSeries.from_terms(terms, n)
 
 
-def expand_elementary(g):
-    """The series sum c * (x + y)^i * (xy)^j over the terms c*e1^i*e2^j of g
-    (key (i + j, j)), by the binomial theorem on `GradedPoly`s: the
-    definition of the coordinates, kept as the reference."""
+def triangular_from_elementary(g):
+    """The inverse of `to_elementary` as `series.from_elementary` computed it
+    before it expanded by the binomial theorem; kept as the reference.
+    Degree by degree the change of coordinates is unit lower triangular in j
+    (W(k, 0) = 1), so f[s-j, j] = g_j - sum_(b < j) W(s-2b, j-b) f[s-b, b],
+    one weighted sum of Waring's integers (`_waring`) per coefficient."""
     out = {}
-    for (p, j), c in g.terms.items():
-        i = p - j
-        for a in range(i + 1):
-            k = (a + j, i - a + j)
-            out[k] = out.get(k, ZERO) + c.scale(comb(i, a))
+    for s, den, deg, rows in _by_total_degree(g.terms):
+        solved = []
+        for j, v in enumerate(rows):
+            pairs = [
+                (-_waring(s - 2 * b)[j - b], u) for b, u in enumerate(solved) if any(u)
+            ]
+            solved.append(_weighted(pairs + [(1, v)] if v else pairs, deg // 2 + 1))
+            if any(solved[j]):
+                out[s - j, j] = out[j, s - j] = _graded(deg, den, solved[j])
     return BiTruncSeries.from_terms(out, g.order)
 
 
@@ -812,11 +821,25 @@ class TestElementaryCoordinates:
         n = data.draw(st.integers(0, 12))
         f, g = data.draw(symmetric_maps(n)), data.draw(symmetric_maps(n))
         e = to_elementary(f)
-        assert expand_elementary(e) == f
         assert from_elementary(e) == f
+        assert triangular_from_elementary(e) == f
         assert all(p >= j for p, j in e.terms)
         # Keys add under products: the coordinates are a ring map.
         assert to_elementary(f * g) == e * to_elementary(g)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_binomial_expansion_matches_the_triangular_solve(self, data):
+        # Any map on the keys (i + j, j), not only a symmetric series's image.
+        n, shift = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2))
+        keys = st.tuples(st.integers(0, n), st.integers(0, n)).filter(
+            lambda k: k[0] >= k[1] and sum(k) <= n
+        )
+        terms = {k: data.draw(graded_polys(sum(k) + shift)) for k in data.draw(
+            st.lists(keys, max_size=8)
+        )}
+        g = BiTruncSeries.from_terms(terms, n)
+        assert from_elementary(g) == triangular_from_elementary(g)
 
     @pytest.mark.parametrize("build", [fgl_phi, fgl_phiL])
     @pytest.mark.parametrize("n", [13, 21, 29])
@@ -824,7 +847,7 @@ class TestElementaryCoordinates:
         law = build(n).law
         e = to_elementary(law)
         assert from_elementary(e) == law
-        assert expand_elementary(e) == law
+        assert triangular_from_elementary(e) == law
 
     def test_waring_power_sums(self):
         # x^k + y^k in elementary coordinates, for every k <= 64: Waring's
