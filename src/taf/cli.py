@@ -9,8 +9,9 @@ zero-argument callables that build the text lines and the JSON payload.
 `ok` to the exit code, so neither rendering of a long result is built for
 nothing.  A refusal is raised by the handler, before it returns.  A JSON
 payload carries each polynomial as a `GradedPoly` leaf, which the writer
-(`_write_json`) renders from the polynomial's rows, and `main` parses with
-the parser of the named command alone (`_build_parser`).
+(`_write_json`) renders from the polynomial's rows; it writes each part to
+stdout as it makes it.  `main` parses with the parser of the named command
+alone (`_build_parser`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The orders
 default to N = 13 (-N, at most `series.MAX_ORDER`) and K = 50 (-K, at most
@@ -344,36 +345,6 @@ def _key_text(key) -> str:
 _TEXT_BY_TYPE = {str: _quote, int: int.__repr__}
 
 
-_CHUNK = 1 << 20  # characters of JSON text gathered before each write
-_COUNT_EVERY = 64  # parts appended between two counts of their characters
-
-
-class _Chunks(list):
-    """JSON parts that `spill` writes out, and drops, each time at least
-    `_CHUNK` characters of them have gathered, so a large document is never
-    held as text beside its payload."""
-
-    __slots__ = ("writelines", "seen", "held")
-
-    def __init__(self, writelines):
-        super().__init__()
-        self.writelines, self.seen, self.held = writelines, 0, 0
-
-    def spill(self) -> None:
-        """Count the characters of the parts appended since the last count,
-        and write the parts once `_CHUNK` characters are held.  Called only
-        where no open container will join its parts into one
-        (`_append_json`, `_append_poly`), once `_COUNT_EVERY` parts have been
-        appended, so a chunk holds at most that many parts more than `_CHUNK`
-        characters."""
-        self.held += sum(map(len, self[self.seen :]))
-        self.seen = len(self)
-        if self.held >= _CHUNK:
-            self.writelines(self)
-            self.clear()
-            self.seen = self.held = 0
-
-
 @functools.cache
 def _row_format(nl: str) -> str:
     """The %-format of one (i, j, num, den) row of `GradedPoly.to_json_dict`
@@ -383,78 +354,56 @@ def _row_format(nl: str) -> str:
     return f",{row}{{{field}" + f",{field}".join(keys) + f"{row}}}"
 
 
-def _append_poly(g: GradedPoly, nl: str, parts: _Chunks) -> None:
-    """Append the JSON text of `g.to_json_dict()`, whose lines start with
-    `nl`, to `parts`: one part per term row, made from `_row_format` with no
-    escaping, since num and den are digits.  The parts may spill before
-    each `_COUNT_EVERY` rows, so a long polynomial is not held whole as
-    text."""
+def _write_poly(g: GradedPoly, out, nl: str, lead: str) -> None:
+    """Write `lead` and the JSON text of `g.to_json_dict()`, whose lines
+    start with `nl`, to `out`.  Each term row is made from `_row_format`,
+    with no escaping since num and den are digits, as `out.writelines`
+    takes it, so a long polynomial is never held as text."""
     rows = g._rows()
-    head = "{" + nl + '  "terms": ['
+    head = lead + "{" + nl + '  "terms": ['
     if not rows:
-        parts.append(head + "]" + nl + "}")
+        out.write(head + "]" + nl + "}")
         return
     row = _row_format(nl)
-    rows.reverse()
-    parts.append(head + row[1:] % rows[0])
-    for k in range(1, len(rows), _COUNT_EVERY):
-        parts.spill()
-        parts.extend(map(row.__mod__, rows[k : k + _COUNT_EVERY]))
-    parts.append(nl + "  ]" + nl + "}")
+    rows = reversed(rows)
+    out.write(head + row[1:] % next(rows))
+    out.writelines(map(row.__mod__, rows))
+    out.write(nl + "  ]" + nl + "}")
 
 
-def _append_json(o, nl: str, parts: _Chunks) -> None:
-    """Append the JSON text of the dict, list or tuple `o`, whose lines
-    start with `nl` (a newline and the indent), to `parts`.  A container
-    whose values are all scalars, such as a term row, ends as one part, so
-    the list stays short.  The parts may spill after a nested container: its
-    parts and those of every container around it are never joined."""
+def _write_json(o, out, nl: str = "\n", lead: str = "") -> None:
+    """Write `lead`, then `json.dumps(o, indent=2,
+    default=GradedPoly.to_json_dict)` byte for byte, to the text stream
+    `out`, each part as it is made: the text is never held, and the
+    stream's own buffer batches the writes.  `nl` is a newline and the
+    indent of the lines of `o`, and `lead` the text before `o` on its first
+    line (a bracket, a separator and a key), which a scalar joins in one
+    write.  A polynomial leaf is written by `_write_poly` from its rows, so
+    no dict is built per term.  With `indent` set, `json` encodes in pure
+    Python and yields every token apart, and `json.dump` writes each one."""
+    text = _TEXT_BY_TYPE.get(type(o), _scalar_text)(o)
+    if text is not None:
+        out.write(lead + text)
+        return
     if isinstance(o, dict):
         brackets, values = "{}", o.values()
         heads = [(_quote(k) if type(k) is str else _key_text(k)) + ": " for k in o]
     elif isinstance(o, (list, tuple)):
         brackets, heads, values = "[]", [""] * len(o), o
     elif isinstance(o, GradedPoly):
-        _append_poly(o, nl, parts)
+        _write_poly(o, out, nl, lead)
         return
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not heads:
-        parts.append(brackets)
+        out.write(lead + brackets)
         return
-    start, inner, leaf = len(parts), nl + "  ", True
-    sep = brackets[0] + inner
+    inner = nl + "  "
+    sep = lead + brackets[0] + inner
     for head, value in zip(heads, values):
-        text = _TEXT_BY_TYPE.get(type(value), _scalar_text)(value)
-        if text is None:
-            leaf = False
-            parts.append(sep + head)
-            _append_json(value, inner, parts)
-            if len(parts) - parts.seen >= _COUNT_EVERY:
-                parts.spill()
-        else:
-            parts.append(sep + head + text)
+        _write_json(value, out, inner, sep + head)
         sep = "," + inner
-    parts.append(nl + brackets[1])
-    if leaf:
-        parts[start:] = ["".join(parts[start:])]
-
-
-def _write_json(doc, writelines) -> None:
-    """Write `json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)`,
-    byte for byte, by `writelines` in chunks of about `_CHUNK` characters as
-    they are made; a shorter document is one call.  A payload carries each
-    polynomial as a `GradedPoly` leaf, which `_append_poly` renders from its
-    rows, so no dict is built per term.  With `indent` set, `json` encodes in
-    pure Python and yields every token apart, and `json.dump` writes each
-    one."""
-    text = _scalar_text(doc)
-    if text is not None:
-        writelines([text])
-        return
-    parts = _Chunks(writelines)
-    _append_json(doc, "\n", parts)
-    writelines(parts)
+    out.write(nl + brackets[1])
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InputError(f"q-expansion order {k} is above the limit {MAX_QORDER}")
         ok, lines, payload = args.handler(args)
         if args.format == "json":
-            _write_json(payload(), sys.stdout.writelines)
+            _write_json(payload(), sys.stdout)
             sys.stdout.write("\n")
         else:
             for line in lines():

@@ -18,6 +18,7 @@ Q[alpha, beta]}; they run as the non-gating criterion `curve-automorphisms`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .exact import ALPHA, BETA, GaussianRational, I, InputError, ONE, ZERO
@@ -28,12 +29,15 @@ from .series import TruncSeries, compose, revert, sqrt_unit
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def solve_u_of_v(N: int) -> TruncSeries:
     """The unique series u(v) with u - 2*alpha*u^3 + beta*u^5 = v^2 through
     order N; only exponents = 2 (mod 4) occur.
 
     u(v) = w^-1(v^2) for the quintic w(u): the reversion of w through order
-    N // 2, with every exponent doubled.
+    N // 2, with every exponent doubled.  Solved once per process for each
+    N, since `log_phi` and `t_of_v` both read it; `solve_u_of_v.__wrapped__(N)`
+    solves it afresh.
     """
     if N < 2:
         raise InputError("order must be >= 2")

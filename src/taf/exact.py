@@ -413,7 +413,7 @@ class GradedPoly(_Homogeneous):
 
     def to_json_dict(self) -> dict:
         """The JSON of a polynomial: its rows, j descending.  `cli` writes
-        this text from `_rows` without building the dict."""
+        this text row by row from `_rows`, as it makes it, with no dict."""
         return {
             "terms": [
                 {"i": i, "j": j, "num": str(num), "den": den}

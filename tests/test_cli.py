@@ -11,7 +11,6 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +246,22 @@ def test_closed_stdout_exits_quietly(k):
     assert "Traceback" not in err
     assert err == ""
     assert proc.returncode == 1
+
+
+def test_stdout_closed_mid_document_exits_quietly():
+    # landweber -p 53 writes 0.5 MB of JSON; the reader takes 10 bytes and
+    # closes the pipe, so a write in the middle of the document fails.
+    src = str(Path(taf.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taf.cli", "landweber", "-p", "53", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (head, err, proc.returncode) == (b'{\n  "prime', b"", 1)
 
 
 class TestParserReuse:
@@ -564,23 +579,6 @@ def test_output_bytes_pinned(capsys, command):
         assert (code, _digest(out)) == (0, digest), fmt
 
 
-@pytest.mark.parametrize("command", ["landweber -p 53", "fgl -N 21"])
-def test_output_bytes_pinned_in_chunks(capsys, monkeypatch, command):
-    # The benchmark's largest JSON outputs, written by main in chunks of
-    # about 4 KB, keep their pinned bytes.
-    writes = []
-    write_json = cli._write_json
-
-    def counted(doc, writelines):
-        write_json(doc, lambda parts: writes.append(writelines(parts)))
-
-    monkeypatch.setattr(cli, "_CHUNK", 4096)
-    monkeypatch.setattr(cli, "_write_json", counted)
-    code, out = run(capsys, *command.split(), "--format", "json")
-    assert (code, _digest(out)) == (0, PINNED_OUTPUT[command][1])
-    assert len(writes) >= 3
-
-
 # JSON documents for the writer's oracle: nested and empty dicts, lists and
 # tuples over every scalar json writes, with non-ASCII and control
 # characters, ints past 4,300 digits, and the floats json writes as words.
@@ -668,74 +666,55 @@ class _Str(str):
         return "a str"
 
 
+class _Writes(list):
+    """A text stream that keeps each string written to it, apart."""
+
+    write, writelines = list.append, list.extend
+
+
 def json_writes(doc):
-    """The lists of parts `cli._write_json` passes to each `writelines`."""
-    writes = []
-    cli._write_json(doc, lambda parts: writes.append(list(parts)))
+    """The strings `cli._write_json` writes, one per write."""
+    writes = _Writes()
+    cli._write_json(doc, writes)
     return writes
 
 
 def json_text(doc):
-    return "".join(part for parts in json_writes(doc) for part in parts)
+    return "".join(json_writes(doc))
 
 
 class TestJsonText:
-    # The parts of cli._write_json, joined, against json.dumps(doc, indent=2),
-    # byte for byte: in one write, and spilled in chunks of 1 to 64
-    # characters, counted once 1, 3 or 64 parts have been appended.
-    @given(
-        _DOCUMENTS,
-        st.sampled_from([cli._CHUNK, 1, 7, 64]),
-        st.sampled_from([1, 3, cli._COUNT_EVERY]),
-    )
+    # The writes of cli._write_json, joined, against json.dumps(doc, indent=2),
+    # byte for byte.
+    @given(_DOCUMENTS)
     @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, doc, size, every):
+    def test_matches_json_dumps(self, doc):
         with _no_int_digit_limit():
-            with mock.patch.multiple(cli, _CHUNK=size, _COUNT_EVERY=every):
-                assert json_text(doc) == json.dumps(doc, indent=2)
+            assert json_text(doc) == json.dumps(doc, indent=2)
 
     # A polynomial leaf is written as json writes its `to_json_dict`.
-    @given(
-        _POLY_DOCUMENTS,
-        st.sampled_from([cli._CHUNK, 1, 7, 64]),
-        st.sampled_from([1, 3, cli._COUNT_EVERY]),
-    )
+    @given(_POLY_DOCUMENTS)
     @settings(max_examples=150, deadline=None)
-    def test_polynomial_leaves_match_json_dumps(self, doc, size, every):
+    def test_polynomial_leaves_match_json_dumps(self, doc):
         with _no_int_digit_limit():
             expected = json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)
-            with mock.patch.multiple(cli, _CHUNK=size, _COUNT_EVERY=every):
-                assert json_text(doc) == expected
+            assert json_text(doc) == expected
 
-    def test_short_document_is_one_write(self):
-        doc = {"law": [{"a": a, "b": 1, "poly": {"den": "1"}} for a in range(999)]}
-        assert len(json.dumps(doc, indent=2)) < cli._CHUNK
-        assert len(json_writes(doc)) == 1
-
-    def test_long_document_is_written_in_chunks(self):
-        # Each write but the last holds at least one chunk, and at most one
-        # chunk plus `_COUNT_EVERY` parts, so the text is never held whole.
-        row = {"poly": {"den": "1", "vec": ["9" * 999]}}
-        doc = {"rows": [row] * 4000}
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": [{"poly": {"den": "1", "vec": ["9" * 999]}}] * 4000},
+            {"v": [_graded(2 * 3999, 5**3, [10**999 + j for j in range(4000)])]},
+        ],
+        ids=["document", "polynomial"],
+    )
+    def test_long_document_is_written_as_it_is_made(self, doc):
+        # 4000 rows, of a document or of one polynomial's terms: no write is
+        # longer than two rows, so the text is never held.
         writes = json_writes(doc)
-        sizes = [sum(map(len, parts)) for parts in writes]
-        widest = max(len(part) for parts in writes for part in parts)
-        assert 3 <= len(writes) and sum(sizes) == len(json.dumps(doc, indent=2))
-        slack = cli._COUNT_EVERY * widest
-        assert all(cli._CHUNK <= s <= cli._CHUNK + slack for s in sizes[:-1])
-
-    def test_long_polynomial_is_written_in_chunks(self):
-        # Its rows are parts of their own: each write but the last holds at
-        # least one chunk, and at most one chunk plus `_COUNT_EVERY` rows.
-        doc = {"v": [_graded(2 * 3999, 5**3, [10**999 + j for j in range(4000)])]}
-        writes = json_writes(doc)
-        sizes = [sum(map(len, parts)) for parts in writes]
-        widest = max(len(part) for parts in writes for part in parts)
-        assert widest < 1200 and len(writes) >= 3  # one part per row
         expected = json.dumps(doc, indent=2, default=GradedPoly.to_json_dict)
-        assert "".join(part for parts in writes for part in parts) == expected
-        slack = cli._COUNT_EVERY * widest
-        assert all(cli._CHUNK <= s <= cli._CHUNK + slack for s in sizes[:-1])
+        assert "".join(writes) == expected
+        assert max(map(len, writes)) <= 2 * len(expected) / 4000
 
     @pytest.mark.parametrize(
         "doc",
@@ -773,16 +752,16 @@ def _refuse(*args, **kwargs):
     raise AssertionError("rendered for the other format")
 
 
-# A renderer is a GradedPoly method, or the writer's `cli._append_poly`,
+# A renderer is a GradedPoly method, or the writer's `cli._write_poly`,
 # which makes the JSON rows of a polynomial.  JSON output builds no
 # `to_json_dict` either: the writer renders each polynomial from its rows.
 @pytest.mark.parametrize(
     "command,fmt,renderer",
     [
         ("landweber -p 5", "text", "to_json_dict"),
-        ("landweber -p 5", "text", "_append_poly"),
+        ("landweber -p 5", "text", "_write_poly"),
         ("legendre 50", "text", "to_json_dict"),
-        ("legendre 50", "text", "_append_poly"),
+        ("legendre 50", "text", "_write_poly"),
         ("legendre 50", "json", "__str__"),
         ("vgens -p 5 -n 3", "json", "__str__"),
         ("vgens -p 5 -n 3", "json", "to_json_dict"),
@@ -795,7 +774,7 @@ def test_each_format_builds_only_its_own_output(
     argv = [*command.split(), "--format", fmt]
     expected = run(capsys, *argv)
     assert expected[0] == 0
-    owner = cli if renderer == "_append_poly" else GradedPoly
+    owner = cli if renderer == "_write_poly" else GradedPoly
     monkeypatch.setattr(owner, renderer, _refuse)
     assert run(capsys, *argv) == expected
 

@@ -86,6 +86,22 @@ class TestChartSolve:
         with pytest.raises(InputError):
             solve_u_of_v(1)
 
+    def test_the_chart_is_solved_once_per_order(self):
+        # log_phi and t_of_v each read u = solve_u_of_v(22), and the
+        # consistency check runs both again: one solve in all.
+        solve_u_of_v.cache_clear()
+        log_phi(21)
+        t_of_v(21)
+        assert log_phi_consistency(21)
+        assert solve_u_of_v.cache_info().misses == 1
+        u = solve_u_of_v.__wrapped__(22)
+        assert u == solve_u_of_v(22) and u is not solve_u_of_v(22)
+
+    def test_a_refused_order_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                solve_u_of_v(1)
+
 
 class TestLogarithms:
     def test_leading_terms(self):
@@ -129,6 +145,7 @@ class TestLogarithms:
 
         calls = []
         monkeypatch.setattr(curve, "revert", lambda f: calls.append(f) or revert(f))
+        solve_u_of_v.cache_clear()  # an order solved before reverts nothing
         t_of_v(21)
         quintic = {(1,): ONE, (3,): ALPHA.scale(-2), (5,): BETA}
         assert calls == [TruncSeries.from_terms(quintic, 11)]
