@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- `exact`: rationals, Gaussian rationals, the graded ring Q[alpha, beta],
-  and its mod-p layer.
+- `exact`: the graded ring Q[alpha, beta] over the rationals, and its
+  mod-p layer.
 - `series`: truncated power series (one and two variables) with exact
   coefficients; composition, reversion, square roots.
 - `legendre`: homogeneous Legendre polynomials and the genus logarithm.
@@ -14,8 +14,8 @@ Subpackages:
 - `chromatic`: Hazewinkel-generator images, p-integrality, and the
   Landweber regularity ladder.
 - `qexp`: exact theta-based Fourier expansions and numeric evaluation.
-- `arithgroups`: U(1,1; Z[i]), the Cayley transform, symplectic
-  embeddings, and fundamental-domain reduction.
+- `arithgroups`: the Gaussian rationals Q(i), U(1,1; Z[i]), the Cayley
+  transform, symplectic embeddings, and fundamental-domain reduction.
 - `criteria`: the acceptance criteria behind `taf selftest` and the
   acceptance tests.
 
@@ -30,7 +30,6 @@ from .exact import (  # noqa: F401
     ALPHA,
     BETA,
     DELTA_G,
-    GaussianRational,
     GradedPoly,
     InputError,
     ModPoly,
@@ -57,6 +56,7 @@ _LAZY = {
     "forms": "qexp",
     "j_invariant": "qexp",
     "transform_check": "qexp",
+    "GaussianRational": "arithgroups",
     "Mat": "arithgroups",
     "cayley": "arithgroups",
     "iota": "arithgroups",

@@ -1,12 +1,14 @@
 """Exact matrix machinery: U(1,1; Z[i]), the Cayley transform, and the
 embeddings into Sp(2; Z).
 
-All algebra is exact, so membership certificates are exact.  A `Mat`
-entry is stored in the narrowest of three forms: an `int` when it is a
-rational integer, a `Fraction` when it is real, and a `GaussianRational`
-only when its imaginary part is nonzero.  So the integer 4x4 matrices of
-Sp(2; Z) multiply on Python ints, and Q(i) arithmetic runs only on complex
-entries.  The standard embedding sends
+All algebra is exact, so membership certificates are exact.  Q(i) is
+`GaussianRational`, defined here since no other module uses it, so
+`import taf` does not load it.  A `Mat` entry is stored in the narrowest
+of three forms: an `int` when it is a rational integer, a `Fraction`
+when it is real, and a `GaussianRational` only when its imaginary part
+is nonzero.  So the integer 4x4 matrices of Sp(2; Z) multiply on Python
+ints, and Q(i) arithmetic runs only on complex entries.  The standard
+embedding sends
 
     g = Re(g) + i*Im(g)  ->  ( Re(g)      Im(g)*H  )
                              ( -H*Im(g)   H*Re(g)*H )
@@ -43,8 +45,98 @@ from fractions import Fraction
 from math import isfinite
 from typing import NamedTuple
 
-from .exact import GaussianRational, InputError, I
+from .exact import InputError, Scalar
 
+
+class GaussianRational:
+    """An element of Q(i), exact field arithmetic on Fraction parts.
+
+    It reads as `int` and `Fraction` do (`real`, `imag`, `conjugate()`,
+    zero falsy), so code that takes all three reads entries one way, and it
+    equals and hashes as its real part when its imaginary part is 0.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Scalar = 0, im: Scalar = 0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def coerce(x: "GaussianRational | Scalar") -> "GaussianRational":
+        if isinstance(x, GaussianRational):
+            return x
+        return GaussianRational(x)
+
+    def __add__(self, other):
+        o = GaussianRational.coerce(other)
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + (-GaussianRational.coerce(other))
+
+    def __rsub__(self, other):
+        return GaussianRational.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = GaussianRational.coerce(other)
+        return GaussianRational(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    __rmul__ = __mul__
+
+    @property
+    def real(self) -> Fraction:
+        return self.re
+
+    @property
+    def imag(self) -> Fraction:
+        return self.im
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def norm(self) -> Fraction:
+        """re^2 + im^2, a non-negative rational, zero only at 0."""
+        return self.re * self.re + self.im * self.im
+
+    def inv(self) -> "GaussianRational":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero in Q(i)")
+        return GaussianRational(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * GaussianRational.coerce(other).inv()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+I = GaussianRational(0, 1)
 GR = GaussianRational
 
 

@@ -112,6 +112,10 @@ def binomial_valuation(p: int, n: int, k: int) -> int:
 
 
 class LandweberVerdicts(NamedTuple):
+    """The verdicts (a), (b), (c) of `landweber_check`.  (a) is True whenever
+    the verdicts are built, since `_poly_mod` first refuses a v_1 that is 0
+    mod p; it is kept because `landweber` prints it."""
+
     v1_nonzero_mod_p: bool
     v2_nonzero_mod_p_v1: bool
     height2_cozero_check: bool
@@ -253,7 +257,8 @@ def landweber_check(p: int) -> VGenReport:
     (b) divides by v_1 in alpha over F_p[beta], which needs v_1's
     alpha-leading coefficient v_1(1, 0) to be a unit; `_poly_mod` refuses v_1
     otherwise, with `InputError`.  So no common zero lies on the ray beta = 0,
-    and (c) has nothing to check there."""
+    and (c) has nothing to check there.  A v_1 that is 0 mod p is refused the
+    same way, so (a) is True whenever the verdicts are built."""
     report = key_lemma_check(p, 2)
     v1, v2 = (dehom_mod_p(v, p) for v in report.v)
     r = _poly_mod(v2, v1, p)

@@ -120,8 +120,8 @@ def _euler_law(N, K):
 
 
 def _fgl_axioms(N, K):
-    # Construction verifies unit, commutativity and log additivity, which
-    # implies associativity, and raises on any failure.
+    # Construction verifies commutativity and log additivity, which imply
+    # the unit axiom and associativity, and raises on any failure.
     fgl_phi(N)
     fgl_phiL(N)
     return True, "unit, commutativity, associativity (construction aborts on failure)"

@@ -12,16 +12,16 @@ reversion in this module is the chart solve's.
 
 The automorphisms (the order-4 map behind the Z[i]-action, and the inversion)
 are checked exactly on the equation as a map {(x, y) exponents: coefficient in
-Q[alpha, beta]}; they run as the non-gating criterion `curve-automorphisms`.
+Q[alpha, beta]}, the order-4 map by exponents mod 4 alone; they run as the
+non-gating criterion `curve-automorphisms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 
-from .exact import ALPHA, BETA, GaussianRational, I, InputError, ONE, ZERO
+from .exact import ALPHA, BETA, InputError, ONE, ZERO
 from .series import TruncSeries, compose, revert, sqrt_unit
 
 # ---------------------------------------------------------------------------
@@ -90,12 +90,12 @@ def log_phi_consistency(N: int) -> bool:
 _EQUATION = {(0, 2): ONE, (5, 0): -ONE, (3, 0): ALPHA.scale(2), (1, 0): -BETA}
 
 
-def order4_check(unit=I) -> bool:
-    """(x, y) -> (-x, unit*y) maps the curve equation to -1 times itself
-    (same vanishing locus) exactly when unit = +-i: it multiplies the term
-    c*x^a*y^b by (-1)^a*unit^b, which must be -1 for every term."""
-    unit = GaussianRational.coerce(unit)
-    return all(prod([unit] * b, start=(-1) ** a) == -1 for a, b in _EQUATION)
+def order4_check(e: int = 1) -> bool:
+    """(x, y) -> (-x, i^e*y) maps the curve equation to -1 times itself
+    (same vanishing locus) exactly when e is odd, the unit i^e = +-i: it
+    multiplies the term c*x^a*y^b by (-1)^a*i^(e*b) = i^(2a + e*b), which
+    must be -1 = i^2 for every term."""
+    return all((2 * a + e * b) % 4 == 2 for a, b in _EQUATION)
 
 
 def inversion_check() -> bool:

@@ -1,8 +1,10 @@
-"""Exact coefficient arithmetic: Q, Q(i), and the graded ring Q[alpha, beta].
+"""Exact coefficient arithmetic: the graded ring Q[alpha, beta] and its mod-p
+layer.
 
 Rationals are `fractions.Fraction` (always canonical: reduced, positive
-denominator).  The grading gives alpha degree 1 and beta degree 2 ("Legendre
-degree"); weight is 4x that and topological degree 8x.
+denominator); Q(i) lives in `arithgroups`, its one user.  The grading gives
+alpha degree 1 and beta degree 2 ("Legendre degree"); weight is 4x that and
+topological degree 8x.
 
 Every element of Q[alpha, beta] the pipeline builds is homogeneous, and a
 `GradedPoly` must be: one of Legendre degree d is stored as
@@ -78,113 +80,6 @@ def is_prime(n: int) -> bool:
 def require_prime(p: int) -> None:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-
-class GaussianRational:
-    """An element of Q(i), exact field arithmetic on Fraction parts.
-
-    It reads as `int` and `Fraction` do (`real`, `imag`, `conjugate()`,
-    zero falsy), so code that takes all three reads entries one way, and it
-    equals and hashes as its real part when its imaginary part is 0.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Scalar = 0, im: Scalar = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def coerce(x: "GaussianRational | Scalar") -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(x)
-
-    def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    @property
-    def real(self) -> Fraction:
-        return self.re
-
-    @property
-    def imag(self) -> Fraction:
-        return self.im
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def norm(self) -> Fraction:
-        """re^2 + im^2, a non-negative rational, zero only at 0."""
-        return self.re * self.re + self.im * self.im
-
-    def inv(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inv()
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inv()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
-
-
-I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------

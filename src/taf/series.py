@@ -413,28 +413,12 @@ class BiTruncSeries(_Series):
     __add__, __sub__, __neg__ = _Series.__add__, _Series.__sub__, _Series.__neg__
     __mul__, scale = _Series.__mul__, _Series.scale
 
-    @staticmethod
-    def variable(slot: int, order: int) -> "BiTruncSeries":
-        """slot 0 -> x, slot 1 -> y."""
-        key = (1, 0) if slot == 0 else (0, 1)
-        return BiTruncSeries({key: ONE}, order)
-
     def coefficient(self, a: int, b: int) -> GradedPoly:
         return self.terms.get((a, b), ZERO)
 
     def swap(self) -> "BiTruncSeries":
         terms = {(b, a): c for (a, b), c in self.terms.items()}
         return BiTruncSeries(terms, self.order)
-
-    def set_x(self) -> TruncSeries:
-        """Restrict to x = 0: the univariate series in y."""
-        terms = {(b,): c for (a, b), c in self.terms.items() if a == 0}
-        return TruncSeries.from_terms(terms, self.order)
-
-    def set_y(self) -> TruncSeries:
-        """Restrict to y = 0: the univariate series in x."""
-        terms = {(a,): c for (a, b), c in self.terms.items() if b == 0}
-        return TruncSeries.from_terms(terms, self.order)
 
     def __str__(self):
         parts = [

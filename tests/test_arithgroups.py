@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from taf.arithgroups import (
     G_GEN_C4,
+    GaussianRational,
     G_GEN_S,
     G_GEN_TRANSLATION,
     H,
+    I,
     IOTA_IMAGE_C4,
     IOTA_IMAGE_S,
     IOTA_IMAGE_TRANSLATION,
@@ -54,8 +56,10 @@ from taf.arithgroups import (
     siegel_action,
     sigma,
 )
-from taf.exact import GaussianRational as GR
-from taf.exact import I, InputError
+from taf.exact import InputError
+from test_exact import fractions
+
+GR = GaussianRational
 
 
 def mul_2x4(rows, m: Mat):
@@ -206,6 +210,11 @@ def square_pairs(draw):
     return draw(square), draw(square)
 
 
+@st.composite
+def gaussian_rationals(draw):
+    return GaussianRational(draw(fractions), draw(fractions))
+
+
 def rho_by_blocks(g: Mat) -> Mat:
     """rho(g) as block4 of Re(g) = (g + conj g)/2 and Im(g) = (g - conj g)/2i
     with the twist H: the formula `rho_unchecked` reads off entries."""
@@ -256,6 +265,61 @@ SHAPE_ERRORS = {
     "gamma_theta_4x4": lambda: in_gamma_theta(Mat.identity(4)),
     "gamma_theta_2x1": lambda: in_gamma_theta(Mat([[1], [0]])),
 }
+
+
+class TestGaussianRational:
+    @given(gaussian_rationals(), gaussian_rationals(), gaussian_rationals())
+    @settings(max_examples=60)
+    def test_ring_axioms(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + (-a) == GaussianRational(0)
+
+    @given(gaussian_rationals())
+    @settings(max_examples=60)
+    def test_inverse(self, a):
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+        else:
+            assert a * a.inv() == GaussianRational(1)
+
+    @given(gaussian_rationals(), gaussian_rationals())
+    @settings(max_examples=60)
+    def test_conjugation_and_norm(self, a, b):
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert (a * b).norm() == a.norm() * b.norm()
+        assert a.norm() >= 0
+
+    def test_i_squared(self):
+        assert I * I == GaussianRational(-1)
+
+    @given(gaussian_rationals())
+    @settings(max_examples=60)
+    def test_reads_as_int_and_fraction_do(self, a):
+        assert (a.real, a.imag) == (a.re, a.im)
+        assert a.conjugate() == GaussianRational(a.re, -a.im)
+        assert bool(a) == (a.re != 0 or a.im != 0)
+
+    @pytest.mark.parametrize("value", [3, Fraction(1, 2), 0])
+    def test_a_real_value_equals_and_hashes_as_its_real_part(self, value):
+        z = GaussianRational(value)
+        assert z == value and value == z
+        assert hash(z) == hash(value)
+        assert len({z, value}) == 1
+        assert bool(z) == bool(value)
+
+    def test_zero_is_falsy(self):
+        assert not GaussianRational(0)
+        assert GaussianRational(0, 1) and GaussianRational(Fraction(1, 2))
+        assert len({GaussianRational(3), 3}) == 1
+        assert GaussianRational(3, 1) != 3
+
+    def test_immutability(self):
+        with pytest.raises(AttributeError):
+            I.re = Fraction(1)
 
 
 class TestMat:

@@ -205,7 +205,9 @@ def test_import_leaves_out_what_a_command_may_not_use():
         "import sys, taf.cli; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'taf.arithgroups', "
         "'taf.qexp', 'taf.criteria') if m in sys.modules)); "
-        "import taf; taf.Mat, taf.forms, taf.reduce_to_fundamental_domain; "
+        "import taf; taf.GaussianRational; print(sorted(m for m in sys.modules "
+        "if m in ('taf.arithgroups', 'taf.qexp'))); "
+        "taf.Mat, taf.forms, taf.reduce_to_fundamental_domain; "
         "from taf import rho; print(sorted(m for m in sys.modules "
         "if m in ('taf.arithgroups', 'taf.qexp')))"
     )
@@ -215,7 +217,11 @@ def test_import_leaves_out_what_a_command_may_not_use():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['taf.arithgroups', 'taf.qexp']"]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['taf.arithgroups']",
+        "['taf.arithgroups', 'taf.qexp']",
+    ]
 
 
 def test_lazy_names_are_the_module_names():
@@ -224,6 +230,9 @@ def test_lazy_names_are_the_module_names():
 
     assert taf.forms is taf.qexp.forms
     assert taf.Mat is taf.arithgroups.Mat
+    assert taf.GaussianRational is taf.arithgroups.GaussianRational
+    # Q(i) lives in arithgroups alone.
+    assert not {"GaussianRational", "I"} & vars(taf.exact).keys()
     with pytest.raises(AttributeError):
         taf.no_such_name
 

@@ -1,10 +1,13 @@
 """Curve chart solve, logarithms, and exact automorphism identities."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from taf.arithgroups import GaussianRational, I
 from taf.curve import (
+    _EQUATION,
     inversion_check,
     log_phi,
     log_phi_consistency,
@@ -12,7 +15,7 @@ from taf.curve import (
     solve_u_of_v,
     t_of_v,
 )
-from taf.exact import ALPHA, BETA, I, InputError, ONE
+from taf.exact import ALPHA, BETA, InputError, ONE
 from taf.series import TruncSeries, compose, integrate, revert, series_div, sqrt_unit
 
 
@@ -173,7 +176,14 @@ class TestAutomorphisms:
         assert inversion_check()
 
     def test_order4_needs_i(self):
-        # A wrong root of unity breaks the identity (negative control).
-        assert not order4_check(unit=1)
-        assert not order4_check(-1)
-        assert order4_check(-I)
+        # y -> i^e*y: the units i and -i = i^3 keep the equation up to sign;
+        # 1 = i^0 and -1 = i^2 break it (negative controls).
+        assert order4_check(1) and order4_check(3)
+        assert not order4_check(0) and not order4_check(2)
+
+    @pytest.mark.parametrize("e", range(8))
+    def test_order4_matches_the_map_in_q_i(self, e):
+        # The map applied in Q(i), as the check ran before it read exponents.
+        unit = prod([I] * e, start=GaussianRational(1))
+        image = [prod([unit] * b, start=(-1) ** a) for a, b in _EQUATION]
+        assert order4_check(e) is all(c == -1 for c in image)

@@ -12,9 +12,7 @@ from taf.exact import (
     ALPHA,
     BETA,
     DELTA_G,
-    GaussianRational,
     GradedPoly,
-    I,
     InputError,
     ModPoly,
     ONE,
@@ -212,11 +210,6 @@ def two_adic_polys(
 
 
 @st.composite
-def gaussian_rationals(draw):
-    return GaussianRational(draw(fractions), draw(fractions))
-
-
-@st.composite
 def graded_polys(draw, degree=None):
     """A homogeneous polynomial: a random Legendre degree d (or the given
     one), then a random list of d//2 + 1 Fractions, the coefficients of
@@ -242,61 +235,6 @@ def mod_polys(draw, p, max_degree):
     size = d // 2 + 1
     vec = draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
     return ModPoly(p, {(d - 2 * j, j): c for j, c in enumerate(vec)})
-
-
-class TestGaussianRational:
-    @given(gaussian_rationals(), gaussian_rationals(), gaussian_rationals())
-    @settings(max_examples=60)
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == GaussianRational(0)
-
-    @given(gaussian_rationals())
-    @settings(max_examples=60)
-    def test_inverse(self, a):
-        if not a:
-            with pytest.raises(ZeroDivisionError):
-                a.inv()
-        else:
-            assert a * a.inv() == GaussianRational(1)
-
-    @given(gaussian_rationals(), gaussian_rationals())
-    @settings(max_examples=60)
-    def test_conjugation_and_norm(self, a, b):
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-        assert (a * b).norm() == a.norm() * b.norm()
-        assert a.norm() >= 0
-
-    def test_i_squared(self):
-        assert I * I == GaussianRational(-1)
-
-    @given(gaussian_rationals())
-    @settings(max_examples=60)
-    def test_reads_as_int_and_fraction_do(self, a):
-        assert (a.real, a.imag) == (a.re, a.im)
-        assert a.conjugate() == GaussianRational(a.re, -a.im)
-        assert bool(a) == (a.re != 0 or a.im != 0)
-
-    @pytest.mark.parametrize("value", [3, Fraction(1, 2), 0])
-    def test_a_real_value_equals_and_hashes_as_its_real_part(self, value):
-        z = GaussianRational(value)
-        assert z == value and value == z
-        assert hash(z) == hash(value)
-        assert len({z, value}) == 1
-        assert bool(z) == bool(value)
-
-    def test_zero_is_falsy(self):
-        assert not GaussianRational(0)
-        assert GaussianRational(0, 1) and GaussianRational(Fraction(1, 2))
-        assert len({GaussianRational(3), 3}) == 1
-        assert GaussianRational(3, 1) != 3
-
-    def test_immutability(self):
-        with pytest.raises(AttributeError):
-            I.re = Fraction(1)
 
 
 class TestGradedPoly:

@@ -30,7 +30,7 @@ from taf.series import (
     sqrt_unit,
 )
 from test_exact import graded_polys
-from test_series import _substitute, bi_from_univariate, tri_mul
+from test_series import _substitute, bi_from_univariate, set_y, tri_mul
 
 
 def grouped_product(a, b, n):
@@ -184,7 +184,7 @@ class TestConstruction:
             fgl_phiL(9)
         assert fgl_phiL.cache_info().currsize == 0
         law = good.law + perturbation(d, mirror=True)
-        assert law == law.swap() and law.set_y() == good.law.set_y()
+        assert law == law.swap() and set_y(law) == set_y(good.law)
         assert not _associativity_holds(law)
 
     def test_additivity_failure_names_its_first_discrepancy(self, monkeypatch):
@@ -235,10 +235,12 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            # An x^2 term: F(x, 0) is no longer x.
+            # An x^2 term: F(x, 0) is no longer x, while F(0, y) is still y,
+            # so F(x, y) != F(y, x).
             (
                 {(2, 0): ONE},
-                "unit axiom failed: first at x^2*y^0, F has 1, x + y has 0",
+                "commutativity failed: first at x^0*y^2, F(x, y) has 0,"
+                " F(y, x) has 1",
             ),
             # x*y^2 without its partner x^2*y: F(x, y) != F(y, x).
             (
@@ -246,8 +248,15 @@ class TestConstruction:
                 "commutativity failed: first at x^1*y^2, F(x, y) has 1,"
                 " F(y, x) has 0",
             ),
+            # alpha*(x^5 + y^5): commutative, but F(x, 0) is no longer x, and
+            # additivity at y = 0 sees it.
+            (
+                {(5, 0): ALPHA, (0, 5): ALPHA},
+                "logarithm additivity failed: first at x^0*y^5, L(F) has 6/5*a,"
+                " L(x) + L(y) has 1/5*a",
+            ),
         ],
-        ids=["unit", "commutativity"],
+        ids=["unit", "commutativity", "symmetric-unit"],
     )
     def test_axiom_failure_names_its_first_discrepancy(
         self, extra, message, fresh_laws, monkeypatch
@@ -311,7 +320,7 @@ class TestConstruction:
     def test_log_linearizes_the_law(self):
         f = fgl_phiL(9)
         # F(x, 0) = x exactly.
-        assert f.law.set_y() == TruncSeries.identity(9)
+        assert set_y(f.law) == TruncSeries.identity(9)
 
     def test_consistency_error_is_loud(self):
         assert issubclass(ConsistencyError, RuntimeError)
@@ -463,8 +472,8 @@ def product_euler_law(N):
     root = sqrt_unit(base)
     root_x = bi_from_univariate(root, 0, N)
     root_y = bi_from_univariate(root, 1, N)
-    x = BiTruncSeries.variable(0, N)
-    y = BiTruncSeries.variable(1, N)
+    x = BiTruncSeries({(1, 0): ONE}, N)
+    y = BiTruncSeries({(0, 1): ONE}, N)
     numerator = x * root_y + y * root_x
     geometric = TruncSeries([(-1) ** k for k in range(N // 4 + 1)], N)
     t = BiTruncSeries({(2, 2): ALPHA.scale(2)}, N)
